@@ -59,7 +59,7 @@ from .dynamics import (
     transport_apply,
 )
 from .geometry import build_structure_tables, geodesic_drift
-from .integrate import SimConfig, StepKernel, run_ensemble
+from .integrate import SimConfig, StepKernel, _saved_indices, run_ensemble
 from .noise import (
     NoiseModel,
     normalizer_cw,
@@ -194,12 +194,8 @@ def criterion_a1_heun_order(quick: bool = False, seed: int = 0) -> CriterionResu
 # ---------------------------------------------------------------------------
 
 
-def _check_times(n_steps: int, every: int = 10) -> np.ndarray:
-    """Check grid matching the default output decimation (save_every)."""
-    idx = np.arange(0, n_steps + 1, every)
-    if idx[-1] != n_steps:
-        idx = np.append(idx, n_steps)
-    return idx
+#: check-time decimation of A2/A3, the default output decimation (save_every)
+CHECK_EVERY = 10
 
 
 def criterion_a2_h1_flat(
@@ -210,7 +206,7 @@ def criterion_a2_h1_flat(
     def body():
         diag = _a2_run(sc, seed, _shared)
         mean, se = diag.h1_stats()
-        idx = _check_times(len(diag.times) - 1)
+        idx = _saved_indices(len(diag.times) - 1, CHECK_EVERY)
         ref = mean[0]
         dev = np.abs(mean[idx] - ref)
         ok = bool(np.all(dev <= 3 * se[idx] + 1e-12))
@@ -271,7 +267,7 @@ def criterion_a3_gronwall(quick: bool = False, seed: int = 0) -> CriterionResult
         mean, se = diag.h1_stats()
         rate = gronwall_rate(noise)
         env = mean[0] * np.exp(rate * diag.times)
-        idx = _check_times(len(diag.times) - 1)
+        idx = _saved_indices(len(diag.times) - 1, CHECK_EVERY)
         excess = mean[idx] - (env[idx] + 3 * se[idx])
         ok = bool(np.all(excess <= 0))
         later = idx[idx > 0]

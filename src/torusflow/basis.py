@@ -216,9 +216,8 @@ def halfspectrum_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
 
 
 def grid_to_halfspectrum(grid: np.ndarray) -> np.ndarray:
-    """Forward rfft2 over the trailing grid axes."""
-    m = grid.shape[-1]
-    return _fft.rfft2(grid, axes=(-2, -1)) * 1.0  # (..., 2, m, mh), unnormalized
+    """Forward rfft2 over the trailing grid axes: ``(..., m, m//2 + 1)``, unnormalized."""
+    return _fft.rfft2(grid, axes=(-2, -1))
 
 
 def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
@@ -248,7 +247,6 @@ def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
 def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectra of ``d/d theta1`` and ``d/d theta2`` of a placed field."""
     gm = basis._grid_map(m)
-    lead = spec.shape[:-2]
     k1 = gm.kgrid1.reshape(m, gm.mh)
     k2 = gm.kgrid2.reshape(m, gm.mh)
     return (1j * k1) * spec, (1j * k2) * spec
@@ -420,19 +418,29 @@ def leray_project(g: GridField | SpectralField, basis: Basis | int) -> SpectralF
     return analyze(g, basis)
 
 
+def constant_advection(kappa: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Exact ``(a . grad) u`` for a spatially constant advector ``a``.
+
+    ``kappa = a . k`` is the per-mode symbol (leading axes broadcast against
+    ``coeffs`` of shape ``(..., 2, N)``); transport rotates each cosine/sine
+    pair, ``(a, b) -> (kappa b, -kappa a)``, and never leaves the mode set.
+    """
+    return np.stack([kappa * coeffs[..., 1, :], -kappa * coeffs[..., 0, :]], axis=-2)
+
+
 def gradient(f: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Componentwise partial derivatives ``(d1 f, d2 f)``.
 
-    Differentiation acts mode-wise (cos -> -k_l sin, sin -> k_l cos) and keeps
-    the field inside the same mode set; the results are divergence-free since
+    ``d_l`` is transport by the constant unit advector ``e_l``, i.e. the
+    rotation with ``kappa = k_l``; the results are divergence-free since
     ``div d_l f = d_l div f = 0``.
     """
-    a, b = f.coeffs[0], f.coeffs[1]
     k1 = f.basis.modes[:, 0].astype(np.float64)
     k2 = f.basis.modes[:, 1].astype(np.float64)
-    d1 = SpectralField(f.basis, np.stack([k1 * b, -k1 * a]))
-    d2 = SpectralField(f.basis, np.stack([k2 * b, -k2 * a]))
-    return d1, d2
+    return (
+        SpectralField(f.basis, constant_advection(k1, f.coeffs)),
+        SpectralField(f.basis, constant_advection(k2, f.coeffs)),
+    )
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:

@@ -39,7 +39,7 @@ from .diagnostics import (
     write_path_csv,
     write_state_csv,
 )
-from .integrate import SimConfig, run_ensemble, run_path
+from .integrate import MidpointConvergenceError, SimConfig, run_ensemble, run_path
 from .noise import ConfigurationError, NoiseModel
 
 OUT_ENV_VAR = "TORUSFLOW_OUT"
@@ -88,7 +88,9 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
     return out
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str) -> tuple[dict[str, str], int | None]:
+    """The config table of a ``key = value`` file or a JSON manifest, and the
+    manifest's path id (``None`` if it records none)."""
     p = Path(path)
     if not p.exists():
         raise ConfigFileError(f"config file {path!r} does not exist")
@@ -104,8 +106,9 @@ def _load_config_file(path: str) -> dict[str, str]:
         unknown = sorted(set(cfg) - set(_KEYS))
         if unknown:
             raise ConfigFileError(f"{path}: unknown config keys {unknown}")
-        return {k: str(v) for k, v in cfg.items()}
-    return _parse_kv_file(p)
+        path_id = doc.get("path_id")
+        return {k: str(v) for k, v in cfg.items()}, None if path_id is None else int(path_id)
+    return _parse_kv_file(p), None
 
 
 def _build_noise(spec: str, beta: float) -> NoiseModel:
@@ -138,6 +141,7 @@ class RunManifest:
     created_utc: str = ""
     wall_seconds: float = 0.0
     outputs: tuple[str, ...] = ()
+    path_id: int | None = None  # the stream a single-path run integrates
 
     def sim_config(self) -> SimConfig:
         c = self.config
@@ -159,19 +163,18 @@ class RunManifest:
         return cfg.validate()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": "torusflow",
-                "version": self.version,
-                "created_utc": self.created_utc,
-                "command": self.command,
-                "config": self.config,
-                "outputs": list(self.outputs),
-                "wall_seconds": self.wall_seconds,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        doc = {
+            "tool": "torusflow",
+            "version": self.version,
+            "created_utc": self.created_utc,
+            "command": self.command,
+            "config": self.config,
+            "outputs": list(self.outputs),
+            "wall_seconds": self.wall_seconds,
+        }
+        if self.path_id is not None:
+            doc["path_id"] = self.path_id
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def write(self, name: str = "manifest.json") -> Path:
         p = self.out_dir / name
@@ -182,21 +185,12 @@ class RunManifest:
 def resolve_manifest(args: argparse.Namespace, command: str) -> RunManifest:
     """Merge defaults, config file, and flag overrides (flags win)."""
     config = dict(_DEFAULTS)
+    path_id = None
     if getattr(args, "config", None):
-        config.update(_load_config_file(args.config))
-    for key, attr in (
-        ("n", "n"),
-        ("dt", "dt"),
-        ("T", "T"),
-        ("scheme", "scheme"),
-        ("noise", "noise"),
-        ("beta", "beta"),
-        ("ic", "ic"),
-        ("paths", "paths"),
-        ("seed", "seed"),
-        ("save_every", "save_every"),
-    ):
-        val = getattr(args, attr, None)
+        loaded, path_id = _load_config_file(args.config)
+        config.update(loaded)
+    for key in _KEYS:
+        val = getattr(args, key, None)
         if val is not None:
             config[key] = str(val)
     out_dir = Path(
@@ -204,7 +198,13 @@ def resolve_manifest(args: argparse.Namespace, command: str) -> RunManifest:
         if getattr(args, "out", None)
         else os.environ.get(OUT_ENV_VAR, "torusflow_out")
     )
-    return RunManifest(command=command, config=config, out_dir=out_dir)
+    if command != "run":
+        path_id = None
+    elif args.path_id is not None:  # the flag wins over a replayed manifest
+        path_id = args.path_id
+    elif path_id is None:
+        path_id = 0
+    return RunManifest(command=command, config=config, out_dir=out_dir, path_id=path_id)
 
 
 def _finish(manifest: RunManifest, outputs: list[Path], t0: float) -> None:
@@ -220,7 +220,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     manifest = resolve_manifest(args, "run")
     cfg = manifest.sim_config()
-    result = run_path(cfg, path_id=args.path_id)
+    result = run_path(cfg, path_id=manifest.path_id)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     p_csv = manifest.out_dir / "run.csv"
     p_state = manifest.out_dir / "state_final.csv"
@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate a single path and write its ledger")
     _add_config_flags(p_run)
-    p_run.add_argument("--path-id", type=int, default=0, help="which stream to run")
+    p_run.add_argument(
+        "--path-id", type=int, help="which stream to run (default: the manifest's, else 0)"
+    )
     p_run.set_defaults(fn=cmd_run)
 
     p_ens = sub.add_parser("ensemble", help="integrate an ensemble and write diagnostics")
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigurationError, ValueError) as e:
+    except (ConfigFileError, ConfigurationError, ValueError, MidpointConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,13 +19,14 @@ costs no transforms.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SpectralField, gradient
 from .dynamics import middle_slice
-from .integrate import EnsembleDiagnostics, PathResult
+from .integrate import EnsembleDiagnostics, PathResult, _saved_indices
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -154,25 +155,20 @@ class MartingaleProbe:
 
 
 def martingale_L_series(path: PathResult, v: SpectralField) -> np.ndarray:
-    """The complex series ``L_t`` along a stored path (trapezoid quadrature).
+    """The complex series ``L_t`` along a stored path.
 
-    Requires the path to be saved at full step resolution so the correction
-    integral sees every state.
+    Replays the path through a :class:`MartingaleProbe`, so it needs the
+    path saved at full step resolution for the trapezoid to see every state.
     """
     if len(path.states) != len(path.step_times):
         raise ConfigurationError(
             "martingale_L_series needs save_every=1 (path saved at full step resolution)"
         )
-    pc = _ProbeContractions(v)
-    coeffs = np.stack([s.coeffs for s in path.states], axis=0)
-    uv, drift, qv = pc.pairings(coeffs)
-    phi = 1j * drift - 0.5 * qv
-    integrand = np.exp(1j * uv) * phi
-    dt = np.diff(path.step_times)
-    correction = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]))]
-    )
-    return np.exp(1j * uv) - correction
+    probe = MartingaleProbe(v)
+    probe.start(path.step_times[0], path.states[0].coeffs[None])
+    for t, s in zip(path.step_times[1:], path.states[1:]):
+        probe.after_step(t, s.coeffs[None])
+    return probe.result().L[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +259,16 @@ def energy_report(source: PathResult | EnsembleDiagnostics) -> EnergyReport:
     return EnergyReport(times, mean_l2, se_l2, mean_h1, se_h1, env, drift, p)
 
 
+@contextmanager
+def csv_writer(out):
+    """A ``csv.writer`` on ``out``: a path, opened and closed here, or an open text stream."""
+    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
+        with open(out, "w", newline="") as fh:
+            yield csv.writer(fh)
+    else:
+        yield csv.writer(out)
+
+
 def write_ensemble_csv(
     diag: EnsembleDiagnostics, out, probe: str | ProbeSeries | None = None
 ) -> None:
@@ -277,17 +283,8 @@ def write_ensemble_csv(
         series = diag.observers[probe] if isinstance(probe, str) else probe
     qv = qv_check(diag, series) if series is not None and diag.n_paths >= 64 else None
 
-    steps = len(diag.times) - 1
-    keep = list(range(0, steps + 1, diag.config.save_every))
-    if keep[-1] != steps:
-        keep.append(steps)
-
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out)
+    keep = _saved_indices(len(diag.times) - 1, diag.config.save_every)
+    with csv_writer(out) as w:
         w.writerow(ENSEMBLE_CSV_COLUMNS)
         for i in keep:
             if series is not None:
@@ -317,19 +314,11 @@ def write_ensemble_csv(
                     f"{se_gap:.17g}",
                 ]
             )
-    finally:
-        if close:
-            out.close()
 
 
 def write_path_csv(path: PathResult, out) -> None:
     """Per-step scalar ledger of a single path."""
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out)
+    with csv_writer(out) as w:
         w.writerow(["t", "l2_sq", "h1_sq", "rel_l2_drift"])
         ref = path.l2_sq[0] if path.l2_sq[0] > 0 else 1.0
         for i, t in enumerate(path.step_times):
@@ -341,24 +330,13 @@ def write_path_csv(path: PathResult, out) -> None:
                     f"{(path.l2_sq[i] - path.l2_sq[0]) / ref:.17g}",
                 ]
             )
-    finally:
-        if close:
-            out.close()
 
 
 def write_state_csv(state: SpectralField, out) -> None:
     """Dump a spectral state as ``(kind, k1, k2, coeff)`` rows."""
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out)
+    with csv_writer(out) as w:
         w.writerow(["kind", "k1", "k2", "coeff"])
         b = state.basis
         for row, kind in ((0, "c"), (1, "s")):
             for i, (k1, k2) in enumerate(b.modes):
                 w.writerow([kind, int(k1), int(k2), f"{state.coeffs[row, i]:.17g}"])
-    finally:
-        if close:
-            out.close()

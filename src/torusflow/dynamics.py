@@ -1,15 +1,21 @@
 """Galerkin drift and diffusion operators for the truncated system.
 
-Two interchangeable evaluations of the quadratic term are provided.  The
-tensor route contracts the precomputed coupling coefficients
+The drift ``(u . grad) u`` and the transport noise ``(dW . grad) u`` are one
+bilinear operator ``(a . grad) u`` with different advectors, and every
+evaluation of it goes through one of two routes.  The tensor route contracts
+the precomputed coupling coefficients
 
     b_{ikj} = < (e_i . grad) e_k , e_j >_0
 
 over the enumerated basis (closed-form trigonometric integrals, O(n^4) per
-apply) and is the correctness oracle.  The pseudo-spectral route forms the
-advection products on a dealiased collocation grid (O(M^2 log M)) and must
-agree with the tensor route to full precision; it is the path the time
-stepper uses.
+apply); ``build_advection_tensor`` is the correctness oracle, and the probe
+tables of ``middle_slice`` are slices of it.  The pseudo-spectral route,
+``advect``, forms the products on a dealiased collocation grid
+(O(M^2 log M)) for batched states and any number of advectors, and must
+agree with the tensor route to full precision; the time stepper, the drifts
+and ``transport_apply`` all use it.  A spatially constant advector needs no
+grid: its transport is the exact per-mode rotation
+``basis.constant_advection``.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -34,6 +40,7 @@ from .basis import (
     Basis,
     BasisMode,
     SpectralField,
+    constant_advection,
     derivative_spectra,
     gather_coeffs,
     get_basis,
@@ -208,15 +215,17 @@ def build_advection_tensor(n: int) -> AdvectionTensor:
                 kk.append(k_f)
                 jj.append(j_f)
                 vv.append(val)
+    # 32-bit indices: the cached tensor stays resident beside every probe's
+    # ensemble, and 2 N is far below 2^31
     if ii:
         return AdvectionTensor(
             n,
-            np.concatenate(ii),
-            np.concatenate(kk),
-            np.concatenate(jj),
+            np.concatenate(ii, dtype=np.int32),
+            np.concatenate(kk, dtype=np.int32),
+            np.concatenate(jj, dtype=np.int32),
             np.concatenate(vv),
         )
-    return AdvectionTensor(n, *(np.zeros(0, dtype=np.int64),) * 3, np.zeros(0))
+    return AdvectionTensor(n, *(np.zeros(0, dtype=np.int32),) * 3, np.zeros(0))
 
 
 def nonlinear_direct(f: SpectralField, tensor: AdvectionTensor | None = None) -> SpectralField:
@@ -239,23 +248,14 @@ def middle_slice(basis: Basis, v: SpectralField) -> tuple[np.ndarray, np.ndarray
     """COO quadratic form ``Q[i, j] = < (e_i . grad) v, e_j >_0``.
 
     Contracting ``sum_ij Q_ij u_i u_j`` evaluates ``< (u . grad) v, u >_0``
-    exactly without grids, which the probe diagnostics use per step.
+    exactly without grids, which the probe diagnostics use per step.  The
+    entries are the couplings of the cached tensor whose target ``k`` is a
+    nonzero component of ``v``, weighted by that component.
     """
-    ii, jj, vv = [], [], []
-    for kind, off in (("c", 0), ("s", basis.n_modes)):
-        for i in range(basis.n_modes):
-            for k_f, j_f, val in _mode_expansion(basis, kind, i, basis.n):
-                # keep only target components present in v
-                w = v.coeffs.reshape(-1)[k_f]
-                nz = w != 0.0
-                if np.any(nz):
-                    ii.append(np.full(nz.sum(), off + i, dtype=np.int64))
-                    jj.append(j_f[nz])
-                    vv.append(val[nz] * w[nz])
-    if not ii:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0)
-    return np.concatenate(ii), np.concatenate(jj), np.concatenate(vv)
+    t = build_advection_tensor(basis.n)
+    w = v.coeffs.reshape(-1)[t.k_idx]
+    nz = w != 0.0
+    return t.i_idx[nz], t.j_idx[nz], t.vals[nz] * w[nz]
 
 
 # ---------------------------------------------------------------------------
@@ -273,58 +273,42 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
     return _fft.next_fast_len(need, real=True)
 
 
-def convective_rhs(
+def advect(
     basis: Basis,
     coeffs: np.ndarray,
-    adv: tuple[Basis, np.ndarray] | None = None,
+    m: int,
+    advectors: tuple = (None,),
     out_basis: Basis | None = None,
-    need_self: bool = True,
-    m: int | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Dealiased products ``(u . grad) u`` and optionally ``(w . grad) u``.
+) -> np.ndarray:
+    """Galerkin projections ``P (a . grad) u``, one per advector ``a``.
 
-    ``coeffs`` may carry leading batch axes ``(..., 2, N)``; ``adv`` supplies
-    the advecting field ``w`` (its own basis, matching batch axes).  Both
-    outputs are Galerkin-projected onto ``out_basis`` (default: the state
-    basis).  One batched inverse and one batched forward transform evaluate
-    everything.
+    ``coeffs`` holds ``u`` with leading batch axes ``(..., 2, N)``.  Each entry
+    of ``advectors`` is either ``None``, standing for ``u`` itself (the
+    quadratic term ``P (u . grad) u``), or an advecting field already on the
+    ``m x m`` grid, ``(..., 2, m, m)``, so a caller transforms a field it
+    reuses only once.  One inverse transform evaluates ``(d1 u, d2 u[, u])``
+    and one forward transform the stacked grid products.  Returns
+    ``(len(advectors), ..., 2, N)`` over ``out_basis`` (default: the basis
+    of ``u``).
     """
-    out_basis = out_basis or basis
-    n_adv = adv[0].n if adv is not None else basis.n
-    mm = m or dealias_resolution(basis.n, n_adv if adv is not None else basis.n, out_basis.n)
-
-    spec = place_halfspectrum(basis, coeffs, mm)
-    d1, d2 = derivative_spectra(basis, spec, mm)
-    stack = [d1, d2]
-    if need_self:
-        stack.append(spec)
-    if adv is not None:
-        stack.append(place_halfspectrum(adv[0], adv[1], mm))
-    grids = halfspectrum_to_grid(np.stack(stack, axis=0), mm)
-    g_d1, g_d2 = grids[0], grids[1]
-
+    spec = place_halfspectrum(basis, coeffs, m)
+    d1, d2 = derivative_spectra(basis, spec, m)
+    need_self = any(a is None for a in advectors)
+    grids = halfspectrum_to_grid(np.stack([d1, d2, spec] if need_self else [d1, d2]), m)
+    g1, g2 = grids[0], grids[1]
     prods = []
-    if need_self:
-        u = grids[2]
-        conv = u[..., 0:1, :, :] * g_d1 + u[..., 1:2, :, :] * g_d2
-        prods.append(conv)
-    if adv is not None:
-        w = grids[-1]
-        transp = w[..., 0:1, :, :] * g_d1 + w[..., 1:2, :, :] * g_d2
-        prods.append(transp)
-    spec_out = grid_to_halfspectrum(np.stack(prods, axis=0))
-    outs = gather_coeffs(out_basis, spec_out, mm)
-    if need_self and adv is not None:
-        return outs[0], outs[1]
-    if need_self:
-        return outs[0], None
-    return None, outs[0]
+    for a in advectors:
+        a = grids[2] if a is None else a
+        prods.append(a[..., 0:1, :, :] * g1 + a[..., 1:2, :, :] * g2)
+    stack = prods[0][None] if len(prods) == 1 else np.stack(prods)
+    return gather_coeffs(out_basis or basis, grid_to_halfspectrum(stack), m)
 
 
 def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -> SpectralField:
     """Galerkin projection of ``(f . grad) f`` via the dealiased grid product."""
-    conv, _ = convective_rhs(f.basis, f.coeffs, out_basis=out_basis)
-    return SpectralField(out_basis or f.basis, conv)
+    out_basis = out_basis or f.basis
+    m = dealias_resolution(f.basis.n, f.basis.n, out_basis.n)
+    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, out_basis=out_basis)[0])
 
 
 def _coerce_advector(advector) -> SpectralField:
@@ -347,24 +331,21 @@ def transport_apply(
 ) -> SpectralField:
     """Galerkin projection of ``(a . grad) f`` for a divergence-free advector.
 
-    Constant advectors reduce to exact mode-wise derivatives; general ones go
+    Constant advectors reduce to the exact mode-wise rotation; general ones go
     through the dealiased product.  Content shifted outside the output
     truncation is discarded (projection onto the truncated span).
     """
     w = _coerce_advector(advector)
     out_basis = out_basis or f.basis
-    if w.basis.n == 0:  # constant advection: a1 d1 f + a2 d2 f, exact
-        a1, a2 = w.coeffs[0, 0], w.coeffs[1, 0]
+    if w.basis.n == 0:
         k1 = f.basis.modes[:, 0].astype(np.float64)
         k2 = f.basis.modes[:, 1].astype(np.float64)
-        kappa = a1 * k1 + a2 * k2
-        a, b = f.coeffs[0], f.coeffs[1]
-        res = SpectralField(f.basis, np.stack([kappa * b, -kappa * a]))
+        kappa = w.coeffs[0, 0] * k1 + w.coeffs[1, 0] * k2
+        res = SpectralField(f.basis, constant_advection(kappa, f.coeffs))
         return res if out_basis.n == f.basis.n else leray_project(res, out_basis)
-    _, tr = convective_rhs(
-        f.basis, f.coeffs, adv=(w.basis, w.coeffs), out_basis=out_basis, need_self=False
-    )
-    return SpectralField(out_basis, tr)
+    m = dealias_resolution(f.basis.n, w.basis.n, out_basis.n)
+    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m), m)
+    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, (w_grid,), out_basis)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,5 +365,5 @@ def strat_drift(f: SpectralField) -> SpectralField:
 
 def ito_drift(f: SpectralField) -> SpectralField:
     """Ito-form drift ``-(1/2) A f - B(f)`` (fixed half-Laplacian correction)."""
-    conv, _ = convective_rhs(f.basis, f.coeffs)
+    conv = nonlinear_pseudospectral(f).coeffs
     return SpectralField(f.basis, -ITO_VISCOSITY * f.basis.ksq * f.coeffs - conv)

@@ -37,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import Basis, BasisMode, SpectralField, get_basis, leray_project
+from .diagnostics import csv_writer
 from .dynamics import _mode_expansion, transport_apply
 
 
@@ -270,21 +271,9 @@ def jacobi_residual(
 
 def write_tables_csv(tables: StructureTables, c_out, gamma_out) -> None:
     """Dump both sparse tensors as ``(k, l, m, value)`` rows."""
-    import csv
-
-    big = tables.out_basis
-    names = [str(m) for m in _flat_modes(big)]
-
+    names = [str(m) for m in _flat_modes(tables.out_basis)]
     for table, out in ((tables.c, c_out), (tables.gamma, gamma_out)):
-        close = False
-        if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-            out = open(out, "w", newline="")
-            close = True
-        try:
-            w = csv.writer(out)
+        with csv_writer(out) as w:
             w.writerow(["k", "l", "m", "value"])
             for (k, l, m), v in sorted(table.items()):
                 w.writerow([names[k], names[l], names[m], f"{v:.17g}"])
-        finally:
-            if close:
-                out.close()

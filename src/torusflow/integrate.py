@@ -34,15 +34,13 @@ from .basis import (
     SpectralField,
     batch_h1_sq,
     batch_l2_sq,
-    derivative_spectra,
-    gather_coeffs,
+    constant_advection,
     get_basis,
-    grid_to_halfspectrum,
     halfspectrum_to_grid,
     place_halfspectrum,
     random_field,
 )
-from .dynamics import ITO_VISCOSITY, dealias_resolution
+from .dynamics import ITO_VISCOSITY, advect, dealias_resolution
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -197,46 +195,23 @@ class StepKernel:
 
     # -- building blocks ---------------------------------------------------
 
-    def _convection(self, u: np.ndarray) -> np.ndarray:
-        """Galerkin ``(u . grad) u`` for batched coefficients."""
-        spec = place_halfspectrum(self.basis, u, self.m)
-        d1, d2 = derivative_spectra(self.basis, spec, self.m)
-        g = halfspectrum_to_grid(np.stack([spec, d1, d2]), self.m)
-        conv = g[0][..., 0:1, :, :] * g[1] + g[0][..., 1:2, :, :] * g[2]
-        return gather_coeffs(self.basis, grid_to_halfspectrum(conv), self.m)
+    def _prepare_noise(self, w_coeffs: np.ndarray) -> np.ndarray:
+        """What every operator evaluation of one step needs of its noise field.
 
-    def _convection_and_transport(
-        self, u: np.ndarray, w_grid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused ``(u . grad) u`` and ``(w . grad) u`` sharing one transform pass."""
-        spec = place_halfspectrum(self.basis, u, self.m)
-        d1, d2 = derivative_spectra(self.basis, spec, self.m)
-        g = halfspectrum_to_grid(np.stack([spec, d1, d2]), self.m)
-        conv = g[0][..., 0:1, :, :] * g[1] + g[0][..., 1:2, :, :] * g[2]
-        transp = w_grid[..., 0:1, :, :] * g[1] + w_grid[..., 1:2, :, :] * g[2]
-        out = gather_coeffs(self.basis, grid_to_halfspectrum(np.stack([conv, transp])), self.m)
-        return out[0], out[1]
-
-    def _noise_grid(self, w_coeffs: np.ndarray) -> np.ndarray:
+        Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
+        rotation.  Otherwise: the field on the grid, transformed once per step.
+        """
+        if self.constant_noise:
+            return w_coeffs[..., 0, 0:1] * self.k1 + w_coeffs[..., 1, 0:1] * self.k2
         spec = place_halfspectrum(self.noise.field_basis, w_coeffs, self.m)
         return halfspectrum_to_grid(spec, self.m)
 
-    def _kappa(self, w_coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode symbol of constant-vector advection: ``kappa = w . k``."""
-        w1 = w_coeffs[..., 0, 0:1]
-        w2 = w_coeffs[..., 1, 0:1]
-        return w1 * self.k1 + w2 * self.k2
-
-    @staticmethod
-    def _apply_kappa(kappa: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Exact transport by a constant advector: ``(a, b) -> (kappa b, -kappa a)``."""
-        return np.stack([kappa * u[..., 1, :], -kappa * u[..., 0, :]], axis=-2)
-
-    def transport(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
+    def _operators(self, u: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(P (u . grad) u, P (w . grad) u)`` for the prepared noise."""
         if self.constant_noise:
-            return self._apply_kappa(self._kappa(w_coeffs), u)
-        _, tr = self._convection_and_transport(u, self._noise_grid(w_coeffs))
-        return tr
+            return advect(self.basis, u, self.m)[0], constant_advection(noise, u)
+        conv, tr = advect(self.basis, u, self.m, (None, noise))
+        return conv, tr
 
     # -- schemes -------------------------------------------------------------
 
@@ -246,79 +221,52 @@ class StepKernel:
         ``w_coeffs`` is the assembled Wiener-increment field over the noise
         basis (leading axes matching ``u``).
         """
+        noise = self._prepare_noise(w_coeffs)
         if self.scheme == "ito-em":
-            return self._step_em(u, w_coeffs)
+            return self._step_em(u, noise)
         if self.scheme == "strat-heun":
-            return self._step_heun(u, w_coeffs)
-        return self._step_midpoint(u, w_coeffs)
+            return self._step_heun(u, noise)
+        return self._step_midpoint(u, noise)
 
-    def _step_em(self, u, w):
-        if self.constant_noise:
-            conv = self._convection(u)
-            tr = self._apply_kappa(self._kappa(w), u)
-        else:
-            conv, tr = self._convection_and_transport(u, self._noise_grid(w))
+    def _step_em(self, u, noise):
+        conv, tr = self._operators(u, noise)
         drift = -ITO_VISCOSITY * self.ksq * u - conv
         return u + self.dt * drift + tr
 
-    def _step_heun(self, u, w):
-        if self.constant_noise:
-            kappa = self._kappa(w)
-            f0 = -self._convection(u)
-            incr0 = self.dt * f0 + self._apply_kappa(kappa, u)
-            pred = u + incr0
-            f1 = -self._convection(pred)
-            incr1 = self.dt * f1 + self._apply_kappa(kappa, pred)
-        else:
-            wg = self._noise_grid(w)
-            conv0, tr0 = self._convection_and_transport(u, wg)
-            incr0 = -self.dt * conv0 + tr0
-            pred = u + incr0
-            conv1, tr1 = self._convection_and_transport(pred, wg)
-            incr1 = -self.dt * conv1 + tr1
+    def _step_heun(self, u, noise):
+        conv0, tr0 = self._operators(u, noise)
+        incr0 = -self.dt * conv0 + tr0
+        pred = u + incr0
+        conv1, tr1 = self._operators(pred, noise)
+        incr1 = -self.dt * conv1 + tr1
         return u + 0.5 * (incr0 + incr1)
 
-    def _step_midpoint(self, u, w):
+    def _step_midpoint(self, u, noise):
+        # solve v = u - dt P(mid . grad) mid + T(mid), mid = (u + v)/2, by
+        # fixed-point iteration on the paths not yet converged
         if self.constant_noise:
-            return self._step_midpoint_constant(u, w)
-        return self._step_midpoint_picard(u, w)
+            # the linear noise part T is inverted exactly per mode (2x2 blocks)
+            half_k = 0.5 * noise
+            denom = 1.0 + half_k * half_k
+            base = u + 0.5 * constant_advection(noise, u)
 
-    def _step_midpoint_constant(self, u, w):
-        # solve v = u + dt f(m) + T(m), m = (u+v)/2, with the linear noise
-        # part T inverted exactly per mode
-        kappa = self._kappa(w)
-        half_k = 0.5 * kappa
-        denom = 1.0 + half_k * half_k
-        base = u + 0.5 * self._apply_kappa(kappa, u)
-        v = u.copy()
-        lead = u.shape[:-2]
-        active = np.ones(lead, dtype=bool)
-        for iteration in range(self.max_iter):
-            idx = np.nonzero(active)
-            m_act = 0.5 * (u[idx] + v[idx])
-            x = base[idx] - self.dt * self._convection(m_act)
-            hk = half_k[idx]
-            va = (x[..., 0, :] + hk * x[..., 1, :]) / denom[idx]
-            vb = x[..., 1, :] - hk * va
-            v_new = np.stack([va, vb], axis=-2)
-            res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
-            v[idx] = v_new
-            still = res > self.tol
-            if not still.any():
-                return v
-            active[idx] = still
-        raise MidpointConvergenceError(float(res.max()), self.max_iter)
+            def update(idx, mid):
+                x = base[idx] - self.dt * advect(self.basis, mid, self.m)[0]
+                hk = half_k[idx]
+                va = (x[..., 0, :] + hk * x[..., 1, :]) / denom[idx]
+                return np.stack([va, x[..., 1, :] - hk * va], axis=-2)
 
-    def _step_midpoint_picard(self, u, w):
-        w_grid = self._noise_grid(w)
+        else:
+
+            def update(idx, mid):
+                conv, tr = advect(self.basis, mid, self.m, (None, noise[idx]))
+                return u[idx] - self.dt * conv + tr
+
         v = u.copy()
-        lead = u.shape[:-2]
-        active = np.ones(lead, dtype=bool)
-        for iteration in range(self.max_iter):
+        active = np.ones(u.shape[:-2], dtype=bool)
+        for _ in range(self.max_iter):
             idx = np.nonzero(active)
-            m_act = 0.5 * (u[idx] + v[idx])
-            conv, tr = self._convection_and_transport(m_act, w_grid[idx])
-            v_new = u[idx] - self.dt * conv + tr
+            v_new = update(idx, 0.5 * (u[idx] + v[idx]))
             res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
             v[idx] = v_new
             still = res > self.tol

@@ -35,6 +35,33 @@ def test_manifest_replay_bit_identical(tmp_path):
     assert (a / "state_final.csv").read_bytes() == (b / "state_final.csv").read_bytes()
 
 
+def test_manifest_replay_keeps_path_id(tmp_path):
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    common = ("--n", "3", "--dt", "1e-2", "--T", "0.05", "--seed", "11")
+    assert run_cli("run", *common, "--path-id", "5", "--out", str(a)) == 0
+    assert json.loads((a / "manifest.json").read_text())["path_id"] == 5
+    assert run_cli("run", "--config", str(a / "manifest.json"), "--out", str(b)) == 0
+    assert (a / "run.csv").read_bytes() == (b / "run.csv").read_bytes()
+    assert (a / "state_final.csv").read_bytes() == (b / "state_final.csv").read_bytes()
+    # an explicit flag still wins over the manifest
+    assert run_cli(
+        "run", "--config", str(a / "manifest.json"), "--path-id", "0", "--out", str(c)
+    ) == 0
+    assert json.loads((c / "manifest.json").read_text())["path_id"] == 0
+    assert (a / "state_final.csv").read_bytes() != (c / "state_final.csv").read_bytes()
+
+
+def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
+    code = run_cli(
+        "run", "--n", "8", "--dt", "2e-2", "--T", "0.2", "--noise", "qwiener:8",
+        "--paths", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: midpoint iteration did not reach tolerance at step ")
+    assert "residual" in err
+
+
 def test_ensemble_csv_header(tmp_path):
     out = tmp_path / "e"
     assert run_cli(

@@ -208,8 +208,10 @@ def test_initial_presets():
 
 def test_em_step_matches_manual_assembly_qwiener():
     # one EM step == state + dt * ito_drift + sum over noise pairs of
-    # coefficient * dB * transport, tying sampler, assembly and kernel together
-    from torusflow.dynamics import ito_drift, transport_apply
+    # coefficient * dB * transport, tying sampler, assembly and kernel
+    # together; one Heun step == the trapezoid of two such increments with
+    # strat_drift, which pins the fused kernel against the public operators
+    from torusflow.dynamics import ito_drift, strat_drift, transport_apply
 
     model = NoiseModel.q_wiener(2, beta=4.0)
     b = get_basis(3)
@@ -217,13 +219,20 @@ def test_em_step_matches_manual_assembly_qwiener():
     f = random_field(b, rng)
     dt = 1e-3
     dw = sample_increments(model, dt, path_stream(2, 4))
-    got = step("ito-em", f, dw, model)
-    manual = f + dt * ito_drift(f)
-    for coeff, mode, (j, comp) in model.transport_pairs():
-        amp = coeff * dw.values[j, comp]
-        if amp != 0.0:
-            manual = manual + amp * transport_apply(f, mode, out_basis=b)
-    np.testing.assert_allclose(got.coeffs, manual.coeffs, atol=1e-13)
+
+    def increment(g, drift):
+        incr = dt * drift(g)
+        for coeff, mode, (j, comp) in model.transport_pairs():
+            amp = coeff * dw.values[j, comp]
+            if amp != 0.0:
+                incr = incr + amp * transport_apply(g, mode, out_basis=b)
+        return incr
+
+    em = f + increment(f, ito_drift)
+    np.testing.assert_allclose(step("ito-em", f, dw, model).coeffs, em.coeffs, atol=1e-13)
+    incr0 = increment(f, strat_drift)
+    heun = f + 0.5 * (incr0 + increment(f + incr0, strat_drift))
+    np.testing.assert_allclose(step("strat-heun", f, dw, model).coeffs, heun.coeffs, atol=1e-13)
 
 
 def test_qwiener_em_runs_and_is_deterministic():
