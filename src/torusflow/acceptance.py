@@ -21,7 +21,7 @@ space-dependent):
        scheme conserves enstrophy pathwise for this noise, which would
        degenerate the standard-error denominator).
 * A3   expected enstrophy under the truncated Q-Wiener envelope, with the
-       growth constant taken from the converged lattice sums.  (The envelope
+       growth constant taken from the closed-form lattice constants.  (The envelope
        bounds the unprojected transport production; the Galerkin projection
        discards whatever the noise shifts outside the index square, so the
        measured growth sits well below it at desk truncations.)
@@ -31,7 +31,9 @@ space-dependent):
        match on the one-mode reference configuration.
 * A7   Ito Euler-Maruyama vs Stratonovich Heun one-point statistics.
 * A8   structural identities on random fields.
-* A9   lattice-constant symmetry and convergence.
+* A9   the closed-form lattice constants against direct partial sums: the
+       ``k1 <-> k2`` symmetry step, every rung's rigorous bracket, and the
+       doubling convergence of the sums.
 """
 
 from __future__ import annotations
@@ -59,14 +61,8 @@ from .dynamics import (
     transport_apply,
 )
 from .geometry import build_structure_tables, geodesic_drift
-from .integrate import SimConfig, StepKernel, _saved_indices, run_ensemble
-from .noise import (
-    NoiseModel,
-    normalizer_cw,
-    normalizer_cw_prime,
-    path_stream,
-    sum_ladder,
-)
+from .integrate import SimConfig, StepKernel, _saved_indices, mean_se, run_ensemble
+from .noise import NoiseModel, normalizer_cw, normalizer_cw_prime, path_stream, q_trace
 
 
 @dataclass
@@ -175,9 +171,8 @@ def criterion_a1_heun_order(quick: bool = False, seed: int = 0) -> CriterionResu
         x = np.log2(np.array(dts))
         x = x - x.mean()
         slopes = (np.log2(drifts) * x).sum(axis=1) / (x * x).sum()
-        mean = float(slopes.mean())
-        se = float(slopes.std(ddof=1) / np.sqrt(p))
-        return mean, se
+        mean, se = mean_se(slopes)
+        return float(mean), float(se)
 
     (mean, se), secs = _timed(body)
     return CriterionResult(
@@ -404,10 +399,9 @@ def criterion_a6_martingale(
         for name in ("v1", "v2", "v3"):
             s = diag.observers[name]
             dl = s.L[:, -1] - s.L[:, 0]
-            p = dl.shape[0]
             for part in (dl.real, dl.imag):
-                se = part.std(ddof=1) / np.sqrt(p)
-                worst_ratio = max(worst_ratio, abs(part.mean()) / max(3 * se, 1e-300))
+                mean, se = mean_se(part)
+                worst_ratio = max(worst_ratio, abs(mean) / max(3 * se, 1e-300))
         ok_l = worst_ratio <= 1.0
 
         # one-mode reference configuration for the second-moment identity
@@ -482,29 +476,87 @@ def criterion_a7_ito_strat(quick: bool = False, seed: int = 0) -> CriterionResul
 # ---------------------------------------------------------------------------
 
 
+def _tail_bound(s2: float, weighted: bool, cutoff: int) -> float:
+    """Integral-comparison bound on ``sum_{|k|_inf > cutoff} num(k) / |k|^{s2}``.
+
+    Each term is at most ``r^{p - s2}`` on the shell ``|k|_inf = r``
+    (``p = 2`` for the ``(k1)^2`` numerator, else 0), a shell has ``8r``
+    points, and the shell series is compared with the integral of
+    ``8 x^{1 + p - s2}``.
+    """
+    decay = s2 - (4.0 if weighted else 2.0)
+    return 8.0 * cutoff ** (-decay) / decay
+
+
+def _lattice_ladder(s2: float, weighted: bool, max_cutoff: int) -> list[tuple[float, float]]:
+    """Reference partial sums of ``sum_{k != 0} num(k) / |k|^{s2}``, ``num = (k1)^2``
+    if ``weighted`` else 1, over ``|k|_inf <= R`` at ``R = 1, 2, 4, .. max_cutoff``.
+
+    Each rung is ``(S_R, tail_R)``; the full sum lies in ``[S_R, S_R + tail_R]``.
+    The sum grows ring by ring (``R/2 < |k|_inf <= R``), so each rung adds one
+    small number; a ring runs over the quadrant ``k1, k2 >= 0`` by rows,
+    weighting each point by its count of sign images.
+    """
+    half = s2 / 2.0
+    out, total, lo, hi = [], 0.0, 0, 1
+    while hi <= max_cutoff:
+        sq = np.arange(hi + 1, dtype=np.float64) ** 2
+        ring = 0.0
+        for k1 in range(hi + 1):
+            ksq = sq[k1] + sq[0 if k1 > lo else lo + 1 :]
+            if half % 1:
+                den = ksq**half
+            else:  # repeated products: several times faster than pow
+                den = ksq.copy()
+                for _ in range(int(half) - 1):
+                    den *= ksq
+            terms = (sq[k1] if weighted else 1.0) / den
+            if k1 == 0:
+                ring += 2.0 * terms.sum()
+            elif k1 > lo:  # the row starts on the axis k2 = 0
+                ring += 2.0 * terms[0] + 4.0 * terms[1:].sum()
+            else:
+                ring += 4.0 * terms.sum()
+        total += ring
+        out.append((total, _tail_bound(s2, weighted, hi)))
+        lo, hi = hi, 2 * hi
+    return out
+
+
 def criterion_a9_constants(quick: bool = False, seed: int = 0) -> CriterionResult:
     def body():
-        sym_ok = True
-        for cutoff in (1, 2, 4, 16, 64, 256):
-            a = normalizer_cw(4.0, cutoff=cutoff, component=1).value
-            b = normalizer_cw(4.0, cutoff=cutoff, component=2).value
-            ap = normalizer_cw_prime(4.0, cutoff=cutoff, component=1).value
-            bp = normalizer_cw_prime(4.0, cutoff=cutoff, component=2).value
-            sym_ok = sym_ok and (a == b) and (ap == bp)
-        lad = sum_ladder("cw", 4.0, 2048)
-        lad_p = sum_ladder("cw_prime", 4.0, 4096 if quick else 32768)
-        d_cw = abs(lad[-1].value - lad[-2].value)
-        d_cwp = abs(lad_p[-1].value - lad_p[-2].value)
-        widths = (normalizer_cw(4.0).width, normalizer_cw_prime(4.0).width)
+        beta = 4.0
+        cw, cwp, trace = normalizer_cw(beta), normalizer_cw_prime(beta), q_trace(beta)
+        lad = _lattice_ladder(2 * beta, True, 2048)
+        lad_p = _lattice_ladder(2 * beta - 2, True, 4096 if quick else 32768)
+        # the unweighted sums: tr Q, and the other side of the symmetry step
+        # sum (k1)^2 / |k|^{2s+2} = (1/2) sum |k|^{-2s} the closed forms rest on
+        flat = _lattice_ladder(2 * beta - 2, False, 2048)
+        flat_p = _lattice_ladder(2 * beta - 4, False, 2048)
+        sym_ok = all(
+            abs(w - 0.5 * f) <= 1e-14 * w
+            for pairs in (zip(lad, flat), zip(lad_p, flat_p))
+            for (w, _), (f, _) in pairs
+        )
+        in_bracket = all(
+            offset + s <= value <= offset + s + tail
+            for value, offset, ladder in ((cw, 1.0, lad), (cwp, 0.0, lad_p), (trace, 1.0, flat))
+            for s, tail in ladder
+        )
+        d_cw = abs(lad[-1][0] - lad[-2][0])
+        d_cwp = abs(lad_p[-1][0] - lad_p[-2][0])
+        # the widths the full ladders reach; the c'_W sum converges like R^-2
+        width = max(_tail_bound(2 * beta, True, 2048), _tail_bound(2 * beta - 2, True, 32768))
         stable = (d_cw < 1e-8) and (quick or d_cwp < 1e-8)
-        return sym_ok and stable and max(widths) < 1e-8, d_cw, d_cwp, max(widths)
+        return sym_ok and in_bracket and stable and width < 1e-8, d_cw, d_cwp, width
 
     (ok, d_cw, d_cwp, width), secs = _timed(body)
     return CriterionResult(
         "A9 noise constants",
         ok,
         f"doubling deltas {d_cw:.1e} / {d_cwp:.1e}, interval width {width:.1e}",
-        "symmetry exact; deltas and widths < 1e-8",
+        "symmetry to 1e-14 at rungs <= 2048; closed forms in every bracket; "
+        "deltas and widths < 1e-8",
         secs,
     )
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import SpectralField, gradient
 from .dynamics import middle_slice
-from .integrate import EnsembleDiagnostics, PathResult, _saved_indices
+from .integrate import EnsembleDiagnostics, PathResult, _saved_indices, mean_se
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -185,9 +185,7 @@ def gronwall_rate(noise: NoiseModel) -> float:
     """
     if noise.is_constant_advection:
         return 0.0
-    return (
-        normalizer_cw_prime(noise.beta).value / normalizer_cw(noise.beta).value
-    )
+    return normalizer_cw_prime(noise.beta) / normalizer_cw(noise.beta)
 
 
 @dataclass
@@ -208,11 +206,8 @@ def qv_check(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> QvReport:
     p = series.mart.shape[0]
     if p < 64:
         raise ConfigurationError(f"qv_check needs >= 64 paths (got {p})")
-    mean_m = series.mart.mean(axis=0)
-    se_m = series.mart.std(axis=0, ddof=1) / np.sqrt(p)
-    g = series.mart**2 - series.qv
-    gap = g.mean(axis=0)
-    se_gap = g.std(axis=0, ddof=1) / np.sqrt(p)
+    mean_m, se_m = mean_se(series.mart)
+    gap, se_gap = mean_se(series.mart**2 - series.qv)
     return QvReport(series.times, mean_m, se_m, gap, se_gap, p)
 
 
@@ -244,19 +239,12 @@ def energy_report(source: PathResult | EnsembleDiagnostics) -> EnergyReport:
         cfg = source.config
     rate = gronwall_rate(cfg.noise)
     env = h1[:, 0].mean() * np.exp(rate * times)
-    p = l2.shape[0]
-    mean_l2 = l2.mean(axis=0)
-    mean_h1 = h1.mean(axis=0)
-    if p > 1:
-        se_l2 = l2.std(axis=0, ddof=1) / np.sqrt(p)
-        se_h1 = h1.std(axis=0, ddof=1) / np.sqrt(p)
-    else:
-        se_l2 = np.zeros_like(mean_l2)
-        se_h1 = np.zeros_like(mean_h1)
+    mean_l2, se_l2 = mean_se(l2)
+    mean_h1, se_h1 = mean_se(h1)
     ref = l2[:, :1]
     scale = np.where(ref > 0, ref, 1.0)
     drift = float(np.abs((l2 - ref) / scale).max()) if l2.size else 0.0
-    return EnergyReport(times, mean_l2, se_l2, mean_h1, se_h1, env, drift, p)
+    return EnergyReport(times, mean_l2, se_l2, mean_h1, se_h1, env, drift, l2.shape[0])
 
 
 @contextmanager
@@ -288,12 +276,8 @@ def write_ensemble_csv(
         w.writerow(ENSEMBLE_CSV_COLUMNS)
         for i in keep:
             if series is not None:
-                mean_m = series.mart[:, i].mean()
-                se_m = (
-                    series.mart[:, i].std(ddof=1) / np.sqrt(series.mart.shape[0])
-                    if series.mart.shape[0] > 1
-                    else 0.0
-                )
+                # per column: a reduction over the whole table sums in another order
+                mean_m, se_m = mean_se(series.mart[:, i])
             else:
                 mean_m, se_m = np.nan, np.nan
             if qv is not None:

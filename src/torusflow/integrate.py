@@ -56,14 +56,28 @@ BLOCK_STEPS = 64
 
 
 class MidpointConvergenceError(RuntimeError):
-    def __init__(self, residual: float, iterations: int, step_index: int | None = None):
+    """The midpoint fixed point missed its tolerance.
+
+    ``paths`` lists the unconverged paths: batch rows as a
+    :class:`StepKernel` raises it, path ids once the runners re-raise it.
+    """
+
+    def __init__(
+        self,
+        residual: float,
+        iterations: int,
+        step_index: int | None = None,
+        paths: Sequence[int] = (),
+    ):
         self.residual = residual
         self.iterations = iterations
         self.step_index = step_index
+        self.paths = tuple(int(i) for i in paths)
         at = f" at step {step_index}" if step_index is not None else ""
+        on = f" (paths {', '.join(map(str, self.paths))})" if self.paths else ""
         super().__init__(
             f"midpoint iteration did not reach tolerance{at}: "
-            f"residual {residual:.3e} after {iterations} iterations"
+            f"residual {residual:.3e} after {iterations} iterations{on}"
         )
 
 
@@ -105,6 +119,8 @@ class SimConfig:
             bad.append(f"save_every must be >= 1 (got {self.save_every})")
         if not 0 < self.midpoint_tol < 1e-6:
             bad.append("midpoint_tol must lie in (0, 1e-6)")
+        if self.midpoint_max_iter < 1:
+            bad.append(f"midpoint_max_iter must be >= 1 (got {self.midpoint_max_iter})")
         try:
             self.initial_field()
         except Exception as e:  # surface every constraint at once
@@ -181,6 +197,8 @@ class StepKernel:
     ):
         if scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
+        if midpoint_max_iter < 1:
+            raise ConfigurationError(f"midpoint_max_iter must be >= 1 (got {midpoint_max_iter})")
         self.basis = basis
         self.noise = noise
         self.scheme = scheme
@@ -273,7 +291,9 @@ class StepKernel:
             if not still.any():
                 return v
             active[idx] = still
-        raise MidpointConvergenceError(float(res.max()), self.max_iter)
+        raise MidpointConvergenceError(
+            float(res.max()), self.max_iter, paths=np.flatnonzero(active)
+        )
 
 
 def step(
@@ -334,20 +354,23 @@ class EnsembleDiagnostics:
     def n_paths(self) -> int:
         return len(self.path_ids)
 
-    def mean_se(self, series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample mean and standard error over the path axis."""
-        p = series.shape[0]
-        mean = series.mean(axis=0)
-        if p < 2:
-            return mean, np.zeros_like(mean)
-        se = series.std(axis=0, ddof=1) / np.sqrt(p)
-        return mean, se
-
     def l2_stats(self):
-        return self.mean_se(self.l2_sq)
+        return mean_se(self.l2_sq)
 
     def h1_stats(self):
-        return self.mean_se(self.h1_sq)
+        return mean_se(self.h1_sq)
+
+
+def mean_se(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and standard error over the leading (path) axis.
+
+    The error is zero for a single path.
+    """
+    p = series.shape[0]
+    mean = series.mean(axis=0)
+    if p < 2:
+        return mean, np.zeros_like(mean)
+    return mean, series.std(axis=0, ddof=1) / np.sqrt(p)
 
 
 def _saved_indices(n_steps: int, save_every: int) -> np.ndarray:
@@ -415,7 +438,9 @@ def _run_batch(
             try:
                 u = kernel.step(u, w)
             except MidpointConvergenceError as e:
-                raise MidpointConvergenceError(e.residual, e.iterations, s + b_i) from None
+                raise MidpointConvergenceError(
+                    e.residual, e.iterations, s + b_i, [path_ids[i] for i in e.paths]
+                ) from None
             t = (s + b_i + 1) * config.dt
             l2[:, s + b_i + 1] = batch_l2_sq(basis, u)
             h1[:, s + b_i + 1] = batch_h1_sq(basis, u)

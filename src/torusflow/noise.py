@@ -13,28 +13,34 @@ in the truncated expansion the Galerkin system uses.  (Folding onto the
 half-lattice would require sqrt(2) amplitudes; we keep the literal
 enumeration.)
 
-``c_W`` and the growth constant ``c'_W = sum_{k != 0} (k1)^2 / |k|^{2 beta - 2}``
-have no closed form for general beta; they are evaluated by direct lattice
-summation with a rigorous integral-comparison tail bound.  The two components
-``(k1)^2`` and ``(k2)^2`` produce bitwise-identical sums by construction (the
-row arrays coincide), which realizes the symmetry the double expression for
-``c_W`` asserts.
+``c_W`` and the growth constant ``c'_W`` of the enstrophy envelope are
+square-lattice Epstein sums with a classical closed form
+(Borwein, Glasser, McPhedran, Wan & Zucker, *Lattice Sums Then and Now*,
+CUP 2013, ch. 1):
+
+    sum_{k != 0} |k|^{-2s} = 4 zeta(s) L(s, chi_-4),    s > 1,
+
+where ``L(s, chi_-4) = 4^{-s} [zeta(s, 1/4) - zeta(s, 3/4)]`` is the Dirichlet
+beta function.  The ``k1 <-> k2`` symmetry of the lattice turns
+``sum (k1)^2 / |k|^{2s+2}`` into ``(1/2) sum |k|^{-2s}``, so
+
+    c_W  = 1 + 2 zeta(beta-1) L(beta-1),
+    c'_W = sum_{k != 0} (k1)^2 / |k|^{2 beta - 2} = 2 zeta(beta-2) L(beta-2),
+    tr Q = sum_k q_k = 1 + 4 zeta(beta-1) L(beta-1).
+
+The acceptance battery (A9) checks these against direct partial sums with
+rigorous tail bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import zeta
 
 from .basis import Basis, BasisMode, ModeIndex, SpectralField, get_basis
-
-DEFAULT_CW_CUTOFF = 2048
-# The c'_W sum converges like R^-2 for beta = 4; this cutoff keeps the
-# rigorous interval width (and the doubling stability) below 1e-8.
-DEFAULT_CW_PRIME_CUTOFF = 32768
 
 
 class ConfigurationError(ValueError):
@@ -58,143 +64,31 @@ def q_coeff(k: ModeIndex, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lattice sums with rigorous tails
+# lattice constants in closed form
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeSum:
-    """A partial lattice sum together with a rigorous bound on the tail.
+def _epstein(s: float) -> float:
+    """``sum_{k != 0} |k|^{-2s} = 4 zeta(s) L(s, chi_-4)`` over ``Z^2``, ``s > 1``.
 
-    The true value lies in ``[value, value + tail_bound]``.
+    ``L(s, chi_-4) = 4^{-s} [zeta(s, 1/4) - zeta(s, 3/4)]`` (Hurwitz zeta).
     """
-
-    value: float
-    tail_bound: float
-    cutoff: int
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.value, self.value + self.tail_bound)
-
-    @property
-    def width(self) -> float:
-        return self.tail_bound
+    return float(4.0 * zeta(s) * 4.0**-s * (zeta(s, 0.25) - zeta(s, 0.75)))
 
 
-def _pow_ksq(ksq: np.ndarray, s2: float) -> np.ndarray:
-    """``ksq**(s2/2)`` with a fast path for small even integer exponents."""
-    half = s2 / 2.0
-    if half == int(half) and 1 <= half <= 8:
-        out = ksq.copy()
-        for _ in range(int(half) - 1):
-            out *= ksq
-        return out
-    return ksq**half
+def normalizer_cw(beta: float) -> float:
+    """``c_W = 1 + sum_{k != 0} (k1)^2 / |k|^{2 beta} = 1 + 2 zeta(beta-1) L(beta-1)``."""
+    return 1.0 + 0.5 * _epstein(_check_beta(beta) - 1.0)
 
 
-def _ring_sum(numerator: str, s2: float, lo: int, hi: int) -> float:
-    """Sum of ``num(k) / |k|^{s2}`` over lattice points with ``lo < |k|_inf <= hi``.
-
-    ``numerator`` is ``"comp_sq"`` (square of the enumerated component) or
-    ``"one"``.  Rows are taken along the selected component, so the sums for
-    the two components of the ``comp_sq`` numerator coincide bitwise.
-    """
-    total = 0.0
-    # rows |r| <= lo: only the j-extension lo < |j| <= hi contributes
-    if lo >= 0 and hi > lo:
-        j_ext = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        for r in range(0, lo + 1):
-            rsq = float(r) * float(r)
-            ksq = rsq + j_ext * j_ext
-            num = rsq if numerator == "comp_sq" else 1.0
-            row = 2.0 * float(np.sum(num / _pow_ksq(ksq, s2)))
-            total += row if r == 0 else 2.0 * row
-        # rows lo < |r| <= hi: full j range |j| <= hi
-        j_half = np.arange(1, hi + 1, dtype=np.float64)
-        for r in range(lo + 1, hi + 1):
-            rsq = float(r) * float(r)
-            num = rsq if numerator == "comp_sq" else 1.0
-            row = num / _pow_ksq(np.array([rsq]), s2)[0]  # j = 0 term
-            ksq = rsq + j_half * j_half
-            row += 2.0 * float(np.sum(num / _pow_ksq(ksq, s2)))
-            total += 2.0 * row
-    return total
+def normalizer_cw_prime(beta: float) -> float:
+    """``c'_W = sum_{k != 0} (k1)^2 / |k|^{2 beta - 2} = 2 zeta(beta-2) L(beta-2)``."""
+    return 0.5 * _epstein(_check_beta(beta) - 2.0)
 
 
-def _tail_bound(numerator: str, s2: float, cutoff: int) -> float:
-    """Integral-comparison bound on the discarded ``|k|_inf > cutoff`` sum.
-
-    Each term is at most ``|k|^{p - s2} <= r^{p - s2}`` on the shell
-    ``|k|_inf = r`` (p = 2 for the component-squared numerator, else 0), a
-    shell has ``8r`` points, and the shell series is compared with the
-    integral of ``8 x^{1 + p - s2}``.
-    """
-    p = 2.0 if numerator == "comp_sq" else 0.0
-    decay = s2 - 2.0 - p
-    if decay <= 0:
-        raise ConfigurationError("lattice sum does not converge")
-    return 8.0 * cutoff ** (-decay) / decay
-
-
-@lru_cache(maxsize=256)
-def _square_sum(numerator: str, s2: float, cutoff: int) -> float:
-    if cutoff < 1:
-        return 0.0
-    # ring-decompose along powers of two so ladders share work via the cache
-    lo = cutoff // 2 if cutoff % 2 == 0 else 0
-    if lo >= 1:
-        return _square_sum(numerator, s2, lo) + _ring_sum(numerator, s2, lo, cutoff)
-    return _ring_sum(numerator, s2, 0, cutoff)
-
-
-def normalizer_cw(beta: float, cutoff: int = DEFAULT_CW_CUTOFF, component: int = 1) -> LatticeSum:
-    """``c_W = 1 + sum_{k != 0} (k^component)^2 / |k|^{2 beta}`` with tail bound."""
-    _check_beta(beta)
-    if cutoff < 1:
-        raise ConfigurationError("cutoff must be >= 1")
-    if component not in (1, 2):
-        raise ConfigurationError("component must be 1 or 2")
-    val = 1.0 + _square_sum("comp_sq", 2.0 * beta, cutoff)
-    return LatticeSum(val, _tail_bound("comp_sq", 2.0 * beta, cutoff), cutoff)
-
-
-def normalizer_cw_prime(
-    beta: float, cutoff: int = DEFAULT_CW_PRIME_CUTOFF, component: int = 1
-) -> LatticeSum:
-    """``c'_W = sum_{k != 0} (k^component)^2 / |k|^{2 beta - 2}`` with tail bound."""
-    _check_beta(beta)
-    if cutoff < 1:
-        raise ConfigurationError("cutoff must be >= 1")
-    if component not in (1, 2):
-        raise ConfigurationError("component must be 1 or 2")
-    val = _square_sum("comp_sq", 2.0 * beta - 2.0, cutoff)
-    return LatticeSum(val, _tail_bound("comp_sq", 2.0 * beta - 2.0, cutoff), cutoff)
-
-
-def q_trace(beta: float, cutoff: int = DEFAULT_CW_CUTOFF) -> LatticeSum:
-    """Trace ``sum_k q_k`` over the full lattice (origin included)."""
-    _check_beta(beta)
-    val = 1.0 + _square_sum("one", 2.0 * (beta - 1.0), cutoff)
-    return LatticeSum(val, _tail_bound("one", 2.0 * (beta - 1.0), cutoff), cutoff)
-
-
-def sum_ladder(kind: str, beta: float, max_cutoff: int) -> list[LatticeSum]:
-    """Partial sums at the power-of-two cutoffs up to ``max_cutoff``.
-
-    ``kind`` is ``"cw"``, ``"cw_prime"`` or ``"trace"``.
-    """
-    fns = {"cw": normalizer_cw, "cw_prime": normalizer_cw_prime, "trace": q_trace}
-    try:
-        fn = fns[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown sum kind {kind!r}") from None
-    out = []
-    c = 1
-    while c <= max_cutoff:
-        out.append(fn(beta, cutoff=c))
-        c *= 2
-    return out
+def q_trace(beta: float) -> float:
+    """Trace ``sum_k q_k = 1 + 4 zeta(beta-1) L(beta-1)`` over the full lattice."""
+    return 1.0 + _epstein(_check_beta(beta) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +115,11 @@ class NoiseModel:
         regime: str,
         active_modes: Sequence[ModeIndex],
         beta: float = 4.0,
-        cw_cutoff: int = DEFAULT_CW_CUTOFF,
     ):
         if regime not in (SPACE_INDEPENDENT, FINITE_MODES, Q_WIENER):
             raise ConfigurationError(f"unknown noise regime {regime!r}")
         self.regime = regime
         self.beta = _check_beta(beta)
-        self.cw_cutoff = int(cw_cutoff)
         self.active_modes = tuple((int(k[0]), int(k[1])) for k in active_modes)
         if len(set(self.active_modes)) != len(self.active_modes):
             raise ConfigurationError("duplicate lattice points in the noise mode set")
@@ -240,7 +132,7 @@ class NoiseModel:
             self.cw = 1.0
             weights = [1.0]
         else:
-            self.cw = normalizer_cw(self.beta, cutoff=self.cw_cutoff).value
+            self.cw = normalizer_cw(self.beta)
             weights = [
                 np.sqrt(q_coeff(k, self.beta)) / np.sqrt(self.cw)
                 for k in self.active_modes
@@ -260,9 +152,7 @@ class NoiseModel:
         return cls(SPACE_INDEPENDENT, [(0, 0)], beta=4.0)
 
     @classmethod
-    def q_wiener(
-        cls, n_w: int, beta: float = 4.0, cw_cutoff: int = DEFAULT_CW_CUTOFF
-    ) -> "NoiseModel":
+    def q_wiener(cls, n_w: int, beta: float = 4.0) -> "NoiseModel":
         """Q-Wiener noise truncated to the full index square ``{-n_w, .., n_w}^2``."""
         if n_w < 0:
             raise ConfigurationError("n_w must be >= 0")
@@ -271,17 +161,12 @@ class NoiseModel:
             for k1 in range(-n_w, n_w + 1)
             for k2 in range(-n_w, n_w + 1)
         ]
-        return cls(Q_WIENER, modes, beta=beta, cw_cutoff=cw_cutoff)
+        return cls(Q_WIENER, modes, beta=beta)
 
     @classmethod
-    def finite_modes(
-        cls,
-        modes: Iterable[ModeIndex],
-        beta: float = 4.0,
-        cw_cutoff: int = DEFAULT_CW_CUTOFF,
-    ) -> "NoiseModel":
+    def finite_modes(cls, modes: Iterable[ModeIndex], beta: float = 4.0) -> "NoiseModel":
         """Arbitrary finite mode set; an empty set gives the zero-noise model."""
-        return cls(FINITE_MODES, list(modes), beta=beta, cw_cutoff=cw_cutoff)
+        return cls(FINITE_MODES, list(modes), beta=beta)
 
     # -- derived tables ------------------------------------------------------
 
@@ -326,9 +211,8 @@ class NoiseModel:
         """Trace of the covariance carried by the truncated-away modes."""
         if self.regime == SPACE_INDEPENDENT:
             return 0.0
-        total = q_trace(self.beta, cutoff=max(self.cw_cutoff, 64))
         active = sum(q_coeff(k, self.beta) for k in self.active_modes)
-        return max(total.value + 0.5 * total.tail_bound - active, 0.0)
+        return max(q_trace(self.beta) - active, 0.0)
 
     @property
     def is_constant_advection(self) -> bool:

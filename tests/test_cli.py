@@ -54,12 +54,14 @@ def test_manifest_replay_keeps_path_id(tmp_path):
 def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
     code = run_cli(
         "run", "--n", "8", "--dt", "2e-2", "--T", "0.2", "--noise", "qwiener:8",
-        "--paths", "1", "--out", str(tmp_path / "o"),
+        "--paths", "1", "--path-id", "3", "--out", str(tmp_path / "o"),
     )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: midpoint iteration did not reach tolerance at step ")
     assert "residual" in err
+    # the failing path is named, so it can be replayed with run --path-id
+    assert "(paths 3)" in err
 
 
 def test_ensemble_csv_header(tmp_path):

@@ -1,5 +1,6 @@
 import io
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -240,7 +241,10 @@ def test_gronwall_rate():
     assert gronwall_rate(SI) == 0.0
     q = NoiseModel.q_wiener(2, beta=4.0)
     rate = gronwall_rate(q)
-    assert rate == pytest.approx(3.0134 / 3.3295, rel=1e-3)
+    # c'_W / c_W at beta = 4: 2 zeta(2) G / (1 + 2 zeta(3) pi^3 / 32)
+    with mp.workdps(40):
+        exact = 2 * mp.zeta(2) * mp.catalan / (1 + 2 * mp.zeta(3) * mp.pi**3 / 32)
+    assert rate == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_ensemble_csv_format():

@@ -184,6 +184,16 @@ def test_config_validation_lists_all_violations():
         cfg.validate()
 
 
+def test_config_rejects_zero_midpoint_iterations():
+    cfg = SimConfig(n=2, noise=SI, midpoint_max_iter=0)
+    assert "midpoint_max_iter must be >= 1 (got 0)" in cfg.violations()
+    with pytest.raises(ConfigurationError):
+        run_path(cfg)
+    dw = WienerIncrement(1e-2, np.zeros((1, 2)))
+    with pytest.raises(ConfigurationError):
+        step("strat-midpoint", cfg.initial_field(), dw, SI, midpoint_max_iter=0)
+
+
 def test_config_rejects_partial_steps():
     cfg = SimConfig(n=2, dt=3e-3, t_final=1.0, noise=SI)
     assert any("whole number" in m for m in cfg.violations())

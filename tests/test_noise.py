@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from torusflow.acceptance import _lattice_ladder, _tail_bound
 from torusflow.basis import SpectralField
 from torusflow.noise import (
     ConfigurationError,
@@ -10,8 +11,8 @@ from torusflow.noise import (
     normalizer_cw_prime,
     path_stream,
     q_coeff,
+    q_trace,
     sample_increments,
-    sum_ladder,
 )
 
 
@@ -29,60 +30,91 @@ def test_q_coeff_rejects_small_beta():
         q_coeff((1, 0), 2.5)
 
 
+def _epstein_mp(s):
+    """sum_{k != 0} |k|^{-2s} = 4 zeta(s) L(s, chi_-4), in mpmath at 40 digits."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        return 4 * mp.zeta(s) * 4**-s * (mp.zeta(s, 0.25) - mp.zeta(s, 0.75))
+
+
 def test_cw_finite_enumeration():
     # cutoff 1: the eight nonzero points contribute 2*1 + 4/16 for beta=4
-    assert normalizer_cw(4.0, cutoff=1).value == pytest.approx(3.25, rel=1e-15)
+    assert 1.0 + _lattice_ladder(8.0, True, 1)[0][0] == pytest.approx(3.25, rel=1e-15)
     # c'_W at cutoff 1: (+-1, 0) give 1 each, (0, +-1) give 0, (+-1, +-1) give 1/8
-    assert normalizer_cw_prime(4.0, cutoff=1).value == pytest.approx(2.5, rel=1e-15)
+    assert _lattice_ladder(6.0, True, 1)[0][0] == pytest.approx(2.5, rel=1e-15)
 
 
 def test_cw_component_symmetry_exact():
-    for cutoff in (1, 3, 17, 128):
-        a = normalizer_cw(4.0, cutoff=cutoff, component=1).value
-        b = normalizer_cw(4.0, cutoff=cutoff, component=2).value
-        assert a == b
-        ap = normalizer_cw_prime(4.0, cutoff=cutoff, component=1).value
-        bp = normalizer_cw_prime(4.0, cutoff=cutoff, component=2).value
-        assert ap == bp
+    # sum (k1)^2 / |k|^{2s+2} = (1/2) sum |k|^{-2s}, the step the closed forms
+    # rest on, is exact on every square partial sum; two real sums agree to
+    # rounding
+    for s2 in (8.0, 6.0, 7.0):
+        weighted = _lattice_ladder(s2, True, 128)
+        flat = _lattice_ladder(s2 - 2.0, False, 128)
+        for (w, _), (f, _) in zip(weighted, flat):
+            assert w == pytest.approx(0.5 * f, rel=1e-14)
 
 
 def test_cw_against_exact_lattice_constants():
     # For beta = 4 the sums reduce (by the component symmetry) to
     # (1/2) sum |k|^-6 and (1/2) sum |k|^-4, whose values are classical:
     # sum_{k != 0} (k1^2+k2^2)^-s = 4 zeta(s) beta_dirichlet(s).
-    cw = normalizer_cw(4.0)
-    cwp = normalizer_cw_prime(4.0)
-    cw_exact = float(1 + 2 * mp.zeta(3) * (mp.pi**3 / 32))
-    cwp_exact = float(2 * mp.zeta(2) * mp.catalan)
-    assert cw.value <= cw_exact <= cw.value + cw.tail_bound
-    assert cwp.value <= cwp_exact <= cwp.value + cwp.tail_bound
-    assert cw.value == pytest.approx(cw_exact, abs=1e-10)
-    assert cwp.value == pytest.approx(cwp_exact, abs=1e-7)
+    with mp.workdps(40):
+        cw_exact = float(1 + 2 * mp.zeta(3) * (mp.pi**3 / 32))
+        cwp_exact = float(2 * mp.zeta(2) * mp.catalan)
+    assert normalizer_cw(4.0) == pytest.approx(cw_exact, rel=1e-14)
+    assert normalizer_cw_prime(4.0) == pytest.approx(cwp_exact, rel=1e-14)
+    cw, cw_tail = _lattice_ladder(8.0, True, 2048)[-1]
+    cwp, cwp_tail = _lattice_ladder(6.0, True, 2048)[-1]
+    assert 1.0 + cw <= cw_exact <= 1.0 + cw + cw_tail
+    assert cwp <= cwp_exact <= cwp + cwp_tail
+
+
+@pytest.mark.parametrize("beta", [3.05, 3.5, 4.7, 7.3, 20.0])
+def test_closed_forms_against_mpmath(beta):
+    assert normalizer_cw(beta) == pytest.approx(float(1 + _epstein_mp(beta - 1) / 2), rel=1e-14)
+    assert normalizer_cw_prime(beta) == pytest.approx(float(_epstein_mp(beta - 2) / 2), rel=1e-14)
+    assert q_trace(beta) == pytest.approx(float(1 + _epstein_mp(beta - 1)), rel=1e-14)
+
+
+def test_closed_forms_in_reference_brackets():
+    # a beta off the integers, where the reference sums take powers, not products
+    beta = 3.5
+    for value, offset, ladder in (
+        (normalizer_cw(beta), 1.0, _lattice_ladder(2 * beta, True, 512)),
+        (normalizer_cw_prime(beta), 0.0, _lattice_ladder(2 * beta - 2, True, 512)),
+        (q_trace(beta), 1.0, _lattice_ladder(2 * beta - 2, False, 512)),
+    ):
+        for s, tail in ladder:
+            assert offset + s <= value <= offset + s + tail
 
 
 def test_default_interval_widths():
-    assert normalizer_cw(4.0).width < 1e-8
-    assert normalizer_cw_prime(4.0).width < 1e-8
+    # the ladder tops A9 sums to bracket c_W and c'_W within 1e-8 at beta = 4
+    assert _tail_bound(8.0, True, 2048) < 1e-8
+    assert _tail_bound(6.0, True, 32768) < 1e-8
 
 
 def test_doubling_stability():
-    lad = sum_ladder("cw", 4.0, 2048)
-    assert abs(lad[-1].value - lad[-2].value) < 1e-8
-    ladp = sum_ladder("cw_prime", 4.0, 32768)
-    assert abs(ladp[-1].value - ladp[-2].value) < 1e-8
+    lad = _lattice_ladder(8.0, True, 2048)
+    assert abs(lad[-1][0] - lad[-2][0]) < 1e-8
+    ladp = _lattice_ladder(6.0, True, 32768)
+    assert abs(ladp[-1][0] - ladp[-2][0]) < 1e-8
     # partial sums increase monotonically
-    vals = [s.value for s in ladp]
+    vals = [v for v, _ in ladp]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_trace_class_stability():
-    lad = sum_ladder("trace", 4.0, 1024)
-    assert abs(lad[-1].value - lad[-2].value) < 1e-8
+    lad = _lattice_ladder(6.0, False, 1024)
+    assert abs(lad[-1][0] - lad[-2][0]) < 1e-8
+    s, tail = lad[-1]
+    assert 1.0 + s <= q_trace(4.0) <= 1.0 + s + tail
 
 
 def test_ratio_finite():
-    cw = normalizer_cw(4.0).value
-    cwp = normalizer_cw_prime(4.0).value
+    cw = normalizer_cw(4.0)
+    cwp = normalizer_cw_prime(4.0)
     assert 0 < cwp / cw < np.inf
 
 
