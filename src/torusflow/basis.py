@@ -252,6 +252,14 @@ def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarr
     return (1j * k1) * spec, (1j * k2) * spec
 
 
+def curl_spectrum(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
+    """Half-spectrum ``(..., m, m//2 + 1)`` of the vorticity ``d1 u2 - d2 u1``."""
+    gm = basis._grid_map(m)
+    k1 = gm.kgrid1.reshape(m, gm.mh)
+    k2 = gm.kgrid2.reshape(m, gm.mh)
+    return 1j * (k1 * spec[..., 1, :, :] - k2 * spec[..., 0, :, :])
+
+
 # ---------------------------------------------------------------------------
 # user-facing field types and operations
 # ---------------------------------------------------------------------------

@@ -53,3 +53,12 @@ def test_a8_structural_identities():
 
 def test_a9_noise_constants():
     _check(acceptance.criterion_a9_constants())
+
+
+def test_a9_quick_sees_small_cw_prime_error(monkeypatch):
+    # the quick c'_W bracket is 2.4e-7 wide; the classical value at beta = 4
+    # must catch an error far below that
+    exact = acceptance.normalizer_cw_prime
+    assert acceptance.criterion_a9_constants(quick=True).passed
+    monkeypatch.setattr(acceptance, "normalizer_cw_prime", lambda beta: exact(beta) * (1 - 1e-9))
+    assert not acceptance.criterion_a9_constants(quick=True).passed

@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusflow import dynamics
 from torusflow.basis import (
     BasisMode,
     SpectralField,
     get_basis,
     gradient,
+    halfspectrum_to_grid,
     l2_inner,
+    leray_project,
+    place_halfspectrum,
     random_field,
 )
 from torusflow.dynamics import (
     ITO_VISCOSITY,
     TruncationMismatch,
+    advect,
     build_advection_tensor,
+    dealias_resolution,
     ito_drift,
     middle_slice,
     nonlinear_direct,
@@ -259,3 +265,91 @@ def test_middle_slice_quadratic_form():
         ug = oracles.field_on_grid(u, m)
         ref = oracles.quad_inner(oracles.advect_grid(ug, v, m), ug)
         assert got == pytest.approx(ref, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the batched core: rotational self term, gradient-grid self term, transport
+# ---------------------------------------------------------------------------
+
+
+def _batch(basis, rng, paths, include_mean=False):
+    draws = [random_field(basis, rng, include_mean=include_mean) for _ in range(paths)]
+    return np.stack([f.coeffs for f in draws])
+
+
+def _on_grid(basis, coeffs, m):
+    return halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m), m)
+
+
+def _tensor_transport(w: SpectralField, f: SpectralField, out) -> np.ndarray:
+    """``P (w . grad) f`` over ``out`` by contracting the coupling tensor."""
+    w, f = leray_project(w, out), leray_project(f, out)
+    t = build_advection_tensor(out.n)
+    contrib = t.vals * w.coeffs.reshape(-1)[t.i_idx] * f.coeffs.reshape(-1)[t.k_idx]
+    res = np.bincount(t.j_idx, weights=contrib, minlength=2 * out.n_modes)
+    return res.reshape(2, out.n_modes) / out.norm_sq
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_advect_self_and_transport_against_per_state_oracles(n):
+    rng = np.random.default_rng(40 + n)
+    b, wb = get_basis(n), get_basis(2)
+    U = _batch(b, rng, 3, include_mean=True)
+    W = _batch(wb, rng, 3, include_mean=True)
+    m = dealias_resolution(n, max(n, wb.n), n)
+    conv, tr = advect(b, U, m, (None, _on_grid(wb, W, m)))
+    only = advect(b, U, m)[0]
+    for p in range(3):
+        f, w = SpectralField(b, U[p]), SpectralField(wb, W[p])
+        np.testing.assert_allclose(conv[p], nonlinear_direct(f).coeffs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tr[p], transport_apply(f, w).coeffs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tr[p], _tensor_transport(w, f, b), rtol=0, atol=1e-13)
+    # omega from the gradient grids against omega placed directly
+    np.testing.assert_allclose(conv, only, rtol=0, atol=1e-15)
+
+
+def test_advect_into_a_larger_output_basis():
+    # A5's path: the output truncation exceeds the input's
+    rng = np.random.default_rng(9)
+    b, wb, big = get_basis(3), get_basis(2), get_basis(7)
+    U = _batch(b, rng, 2, include_mean=True)
+    W = _batch(wb, rng, 2, include_mean=True)
+    m = dealias_resolution(b.n, max(b.n, wb.n), big.n)
+    only = advect(b, U, m, out_basis=big)[0]
+    conv, tr = advect(b, U, m, (None, _on_grid(wb, W, m)), big)
+    beyond = np.abs(big.modes).max(axis=1) > b.n
+    for p in range(2):
+        f, w = SpectralField(b, U[p]), SpectralField(wb, W[p])
+        ref = nonlinear_direct(leray_project(f, big)).coeffs
+        assert np.abs(ref[:, beyond]).max() > 1e-4  # content the input basis cannot hold
+        np.testing.assert_allclose(only[p], ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(conv[p], ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tr[p], _tensor_transport(w, f, big), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kinds, inverse, forward",
+    [(("self",), 3, 2), (("self", "grid"), 6, 4), (("grid",), 4, 2)],
+)
+def test_advect_transform_counts(monkeypatch, kinds, inverse, forward):
+    # fields per state through each transform: the rotational form needs
+    # (u, omega) alone; the gradient grids only when a field advector is given
+    paths = 3
+    seen = {"inverse": 0, "forward": 0}
+
+    def counting(key, fn):
+        def wrapped(x, *args):
+            seen[key] += int(np.prod(x.shape[:-2]))
+            return fn(x, *args)
+
+        return wrapped
+
+    rng = np.random.default_rng(1)
+    b = get_basis(4)
+    m = dealias_resolution(b.n, b.n, b.n)
+    U = _batch(b, rng, paths)
+    w_grid = _on_grid(b, _batch(b, rng, paths), m)
+    for attr, key in (("halfspectrum_to_grid", "inverse"), ("grid_to_halfspectrum", "forward")):
+        monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
+    advect(b, U, m, tuple(None if k == "self" else w_grid for k in kinds))
+    assert seen == {"inverse": inverse * paths, "forward": forward * paths}
