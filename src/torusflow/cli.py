@@ -31,6 +31,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .basis import BasisMode, SpectralField
 from .diagnostics import (
@@ -39,7 +42,7 @@ from .diagnostics import (
     write_path_csv,
     write_state_csv,
 )
-from .integrate import MidpointConvergenceError, SimConfig, run_ensemble, run_path
+from .integrate import MidpointConvergenceError, SimConfig, StepKernel, run_ensemble, run_path
 from .noise import ConfigurationError, NoiseModel
 
 OUT_ENV_VAR = "TORUSFLOW_OUT"
@@ -142,6 +145,7 @@ class RunManifest:
     wall_seconds: float = 0.0
     outputs: tuple[str, ...] = ()
     path_id: int | None = None  # the stream a single-path run integrates
+    resolved: SimConfig | None = None  # what a run or ensemble integrated
 
     def sim_config(self) -> SimConfig:
         c = self.config
@@ -174,6 +178,12 @@ class RunManifest:
         }
         if self.path_id is not None:
             doc["path_id"] = self.path_id
+        if self.resolved is not None:
+            cfg = self.resolved
+            doc["noise"] = cfg.noise.describe()
+            doc["m"] = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt).m
+            doc["N"] = cfg.basis.n_modes
+        doc["libraries"] = {"numpy": np.__version__, "scipy": scipy.__version__}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def write(self, name: str = "manifest.json") -> Path:
@@ -219,7 +229,7 @@ def _finish(manifest: RunManifest, outputs: list[Path], t0: float) -> None:
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
     manifest = resolve_manifest(args, "run")
-    cfg = manifest.sim_config()
+    cfg = manifest.resolved = manifest.sim_config()
     result = run_path(cfg, path_id=manifest.path_id)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     p_csv = manifest.out_dir / "run.csv"
@@ -233,7 +243,7 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     t0 = time.perf_counter()
     manifest = resolve_manifest(args, "ensemble")
-    cfg = manifest.sim_config()
+    cfg = manifest.resolved = manifest.sim_config()
     v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
     probe = MartingaleProbe(v, "probe")
     diag = run_ensemble(cfg, observers=[probe])

@@ -19,6 +19,15 @@ Scheme menu
 Paths own independent counter-based streams keyed by ``(seed, path_id)``;
 increments are drawn in fixed blocks of ``BLOCK_STEPS`` steps so a path's
 noise is identical whether it runs alone or inside any batch, in any order.
+
+A batched step runs over contiguous blocks of paths sized from
+``BLOCK_BYTES``, so the temporaries of one operator pass stay in cache and
+are reused from the allocator's free lists rather than faulted in afresh: at
+n=8 a pass over 256 paths at once faults in ~3200 fresh pages, a pass over
+blocks of 16 paths ~30.  Every operation, the midpoint convergence test
+included, acts on each path alone, so results do not depend on the blocks: a
+path is bit-identical alone, in any batch and in any block.  Observers see
+the whole batch after each step.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ SCHEMES = ("ito-em", "strat-heun", "strat-midpoint")
 
 #: increments are drawn per path in blocks of this many steps
 BLOCK_STEPS = 64
+
+#: a batched step runs over contiguous blocks of paths whose grid fields in
+#: one operator pass take about this many bytes, so the temporaries of a pass
+#: stay in cache and come back from the allocator's free lists instead of
+#: faulting in fresh pages; measured sweep in ``BENCH_path_blocks.json``
+BLOCK_BYTES = 400_000
 
 
 class MidpointConvergenceError(RuntimeError):
@@ -210,6 +225,12 @@ class StepKernel:
         self.k2 = basis.modes[:, 1].astype(np.float64)
         self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
+        # real m x m fields per path that one operator pass transforms: 3 in
+        # and 2 out for the quadratic term alone, 6 in and 4 out with a field
+        # advector
+        fields = 5 if self.constant_noise else 10
+        self.path_bytes = fields * 8 * self.m * self.m
+        self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
 
     # -- building blocks ---------------------------------------------------
 
@@ -237,8 +258,32 @@ class StepKernel:
         """Advance batched coefficients ``(..., 2, N)`` by one step.
 
         ``w_coeffs`` is the assembled Wiener-increment field over the noise
-        basis (leading axes matching ``u``).
+        basis (leading axes matching ``u``).  A batch ``(P, 2, N)`` is stepped
+        in contiguous blocks of ``block_paths`` paths; every operation acts on
+        each path alone, so the result does not depend on the blocks.  A
+        midpoint failure is raised once every block has run, with the largest
+        residual and the unconverged rows of all blocks.
         """
+        rows = self.block_paths
+        if u.ndim != 3 or len(u) <= rows:
+            return self._step_block(u, w_coeffs)
+        out = np.empty_like(u)
+        failed = []
+        for lo in range(0, len(u), rows):
+            block = slice(lo, lo + rows)
+            try:
+                out[block] = self._step_block(u[block], w_coeffs[block])
+            except MidpointConvergenceError as e:
+                failed.append((lo, e))
+        if failed:
+            raise MidpointConvergenceError(
+                max(e.residual for _, e in failed),
+                self.max_iter,
+                paths=[lo + i for lo, e in failed for i in e.paths],
+            )
+        return out
+
+    def _step_block(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
         noise = self._prepare_noise(w_coeffs)
         if self.scheme == "ito-em":
             return self._step_em(u, noise)

@@ -142,7 +142,7 @@ class NoiseModel:
         extent = max((max(abs(k[0]), abs(k[1])) for k in self.active_modes), default=0)
         #: basis carrying one increment field; fields of this noise live here
         self.field_basis: Basis = get_basis(extent)
-        self._wc, self._ws = self._assembly_matrices()
+        self._fold = self._fold_plan()
 
     # -- constructors ------------------------------------------------------
 
@@ -170,15 +170,21 @@ class NoiseModel:
 
     # -- derived tables ------------------------------------------------------
 
-    def _assembly_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        nb = self.field_basis
-        wc = np.zeros((self.n_components, nb.n_modes))
-        ws = np.zeros((self.n_components, nb.n_modes))
-        for j, k in enumerate(self.active_modes):
-            i, cs, ss = nb.mode_id(k)
-            wc[j, i] += self.weights[j] * cs
-            ws[j, i] += self.weights[j] * ss
-        return wc, ws
+    def _fold_plan(self) -> tuple[np.ndarray, ...]:
+        """How raw increments fold into field coefficients.
+
+        ``k`` and ``-k`` fold onto one row of ``field_basis``.  Returns the
+        component order that groups components by row, the start of each
+        group in that order, the rows, and the ordered cosine and sine
+        weights.
+        """
+        ids = [self.field_basis.mode_id(k) for k in self.active_modes]
+        target = np.array([i for i, _, _ in ids], dtype=np.int64)
+        order = np.argsort(target, kind="stable")
+        rows, starts = np.unique(target[order], return_index=True)
+        wc = np.array([cs for _, cs, _ in ids]) * self.weights
+        ws = np.array([ss for _, _, ss in ids]) * self.weights
+        return order, starts, rows, wc[order], ws[order]
 
     def transport_pairs(self) -> list[tuple[float, BasisMode, tuple[int, int]]]:
         """Enumerate ``(coefficient, advecting mode, (lattice index, component))``.
@@ -199,10 +205,16 @@ class NoiseModel:
         The result represents ``dW = sum_j w_j [c_{k_j} dB_j^1 + s_{k_j} dB_j^2]``
         over ``field_basis``; linearity of transport in the advector makes
         applying ``(dW . grad)`` equivalent to summing the per-mode transports.
+        Each path is folded on its own, in a fixed order, so its field does
+        not depend on the batch it comes in; a matrix product rounds a row
+        differently for different batch sizes.
         """
-        a = values[..., 0] @ self._wc
-        b = values[..., 1] @ self._ws
-        return np.stack([a, b], axis=-2)
+        order, starts, rows, wc, ws = self._fold
+        v = values[..., order, :]
+        out = np.zeros(values.shape[:-2] + (2, self.field_basis.n_modes))
+        out[..., 0, rows] = np.add.reduceat(v[..., 0] * wc, starts, axis=-1)
+        out[..., 1, rows] = np.add.reduceat(v[..., 1] * ws, starts, axis=-1)
+        return out
 
     def increment_field(self, incr: "WienerIncrement") -> SpectralField:
         return SpectralField(self.field_basis, self.increments_to_field(incr.values))

@@ -22,6 +22,13 @@ def test_run_writes_outputs_and_manifest(tmp_path):
     assert m["tool"] == "torusflow"
     assert m["config"]["n"] == "2"
     assert set(m["outputs"]) == {"run.csv", "state_final.csv"}
+    # what the run resolved its config to: noise, grid, mode count, libraries
+    assert m["noise"] == {
+        "regime": "space-independent", "beta": 4.0, "components": 1, "cw": 1.0,
+        "discarded_trace": 0.0,
+    }
+    assert (m["m"], m["N"]) == (8, 13)
+    assert set(m["libraries"]) == {"numpy", "scipy"}
 
 
 def test_manifest_replay_bit_identical(tmp_path):
@@ -135,6 +142,8 @@ def test_qwiener_noise_spec(tmp_path):
     ) == 0
     m = json.loads((out / "manifest.json").read_text())
     assert m["config"]["noise"] == "qwiener:1"
+    assert m["noise"]["regime"] == "qwiener"
+    assert len(m["noise"]["modes"]) == m["noise"]["components"] == 9
 
 
 def test_finite_noise_spec(tmp_path):

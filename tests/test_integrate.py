@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusflow import integrate
 from torusflow.basis import BasisMode, SpectralField, get_basis, random_field
 from torusflow.noise import (
     ConfigurationError,
@@ -10,8 +11,10 @@ from torusflow.noise import (
     sample_increments,
 )
 from torusflow.integrate import (
+    SCHEMES,
     MidpointConvergenceError,
     SimConfig,
+    StepKernel,
     run_ensemble,
     run_path,
     step,
@@ -119,6 +122,60 @@ def test_ensemble_order_invariance_and_degenerate_hook():
     assert np.array_equal(dup.l2_sq[0], dup.l2_sq[1])
     _, se = dup.l2_stats()
     assert np.all(se == 0.0)
+
+
+def _shrink_blocks(monkeypatch, cfg, paths):
+    """Make every ``StepKernel`` for ``cfg`` step ``paths`` paths per block."""
+    kernel = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt)
+    monkeypatch.setattr(integrate, "BLOCK_BYTES", paths * kernel.path_bytes)
+    assert StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt).block_paths == paths
+
+
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_blocked_ensemble_matches_single_paths(monkeypatch, scheme, noise):
+    # 10 paths in blocks of 4, 4 and 2: the paths on both sides of each block
+    # boundary, and the first and last, are bit-equal to the path run alone
+    # (one path is never split), also with the ids shuffled across blocks
+    model = SI if noise == "space-independent" else NoiseModel.q_wiener(2, beta=4.0)
+    cfg = SimConfig(
+        n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5
+    )
+    _shrink_blocks(monkeypatch, cfg, 4)
+    ens = run_ensemble(cfg)
+    for pid in (0, 3, 4, 7, 8, 9):
+        solo = run_path(cfg, pid)
+        assert np.array_equal(ens.l2_sq[pid], solo.l2_sq)
+        assert np.array_equal(ens.h1_sq[pid], solo.h1_sq)
+    ids = [int(i) for i in np.random.default_rng(3).permutation(10)]
+    shuffled = run_ensemble(cfg, path_ids=ids)
+    assert np.array_equal(shuffled.l2_sq, ens.l2_sq[ids])
+    assert np.array_equal(shuffled.h1_sq, ens.h1_sq[ids])
+
+
+def test_midpoint_failure_collects_every_block(monkeypatch):
+    # unconverged paths in two blocks of 4 give one error naming all of them
+    # with the largest residual, not the first failing block's
+    cfg = SimConfig(
+        n=3, dt=0.02, t_final=0.02, scheme="strat-midpoint",
+        noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=1,
+        midpoint_max_iter=20,
+    )
+    ids = [1, 0, 3, 2, 6, 9, 13, 17, 4, 5]
+    solo = {}
+    for pid in ids:
+        try:
+            run_path(cfg, pid)
+        except MidpointConvergenceError as e:
+            solo[pid] = e.residual
+    _shrink_blocks(monkeypatch, cfg, 4)
+    with pytest.raises(MidpointConvergenceError) as exc:
+        run_ensemble(cfg, path_ids=ids)
+    failing = [pid for pid in ids if pid in solo]
+    assert {ids.index(pid) // 4 for pid in failing} == {0, 2}
+    assert exc.value.paths == tuple(failing)
+    assert exc.value.residual == max(solo.values())
+    assert exc.value.step_index == 0
 
 
 def test_strong_accuracy_against_rotation_oracle():
