@@ -23,11 +23,9 @@ from .dynamics import (
     AdvectionTensor,
     ITO_VISCOSITY,
     build_advection_tensor,
-    ito_drift,
     nonlinear_direct,
     nonlinear_pseudospectral,
     stokes_apply,
-    strat_drift,
     transport_apply,
 )
 from .geometry import (

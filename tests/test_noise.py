@@ -150,7 +150,7 @@ def test_model_rejects_bad_beta():
 def test_increment_assembly_matches_modewise_sum():
     m = NoiseModel.q_wiener(2, beta=4.0)
     incr = sample_increments(m, 1e-2, path_stream(3, 1))
-    assembled = m.increment_field(incr)
+    assembled = SpectralField(m.field_basis, m.increments_to_field(incr.values))
     ref = SpectralField.zero(m.field_basis)
     for c, md, (j, comp) in m.transport_pairs():
         ref = ref + (c * incr.values[j, comp]) * SpectralField.from_modes(
