@@ -44,7 +44,7 @@ identity in the test battery relies on the cancellation it produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _fft
@@ -118,12 +118,51 @@ def _advector_descriptor(basis: Basis, kind: str, i: int):
 
 
 @dataclass
+class SortedCOO:
+    """A sparse tensor of three slots, one entry per index triple.
+
+    Entries are sorted by the linear key ``(a M + b) M + c``, where ``M`` is
+    ``size``, the range of every slot, so a lookup is a binary search.
+    """
+
+    size: int
+    keys: np.ndarray
+    vals: np.ndarray
+
+    def key(self, a, b, c) -> np.ndarray:
+        return np.ravel_multi_index((a, b, c), (self.size,) * 3)
+
+    @classmethod
+    def coalesce(cls, size: int, a, b, c, vals) -> SortedCOO:
+        """Sum the values of repeated triples, each in input order."""
+        keys, inv = np.unique(np.ravel_multi_index((a, b, c), (size,) * 3), return_inverse=True)
+        return cls(size, keys, np.bincount(inv, weights=vals, minlength=len(keys)))
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.unravel_index(self.keys, (self.size,) * 3)
+
+    def lookup(self, a, b, c) -> np.ndarray:
+        """Values at the triples ``(a, b, c)``; 0.0 where no entry is stored."""
+        key = self.key(a, b, c)
+        if not len(self.keys):
+            return np.zeros(key.shape)
+        pos = np.searchsorted(self.keys, key).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[pos] == key, self.vals[pos], 0.0)
+
+    def nonzero(self) -> SortedCOO:
+        keep = self.vals != 0.0
+        return SortedCOO(self.size, self.keys[keep], self.vals[keep])
+
+
+@dataclass
 class AdvectionTensor:
     """Sparse coupling coefficients ``b_{ikj}`` in COO layout.
 
     Flat element indices run over ``[cosine modes | sine modes]`` of the
     canonical enumeration (length ``2 N``).  ``b`` is skew in its last two
     slots, which is what removes the quadratic term from every energy budget.
+    A coupling may come in several pieces; ``coalesced`` sums them.
     """
 
     n: int
@@ -136,6 +175,11 @@ class AdvectionTensor:
     def nnz(self) -> int:
         return len(self.vals)
 
+    @cached_property
+    def coalesced(self) -> SortedCOO:
+        size = 2 * get_basis(self.n).n_modes
+        return SortedCOO.coalesce(size, self.i_idx, self.k_idx, self.j_idx, self.vals)
+
     def entry(self, adv: BasisMode, tgt: BasisMode, out: BasisMode) -> float:
         b = get_basis(self.n)
         key = []
@@ -144,12 +188,7 @@ class AdvectionTensor:
             i, cs, ss = b.mode_id(m.k)
             sign *= cs if m.kind == "c" else ss
             key.append(i if m.kind == "c" else b.n_modes + i)
-        if not hasattr(self, "_lookup"):
-            lookup: dict[tuple[int, int, int], float] = {}
-            for i, k, j, v in zip(self.i_idx, self.k_idx, self.j_idx, self.vals):
-                lookup[(int(i), int(k), int(j))] = lookup.get((int(i), int(k), int(j)), 0.0) + v
-            self._lookup = lookup
-        return sign * self._lookup.get(tuple(key), 0.0)
+        return sign * float(self.coalesced.lookup(*key))
 
 
 def _mode_expansion(basis: Basis, kind: str, i: int, out_n: int):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 from torusflow.basis import BasisMode, SpectralField, get_basis, gradient, leray_project, random_field
-from torusflow.dynamics import nonlinear_direct, nonlinear_pseudospectral
+from torusflow.dynamics import nonlinear_direct, nonlinear_pseudospectral, transport_apply
 from torusflow.geometry import (
     InteriorSupportError,
     build_structure_tables,
+    christoffel_contract,
     geodesic_drift,
-    geodesic_transport,
     jacobi_residual,
     lie_bracket,
     write_tables_csv,
@@ -72,10 +73,10 @@ def test_bracket_against_quadrature_oracle():
 
 
 def test_structure_tables_antisymmetry_exact():
-    tab = build_structure_tables(2)
-    for (k, l, m), v in tab.c.items():
-        assert v == -tab.c.get((l, k, m), 0.0)
-    assert all(k != l for (k, l, m) in tab.c)
+    c = build_structure_tables(2).c
+    k, l, m = c.slots
+    np.testing.assert_array_equal(c.vals, -c.lookup(l, k, m))
+    assert np.all(k != l)
 
 
 def test_structure_constants_against_quadrature():
@@ -105,23 +106,12 @@ def test_structure_constants_against_quadrature():
 def test_christoffel_formula_entrywise():
     tab = build_structure_tables(2)
     # on triples with every slot interior the formula closes over stored c
-    checked = 0
-    nbig = tab.out_basis.n_modes
-    interior = {
-        i for i in range(2 * nbig)
-        if max(abs(int(tab.out_basis.modes[i % nbig][0])),
-               abs(int(tab.out_basis.modes[i % nbig][1]))) <= tab.n
-    }
-    for (k, l, m), g in tab.gamma.items():
-        if k in interior and l in interior and m in interior:
-            expect = 0.5 * (
-                tab.c.get((k, l, m), 0.0)
-                - tab.c.get((l, m, k), 0.0)
-                + tab.c.get((m, k, l), 0.0)
-            )
-            assert g == pytest.approx(expect, abs=1e-14)
-            checked += 1
-    assert checked > 100
+    k, l, m = tab.gamma.slots
+    inner = tab.interior[k] & tab.interior[l] & tab.interior[m]
+    k, l, m = k[inner], l[inner], m[inner]
+    expect = 0.5 * (tab.c.lookup(k, l, m) - tab.c.lookup(l, m, k) + tab.c.lookup(m, k, l))
+    np.testing.assert_allclose(tab.gamma.vals[inner], expect, rtol=0, atol=1e-14)
+    assert inner.sum() > 100
 
 
 def test_jacobi_identity_on_resolved_triples():
@@ -147,6 +137,24 @@ def test_jacobi_unresolved_triple_raises():
         jacobi_residual(
             tab, BasisMode("c", (1, 0)), BasisMode("s", (0, 1)), BasisMode("c", (1, 1))
         )
+
+
+def test_jacobi_element_outside_interior_raises():
+    # c(2,0) is outside n=1; its brackets are not stored, so the residual
+    # would read 0.0 without the guard
+    tab = build_structure_tables(1)
+    with pytest.raises(InteriorSupportError):
+        jacobi_residual(tab, BasisMode("c", (2, 0)), BasisMode("c", (1, 0)), BasisMode("s", (0, 1)))
+
+
+def test_c_entry_outside_interior_raises():
+    k, l, m = BasisMode("c", (2, 0)), BasisMode("s", (0, 1)), BasisMode("c", (2, 1))
+    assert build_structure_tables(2).c_entry(k, l, m) == pytest.approx(-0.2516, abs=1e-4)
+    tab = build_structure_tables(1)
+    with pytest.raises(InteriorSupportError):
+        tab.c_entry(k, l, m)
+    with pytest.raises(InteriorSupportError):
+        tab.c_entry(l, k, m)
 
 
 def test_geodesic_drift_single_mode_zero():
@@ -186,14 +194,27 @@ def test_geodesic_drift_interior_violation():
 
 
 def test_geodesic_transport_reproduces_derivative():
-    # contracting one Gamma slot against a constant mode gives the projected
+    # contracting one Gamma slot against a constant field gives the projected
     # partial derivative (positive sign in the calibrated orientation)
     tab = build_structure_tables(2)
     rng = np.random.default_rng(8)
     u = random_field(get_basis(2), rng)
-    for direction in (1, 2):
-        got = geodesic_transport(u, tab, direction)
+    for direction, kind in ((1, "c"), (2, "s")):
+        e = SpectralField.from_modes(get_basis(0), [(BasisMode(kind, (0, 0)), 1.0)])
+        got = christoffel_contract(e, u, tab)
         ref = leray_project(gradient(u)[direction - 1], tab.out_basis)
+        np.testing.assert_allclose(got.coeffs, ref.coeffs, atol=1e-12)
+
+
+def test_christoffel_contract_matches_field_transport():
+    # Gamma(w, u) = P (w . grad) u for space-dependent w too, mean included
+    tab = build_structure_tables(2)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        w = random_field(get_basis(2), rng, include_mean=True)
+        u = random_field(get_basis(2), rng, include_mean=True)
+        got = christoffel_contract(w, u, tab)
+        ref = transport_apply(u, w, tab.out_basis)
         np.testing.assert_allclose(got.coeffs, ref.coeffs, atol=1e-12)
 
 
@@ -206,8 +227,18 @@ def test_tables_csv_dump():
     c_buf.seek(0)
     rows = list(_csv.reader(c_buf))
     assert rows[0] == ["k", "l", "m", "value"]
-    assert len(rows) == len(tab.c) + 1
+    assert len(rows) == len(tab.c.keys) + 1
     # antisymmetric pairs sum to zero in the dump
     vals = {(k, l, m): float(v) for k, l, m, v in rows[1:]}
     for (k, l, m), v in vals.items():
         assert v == -vals.get((l, k, m), 0.0)
+
+
+def test_tables_csv_digests_pinned(tmp_path):
+    # the n=2 dump, byte for byte
+    write_tables_csv(build_structure_tables(2), tmp_path / "c.csv", tmp_path / "g.csv")
+    digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digest == {
+        "c.csv": "155c1ff433228b159978c9acf7dd272b14830b3861d0df923ef775884fe60b42",
+        "g.csv": "374268fe5165abbb8f3ebd2a3fe7db4f7bfc155022854a45fee0e90838715b00",
+    }
