@@ -4,20 +4,13 @@ transport noise on the periodic torus."""
 from .basis import (
     Basis,
     BasisMode,
-    GridField,
     SpectralField,
-    analyze,
     divergence_max,
-    eval_mode,
     get_basis,
     gradient,
-    h1_inner,
-    h1_norm,
     l2_inner,
-    l2_norm,
     leray_project,
     random_field,
-    synthesize,
 )
 from .dynamics import (
     AdvectionTensor,
@@ -45,8 +38,6 @@ from .integrate import (
 from .diagnostics import (
     MartingaleProbe,
     energy_report,
-    martingale_L_series,
-    phi_v,
     qv_check,
 )
 from .noise import (
@@ -55,7 +46,6 @@ from .noise import (
     normalizer_cw,
     normalizer_cw_prime,
     q_coeff,
-    sample_increments,
 )
 
 __version__ = "0.1.0"

@@ -30,14 +30,12 @@ the unnormalized mode convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.fft as _fft
-
-TWO_PI = 2.0 * np.pi
 
 #: squared L2 norm of cos/sin modes (k != 0) and of the constant modes
 MODE_NORMSQ = 2.0 * np.pi**2
@@ -111,19 +109,6 @@ class Basis:
         kabs = np.sqrt(np.where(self.ksq > 0, self.ksq, 1.0))
         self.dvec = np.stack([k2 / kabs, -k1 / kabs], axis=1)
         self.dvec[0] = 0.0
-
-    # -- truncation-set view -------------------------------------------------
-
-    @property
-    def cardinality(self) -> int:
-        """Number of lattice points in the full square ``{-n, ..., n}^2``."""
-        return (2 * self.n + 1) ** 2
-
-    def lattice(self) -> Iterable[ModeIndex]:
-        """Iterate the full (unfolded) index square in row-major order."""
-        for k1 in range(-self.n, self.n + 1):
-            for k2 in range(-self.n, self.n + 1):
-                yield (k1, k2)
 
     def mode_id(self, k: ModeIndex) -> tuple[int, int, int]:
         """Canonical row and fold signs for an arbitrary in-range wavevector."""
@@ -324,33 +309,12 @@ class SpectralField:
         return float(np.sqrt(l2_inner(self, self)))
 
     def h1_norm(self) -> float:
-        return float(np.sqrt(h1_inner(self, self)))
+        """Seminorm ``sqrt(sum_l ||d_l f||_0^2)`` (mean modes contribute 0)."""
+        w = self.basis.norm_sq * self.basis.ksq
+        return float(np.sqrt(np.sum(w * (self.coeffs * self.coeffs).sum(axis=0))))
 
     def divergence_max(self, m: int | None = None) -> float:
         return divergence_max(self, m)
-
-
-@dataclass
-class GridField:
-    """Collocation values ``values[a, b]`` at ``theta = (2*pi*a/m, 2*pi*b/m)``."""
-
-    values: np.ndarray  # (m, m, 2)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[2] != 2 or (
-            self.values.shape[0] != self.values.shape[1]
-        ):
-            raise ValueError("grid values must have shape (m, m, 2)")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def nodes(cls, m: int) -> tuple[np.ndarray, np.ndarray]:
-        t = np.arange(m) * (TWO_PI / m)
-        return np.meshgrid(t, t, indexing="ij")
 
 
 def _check_same_basis(f: SpectralField, g: SpectralField) -> None:
@@ -358,72 +322,23 @@ def _check_same_basis(f: SpectralField, g: SpectralField) -> None:
         raise ValueError(f"truncation mismatch: n={f.basis.n} vs n={g.basis.n}")
 
 
-def eval_mode(mode: BasisMode, theta: Sequence[float]) -> np.ndarray:
-    """Evaluate one basis field at a point of the torus."""
-    k1, k2 = mode.k
-    t1, t2 = float(theta[0]), float(theta[1])
-    if (k1, k2) == (0, 0):
-        return np.array([1.0, 0.0]) if mode.kind == "c" else np.array([0.0, 1.0])
-    kabs = np.hypot(k1, k2)
-    phase = k1 * t1 + k2 * t2
-    osc = np.cos(phase) if mode.kind == "c" else np.sin(phase)
-    return np.array([k2 / kabs, -k1 / kabs]) * osc
+def leray_project(f: SpectralField, basis: Basis) -> SpectralField:
+    """Projection of a spectral field onto the truncated basis ``basis``.
 
-
-def min_resolution(n: int) -> int:
-    """Smallest grid that represents a degree-``n`` field alias-free."""
-    return 2 * n + 2
-
-
-def synthesize(f: SpectralField, m: int) -> GridField:
-    """Evaluate the field on the ``m x m`` collocation grid (exact)."""
-    if m < min_resolution(f.basis.n):
-        raise ResolutionError(
-            f"m={m} too small for truncation n={f.basis.n}; need m >= {min_resolution(f.basis.n)}"
-        )
-    spec = place_halfspectrum(f.basis, f.coeffs, m)
-    grid = halfspectrum_to_grid(spec, m)
-    return GridField(np.moveaxis(grid, 0, -1))
-
-
-def analyze(g: GridField, basis: Basis | int) -> SpectralField:
-    """Project grid samples onto the truncated divergence-free basis.
-
-    The grid must be alias-free for degree ``n`` content (caller's
-    responsibility); the gradient part of the sampled field is discarded by
-    the per-wavevector projection, so ``analyze`` realizes the composition of
-    the forward transform with the divergence-free projection.
+    The basis spans only divergence-free fields, so this keeps the modes the
+    two index squares share and zero-fills the rest.  Grid samples reach the
+    basis through ``gather_coeffs``, which removes the gradient part of each
+    Fourier coefficient.
     """
-    if isinstance(basis, int):
-        basis = get_basis(basis)
-    if g.m < min_resolution(basis.n):
-        raise ResolutionError(
-            f"grid m={g.m} below the alias-free minimum {min_resolution(basis.n)} for n={basis.n}"
-        )
-    spec = grid_to_halfspectrum(np.moveaxis(g.values, -1, 0))
-    return SpectralField(basis, gather_coeffs(basis, spec, g.m))
-
-
-def leray_project(g: GridField | SpectralField, basis: Basis | int) -> SpectralField:
-    """Divergence-free (Leray) projection onto the truncated basis.
-
-    Removes the gradient part of each Fourier coefficient; the mean passes
-    through.  Idempotent: spectral fields are returned unchanged (up to
-    truncation), since the basis spans only divergence-free fields.
-    """
-    if isinstance(basis, int):
-        basis = get_basis(basis)
-    if isinstance(g, SpectralField):
-        if g.basis.n == basis.n:
-            return g.copy()
-        out = SpectralField.zero(basis)
-        nshared = min(g.basis.n, basis.n)
-        for i, k in enumerate(g.basis.modes):
-            if abs(k[0]) <= nshared and abs(k[1]) <= nshared:
-                j = basis.index[tuple(k)]
-                out.coeffs[:, j] = g.coeffs[:, i]
-        return out
-    return analyze(g, basis)
+    if f.basis.n == basis.n:
+        return f.copy()
+    out = SpectralField.zero(basis)
+    nshared = min(f.basis.n, basis.n)
+    for i, k in enumerate(f.basis.modes):
+        if abs(k[0]) <= nshared and abs(k[1]) <= nshared:
+            j = basis.index[tuple(k)]
+            out.coeffs[:, j] = f.coeffs[:, i]
+    return out
 
 
 def constant_advection(kappa: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -456,25 +371,10 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return float(np.sum(f.basis.norm_sq * (f.coeffs * g.coeffs).sum(axis=0)))
 
 
-def h1_inner(f: SpectralField, g: SpectralField) -> float:
-    """Seminorm pairing ``sum_l <d_l f, d_l g>_0`` (mean modes contribute 0)."""
-    _check_same_basis(f, g)
-    w = f.basis.norm_sq * f.basis.ksq
-    return float(np.sum(w * (f.coeffs * g.coeffs).sum(axis=0)))
-
-
-def l2_norm(f: SpectralField) -> float:
-    return f.l2_norm()
-
-
-def h1_norm(f: SpectralField) -> float:
-    return f.h1_norm()
-
-
 def divergence_max(f: SpectralField, m: int | None = None) -> float:
     """Max of ``|div f|`` on a collocation grid, via spectral differentiation."""
     if m is None:
-        m = max(min_resolution(f.basis.n), 8)
+        m = max(2 * f.basis.n + 2, 8)
     d1, d2 = gradient(f)
     spec1 = place_halfspectrum(f.basis, d1.coeffs, m)
     spec2 = place_halfspectrum(f.basis, d2.coeffs, m)

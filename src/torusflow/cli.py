@@ -42,7 +42,14 @@ from .diagnostics import (
     write_path_csv,
     write_state_csv,
 )
-from .integrate import MidpointConvergenceError, SimConfig, StepKernel, run_ensemble, run_path
+from .integrate import (
+    SCHEMES,
+    MidpointConvergenceError,
+    SimConfig,
+    StepKernel,
+    run_ensemble,
+    run_path,
+)
 from .noise import ConfigurationError, NoiseModel
 
 OUT_ENV_VAR = "TORUSFLOW_OUT"
@@ -114,23 +121,34 @@ def _load_config_file(path: str) -> tuple[dict[str, str], int | None]:
     return _parse_kv_file(p), None
 
 
+_NOISE_GRAMMAR = "space-independent | finite:<k1>,<k2>[;<k1>,<k2>...] | qwiener:<n_w>"
+
+
+def _spec_ints(spec: str, text: str, count: int) -> tuple[int, ...]:
+    """Parse ``text``, a part of the noise spec ``spec``, as ``count`` comma-separated ints."""
+    parts = text.split(",")
+    try:
+        if len(parts) == count:
+            return tuple(int(x) for x in parts)
+    except ValueError:
+        pass
+    raise ConfigurationError(f"malformed noise spec {spec!r} (expected {_NOISE_GRAMMAR})")
+
+
 def _build_noise(spec: str, beta: float) -> NoiseModel:
     if spec == "space-independent":
         return NoiseModel.space_independent()
     if spec.startswith("qwiener:"):
-        return NoiseModel.q_wiener(int(spec.split(":", 1)[1]), beta=beta)
+        (n_w,) = _spec_ints(spec, spec.split(":", 1)[1], 1)
+        return NoiseModel.q_wiener(n_w, beta=beta)
     if spec.startswith("finite:") or spec == "finite":
         body = spec.split(":", 1)[1] if ":" in spec else ""
         modes = []
         if body.strip():
             for chunk in body.split(";"):
-                a, b = chunk.split(",")
-                modes.append((int(a), int(b)))
+                modes.append(_spec_ints(spec, chunk, 2))
         return NoiseModel.finite_modes(modes, beta=beta)
-    raise ConfigurationError(
-        f"unknown noise spec {spec!r} "
-        "(expected space-independent | finite:<k-list> | qwiener:<n_w>)"
-    )
+    raise ConfigurationError(f"unknown noise spec {spec!r} (expected {_NOISE_GRAMMAR})")
 
 
 @dataclass
@@ -291,13 +309,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, dest="T", help="time horizon")
     p.add_argument("--paths", type=int, help="ensemble size")
     p.add_argument("--seed", type=int, help="stream seed")
-    p.add_argument(
-        "--scheme", choices=("ito-em", "strat-heun", "strat-midpoint"), help="integrator"
-    )
-    p.add_argument(
-        "--noise",
-        help="space-independent | finite:<k1>,<k2>[;...] | qwiener:<n_w>",
-    )
+    p.add_argument("--scheme", choices=SCHEMES, help="integrator")
+    p.add_argument("--noise", help=_NOISE_GRAMMAR)
     p.add_argument("--beta", type=float, help="covariance decay exponent (> 3)")
     p.add_argument("--ic", help="mode:<k1>,<k2> | pair | random[:<decay>]")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./torusflow_out)")

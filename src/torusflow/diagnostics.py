@@ -77,13 +77,6 @@ class _ProbeContractions:
         return uv, drift_pair, t1 * t1 + t2 * t2
 
 
-def phi_v(u: SpectralField, v: SpectralField) -> complex:
-    """Generator functional of the exponential martingale at one state."""
-    pc = _ProbeContractions(v)
-    uv, drift_pair, qv = pc.pairings(u.coeffs[None, ...])
-    return complex(1j * drift_pair[0] - 0.5 * qv[0])
-
-
 @dataclass
 class ProbeSeries:
     """Per-path series a martingale probe accumulated along an ensemble."""
@@ -154,23 +147,6 @@ class MartingaleProbe:
         )
 
 
-def martingale_L_series(path: PathResult, v: SpectralField) -> np.ndarray:
-    """The complex series ``L_t`` along a stored path.
-
-    Replays the path through a :class:`MartingaleProbe`, so it needs the
-    path saved at full step resolution for the trapezoid to see every state.
-    """
-    if len(path.states) != len(path.step_times):
-        raise ConfigurationError(
-            "martingale_L_series needs save_every=1 (path saved at full step resolution)"
-        )
-    probe = MartingaleProbe(v)
-    probe.start(path.step_times[0], path.states[0].coeffs[None])
-    for t, s in zip(path.step_times[1:], path.states[1:]):
-        probe.after_step(t, s.coeffs[None])
-    return probe.result().L[0]
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -231,13 +207,11 @@ def energy_report(source: PathResult | EnsembleDiagnostics) -> EnergyReport:
         times = source.step_times
         l2 = source.l2_sq[None, :]
         h1 = source.h1_sq[None, :]
-        cfg = source.config
     else:
         times = source.times
         l2 = source.l2_sq
         h1 = source.h1_sq
-        cfg = source.config
-    rate = gronwall_rate(cfg.noise)
+    rate = gronwall_rate(source.config.noise)
     env = h1[:, 0].mean() * np.exp(rate * times)
     mean_l2, se_l2 = mean_se(l2)
     mean_h1, se_h1 = mean_se(h1)

@@ -394,31 +394,16 @@ def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -
     return SpectralField(out_basis, advect(f.basis, f.coeffs, m, out_basis=out_basis)[0])
 
 
-def _coerce_advector(advector) -> SpectralField:
-    if isinstance(advector, SpectralField):
-        return advector
-    if isinstance(advector, BasisMode):
-        n = max(abs(advector.k[0]), abs(advector.k[1]))
-        return SpectralField.from_modes(get_basis(n), [(advector, 1.0)])
-    arr = np.asarray(advector, dtype=np.float64)
-    if arr.shape == (2,):  # constant vector advector
-        b = get_basis(0)
-        f = SpectralField.zero(b)
-        f.coeffs[0, 0], f.coeffs[1, 0] = arr
-        return f
-    raise TypeError("advector must be a SpectralField, BasisMode, or constant 2-vector")
-
-
 def transport_apply(
-    f: SpectralField, advector, out_basis: Basis | None = None
+    f: SpectralField, w: SpectralField, out_basis: Basis | None = None
 ) -> SpectralField:
-    """Galerkin projection of ``(a . grad) f`` for a divergence-free advector.
+    """Galerkin projection of ``(w . grad) f`` for a divergence-free advector.
 
-    Constant advectors reduce to the exact mode-wise rotation; general ones go
-    through the dealiased product.  Content shifted outside the output
-    truncation is discarded (projection onto the truncated span).
+    A constant advector (a field over ``get_basis(0)``) reduces to the exact
+    mode-wise rotation; general ones go through the dealiased product.
+    Content shifted outside the output truncation is discarded (projection
+    onto the truncated span).
     """
-    w = _coerce_advector(advector)
     out_basis = out_basis or f.basis
     if w.basis.n == 0:
         k1 = f.basis.modes[:, 0].astype(np.float64)

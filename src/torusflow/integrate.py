@@ -10,7 +10,7 @@ Scheme menu
     the Stratonovich form, whose drift is the inviscid ``-B(u)``.
 ``strat-midpoint``
     Implicit midpoint on the Stratonovich form, solved to a fixed-point
-    residual of ``midpoint_tol``.  Drift and transport are both skew in the
+    residual of ``MIDPOINT_TOL``.  Drift and transport are both skew in the
     L2 pairing, so this scheme conserves ``||u||_0^2`` to solver tolerance
     per step.  For spatially constant noise the linear noise part of the
     midpoint map is inverted exactly per mode (2x2 blocks), which leaves only
@@ -74,6 +74,12 @@ BLOCK_STEPS = 64
 #: faulting in fresh pages; measured sweep in ``BENCH_path_blocks.json``
 BLOCK_BYTES = 400_000
 
+#: the midpoint fixed-point iteration stops once every path's update moves no
+#: coefficient by more than ``MIDPOINT_TOL``, and fails after
+#: ``MIDPOINT_MAX_ITER`` passes
+MIDPOINT_TOL = 1e-12
+MIDPOINT_MAX_ITER = 50
+
 
 class MidpointConvergenceError(RuntimeError):
     """The midpoint fixed point missed its tolerance.
@@ -114,8 +120,6 @@ class SimConfig:
     seed: int = 0
     initial: str | tuple = "random:3"
     save_every: int = 10
-    midpoint_tol: float = 1e-12
-    midpoint_max_iter: int = 50
 
     def violations(self) -> list[str]:
         bad = []
@@ -137,10 +141,6 @@ class SimConfig:
             bad.append(f"paths must be >= 1 (got {self.paths})")
         if self.save_every < 1:
             bad.append(f"save_every must be >= 1 (got {self.save_every})")
-        if not 0 < self.midpoint_tol < 1e-6:
-            bad.append("midpoint_tol must lie in (0, 1e-6)")
-        if self.midpoint_max_iter < 1:
-            bad.append(f"midpoint_max_iter must be >= 1 (got {self.midpoint_max_iter})")
         try:
             self.initial_field()
         except Exception as e:  # surface every constraint at once
@@ -206,25 +206,13 @@ def _parse_wavevector(s: str) -> tuple[int, int]:
 class StepKernel:
     """Batched single-step integrator bound to one (basis, noise, scheme)."""
 
-    def __init__(
-        self,
-        basis: Basis,
-        noise: NoiseModel,
-        scheme: str,
-        dt: float,
-        midpoint_tol: float = 1e-12,
-        midpoint_max_iter: int = 50,
-    ):
+    def __init__(self, basis: Basis, noise: NoiseModel, scheme: str, dt: float):
         if scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
-        if midpoint_max_iter < 1:
-            raise ConfigurationError(f"midpoint_max_iter must be >= 1 (got {midpoint_max_iter})")
         self.basis = basis
         self.noise = noise
         self.scheme = scheme
         self.dt = float(dt)
-        self.tol = float(midpoint_tol)
-        self.max_iter = int(midpoint_max_iter)
         self.m = dealias_resolution(basis.n, max(noise.field_basis.n, basis.n), basis.n)
         self.k1 = basis.modes[:, 0].astype(np.float64)
         self.k2 = basis.modes[:, 1].astype(np.float64)
@@ -282,8 +270,8 @@ class StepKernel:
                 failed.append((lo, e))
         if failed:
             raise MidpointConvergenceError(
-                max(e.residual for _, e in failed),
-                self.max_iter,
+                float(np.max([e.residual for _, e in failed])),
+                MIDPOINT_MAX_ITER,
                 paths=[lo + i for lo, e in failed for i in e.paths],
             )
         return out
@@ -337,32 +325,25 @@ class StepKernel:
 
             v = u.copy()
         active = np.ones(u.shape[:-2], dtype=bool)
-        for _ in range(self.max_iter):
+        for _ in range(MIDPOINT_MAX_ITER):
             idx = np.nonzero(active)
             v_new = update(idx, 0.5 * (u[idx] + v[idx]))
             res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
             v[idx] = v_new
-            still = res > self.tol
+            still = ~(res <= MIDPOINT_TOL)  # a NaN residual is not converged
             if not still.any():
                 return v
             active[idx] = still
         raise MidpointConvergenceError(
-            float(res.max()), self.max_iter, paths=np.flatnonzero(active)
+            float(np.max(res)), MIDPOINT_MAX_ITER, paths=np.flatnonzero(active)
         )
 
 
 def step(
-    scheme: str,
-    state: SpectralField,
-    dw: WienerIncrement,
-    model: NoiseModel,
-    midpoint_tol: float = 1e-12,
-    midpoint_max_iter: int = 50,
+    scheme: str, state: SpectralField, dw: WienerIncrement, model: NoiseModel
 ) -> SpectralField:
     """One step of the chosen scheme from a single state (convenience wrapper)."""
-    kernel = StepKernel(
-        state.basis, model, scheme, dw.dt, midpoint_tol, midpoint_max_iter
-    )
+    kernel = StepKernel(state.basis, model, scheme, dw.dt)
     w = model.increments_to_field(dw.values[None, ...])
     out = kernel.step(state.coeffs[None, ...], w)
     return SpectralField(state.basis, out[0])
@@ -453,14 +434,7 @@ def _run_batch(
     noise = config.noise
     steps = config.n_steps
     p = len(path_ids)
-    kernel = StepKernel(
-        basis,
-        noise,
-        config.scheme,
-        config.dt,
-        config.midpoint_tol,
-        config.midpoint_max_iter,
-    )
+    kernel = StepKernel(basis, noise, config.scheme, config.dt)
     u0 = config.initial_field()
     u = np.broadcast_to(u0.coeffs, (p,) + u0.coeffs.shape).copy()
 
@@ -480,10 +454,9 @@ def _run_batch(
 
     gens = [path_stream(config.seed, pid) for pid in path_ids]
     k = noise.n_components
-    block_rows = max(1, BLOCK_STEPS)
     s = 0
     while s < steps:
-        block = min(block_rows, steps - s)
+        block = min(BLOCK_STEPS, steps - s)
         draws = np.empty((p, block, k, 2))
         for j, g in enumerate(gens):
             draws[j] = g.standard_normal((block, k, 2))

@@ -284,19 +284,3 @@ def initial_condition_stream(seed: int) -> np.random.Generator:
     """Stream reserved for drawing random initial conditions."""
     return _philox(seed, 0, _STREAM_INITIAL)
 
-
-def sample_increments(
-    model: NoiseModel, dt: float, stream: np.random.Generator, steps: int | None = None
-) -> WienerIncrement | np.ndarray:
-    """Draw Gaussian increments with variance ``dt`` per component.
-
-    With ``steps`` given, returns the raw array ``(steps, K, 2)`` for a whole
-    block of consecutive steps (same draw order as repeated single calls).
-    """
-    if dt < 0:
-        raise ConfigurationError("dt must be >= 0")
-    k = model.n_components
-    if steps is None:
-        vals = stream.standard_normal((k, 2)) * np.sqrt(dt)
-        return WienerIncrement(dt, vals)
-    return stream.standard_normal((steps, k, 2)) * np.sqrt(dt)

@@ -29,10 +29,15 @@ def eval_mode_mp(mode: BasisMode, t1, t2, dps: int = 40):
         return (k2 / kabs * osc, -k1 / kabs * osc)
 
 
+def grid_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation nodes ``theta = (2 pi a / m, 2 pi b / m)``, indexed ``[a, b]``."""
+    t = np.arange(m) * TWO_PI / m
+    return np.meshgrid(t, t, indexing="ij")
+
+
 def field_on_grid(f: SpectralField, m: int) -> np.ndarray:
     """Evaluate a spectral field pointwise, mode by mode (no FFT)."""
-    t = np.arange(m) * TWO_PI / m
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    T1, T2 = grid_nodes(m)
     out = np.zeros((m, m, 2))
     for i, (k1, k2) in enumerate(f.basis.modes):
         if (k1, k2) == (0, 0):
@@ -71,8 +76,7 @@ def project_grid(grid: np.ndarray, basis: Basis) -> SpectralField:
 
 def advect_grid(adv: np.ndarray, target_f: SpectralField, m: int) -> np.ndarray:
     """Pointwise (adv . grad) target on the grid, derivatives taken mode-wise."""
-    t = np.arange(m) * TWO_PI / m
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    T1, T2 = grid_nodes(m)
     d1 = np.zeros((m, m, 2))
     d2 = np.zeros((m, m, 2))
     f = target_f

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,19 +7,18 @@ from hypothesis import strategies as st
 
 from torusflow.basis import (
     BasisMode,
-    GridField,
     ResolutionError,
     SpectralField,
-    analyze,
     divergence_max,
-    eval_mode,
+    gather_coeffs,
     get_basis,
+    grid_to_halfspectrum,
     gradient,
-    h1_inner,
+    halfspectrum_to_grid,
     l2_inner,
     leray_project,
+    place_halfspectrum,
     random_field,
-    synthesize,
 )
 
 import oracles
@@ -25,77 +26,103 @@ import oracles
 PI = np.pi
 
 
+def to_grid(f: SpectralField, m: int) -> np.ndarray:
+    """The field's ``(m, m, 2)`` collocation values through the stepper's transforms."""
+    grid = halfspectrum_to_grid(place_halfspectrum(f.basis, f.coeffs, m), m)
+    return np.moveaxis(grid, 0, -1)
+
+
+def from_grid(values: np.ndarray, basis) -> SpectralField:
+    """Projection of ``(m, m, 2)`` grid samples through the stepper's transforms."""
+    spec = grid_to_halfspectrum(np.moveaxis(values, -1, 0))
+    return SpectralField(basis, gather_coeffs(basis, spec, values.shape[0]))
+
+
+def mode_on_grid(b, mode: BasisMode, m: int) -> np.ndarray:
+    return to_grid(SpectralField.from_modes(b, [(mode, 1.0)]), m)
+
+
+def mp_mode_on_grid(mode: BasisMode, m: int) -> np.ndarray:
+    """The basis definition at every node, in high precision."""
+    T1, T2 = oracles.grid_nodes(m)
+    out = np.empty((m, m, 2))
+    for a, c in itertools.product(range(m), repeat=2):
+        out[a, c] = [float(x) for x in oracles.eval_mode_mp(mode, T1[a, c], T2[a, c])]
+    return out
+
+
 def test_enumeration_counts():
     for n in (0, 1, 3, 8):
         b = get_basis(n)
-        assert b.cardinality == (2 * n + 1) ** 2
         assert b.n_modes == 1 + ((2 * n + 1) ** 2 - 1) // 2
         assert tuple(b.modes[0]) == (0, 0)
-        # closed under k -> -k after folding
-        for k in b.lattice():
+        # closed under k -> -k after folding, and the square folds onto every row
+        rows = set()
+        for k in itertools.product(range(-n, n + 1), repeat=2):
             i, cs, ss = b.mode_id(k)
             j, _, _ = b.mode_id((-k[0], -k[1]))
             assert i == j
+            rows.add(i)
+        assert rows == set(range(b.n_modes))
 
 
 def test_fold_signs_match_pointwise():
-    # c_{-k} = -c_k and s_{-k} = +s_k, checked against direct evaluation
+    # c_{-k} = -c_k and s_{-k} = +s_k: a mode placed at -k is folded onto the
+    # row of k with these signs, and lands on the high-precision definition
+    b = get_basis(3)
+    m = 8
     for k in [(1, 0), (0, 2), (2, -1), (1, 3)]:
         mk = (-k[0], -k[1])
-        for t in [(0.3, 1.1), (2.0, 5.1)]:
-            np.testing.assert_allclose(
-                eval_mode(BasisMode("c", mk), t), -eval_mode(BasisMode("c", k), t), atol=1e-15
-            )
-            np.testing.assert_allclose(
-                eval_mode(BasisMode("s", mk), t), eval_mode(BasisMode("s", k), t), atol=1e-15
-            )
+        for kind, sign in (("c", -1.0), ("s", 1.0)):
+            g = mode_on_grid(b, BasisMode(kind, mk), m)
+            assert np.array_equal(g, sign * mode_on_grid(b, BasisMode(kind, k), m))
+            np.testing.assert_allclose(g, mp_mode_on_grid(BasisMode(kind, mk), m), atol=1e-15)
 
 
 def test_eval_mode_examples():
-    np.testing.assert_allclose(eval_mode(BasisMode("c", (0, 0)), (1.0, 2.0)), [1.0, 0.0])
-    np.testing.assert_allclose(eval_mode(BasisMode("s", (1, 0)), (0.0, 0.0)), [0.0, 0.0])
-    # cos(pi/2) kills the (1,1) mode at theta = (pi/2, 0)
-    v = eval_mode(BasisMode("c", (1, 1)), (np.pi / 2, 0.0))
+    b = get_basis(1)
+    const = mode_on_grid(b, BasisMode("c", (0, 0)), 8)
+    assert np.all(const[..., 0] == 1.0) and np.all(const[..., 1] == 0.0)
+    np.testing.assert_allclose(mode_on_grid(b, BasisMode("s", (1, 0)), 8)[0, 0], [0.0, 0.0])
+    # cos(pi/2) kills the (1,1) mode at theta = (pi/2, 0), node (2, 0) of m = 8
+    v = mode_on_grid(b, BasisMode("c", (1, 1)), 8)[2, 0]
     assert np.abs(v).max() <= 1e-12
 
 
 def test_eval_mode_against_high_precision_oracle():
     rng = np.random.default_rng(7)
+    b = get_basis(4)
+    m = 10
     for _ in range(20):
-        kind = rng.choice(["c", "s"])
+        kind = str(rng.choice(["c", "s"]))
         k = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-        t1, t2 = rng.uniform(0, 2 * PI, size=2)
-        got = eval_mode(BasisMode(kind, k), (t1, t2))
-        ref = oracles.eval_mode_mp(BasisMode(kind, k), t1, t2)
-        assert abs(got[0] - float(ref[0])) < 1e-13
-        assert abs(got[1] - float(ref[1])) < 1e-13
+        got = mode_on_grid(b, BasisMode(kind, k), m)
+        ref = mp_mode_on_grid(BasisMode(kind, k), m)
+        assert np.abs(got - ref).max() < 1e-13
 
 
 def test_synthesize_trivial_cases():
     b = get_basis(2)
-    z = synthesize(SpectralField.zero(b), 8)
-    assert np.all(z.values == 0.0)
-    const = synthesize(SpectralField.from_modes(b, [(BasisMode("c", (0, 0)), 3.0)]), 8)
-    np.testing.assert_allclose(const.values[..., 0], 3.0)
-    np.testing.assert_allclose(const.values[..., 1], 0.0)
+    z = to_grid(SpectralField.zero(b), 8)
+    assert np.all(z == 0.0)
+    const = to_grid(SpectralField.from_modes(b, [(BasisMode("c", (0, 0)), 3.0)]), 8)
+    np.testing.assert_allclose(const[..., 0], 3.0)
+    np.testing.assert_allclose(const[..., 1], 0.0)
 
 
 def test_synthesize_matches_pointwise_eval():
     b = get_basis(1)
     f = SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)])
-    g = synthesize(f, 8)
-    t = np.arange(8) * 2 * PI / 8
-    for a in range(8):
-        for c in range(8):
-            np.testing.assert_allclose(
-                g.values[a, c], eval_mode(BasisMode("c", (1, 0)), (t[a], t[c])), atol=1e-14
-            )
+    g = to_grid(f, 8)
+    np.testing.assert_allclose(g, mp_mode_on_grid(BasisMode("c", (1, 0)), 8), atol=1e-14)
 
 
 def test_synthesize_resolution_guard():
     b = get_basis(4)
     with pytest.raises(ResolutionError):
-        synthesize(SpectralField.zero(b), 8)
+        place_halfspectrum(b, SpectralField.zero(b).coeffs, 8)
+    with pytest.raises(ResolutionError):
+        gather_coeffs(b, grid_to_halfspectrum(np.zeros((2, 8, 8))), 8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -104,8 +131,7 @@ def test_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
     b = get_basis(4)
     f = random_field(b, rng, include_mean=True)
-    g = synthesize(f, 16)
-    f2 = analyze(g, b)
+    f2 = from_grid(to_grid(f, 16), b)
     scale = np.abs(f.coeffs).max()
     assert np.abs(f2.coeffs - f.coeffs).max() <= 1e-12 * scale
 
@@ -115,25 +141,25 @@ def test_analyze_discards_gradient_part():
     # pointwise residual is the whole field.
     b = get_basis(3)
     m = 16
-    T1, _ = GridField.nodes(m)
-    g = GridField(np.stack([np.cos(T1), np.zeros_like(T1)], axis=-1))
-    p = analyze(g, b)
+    T1, _ = oracles.grid_nodes(m)
+    g = np.stack([np.cos(T1), np.zeros_like(T1)], axis=-1)
+    p = from_grid(g, b)
     assert np.abs(p.coeffs).max() <= 1e-13
-    residual = g.values - synthesize(p, m).values
+    residual = g - to_grid(p, m)
     assert np.abs(residual).max() == pytest.approx(1.0, abs=1e-12)
     # quadrature cross-check of the projection, mode by mode
-    ref = oracles.project_grid(g.values, b)
+    ref = oracles.project_grid(g, b)
     assert np.abs(ref.coeffs).max() <= 1e-13
 
 
 def test_analyze_mixed_field_against_quadrature_oracle():
     b = get_basis(2)
     m = 16
-    T1, T2 = GridField.nodes(m)
+    T1, T2 = oracles.grid_nodes(m)
     vals = np.stack(
         [np.cos(T1) + 0.5 * np.sin(T2) * np.cos(T1), -0.3 * np.cos(T2) + 0.1], axis=-1
     )
-    got = analyze(GridField(vals), b)
+    got = from_grid(vals, b)
     ref = oracles.project_grid(vals, b)
     np.testing.assert_allclose(got.coeffs, ref.coeffs, atol=1e-12)
 
@@ -167,16 +193,17 @@ def test_leray_idempotent_and_selfadjoint():
     p = leray_project(f, b)
     np.testing.assert_allclose(p.coeffs, f.coeffs, atol=1e-12)
 
+    # on grid samples the projection is the transform pair of every step
     m = 24
     ga = rng.standard_normal((m, m, 2))
     gb = rng.standard_normal((m, m, 2))
-    pa = synthesize(leray_project(GridField(ga), b), m).values
-    pb = synthesize(leray_project(GridField(gb), b), m).values
+    pa = to_grid(from_grid(ga, b), m)
+    pb = to_grid(from_grid(gb, b), m)
     lhs = oracles.quad_inner(pa, gb)
     rhs = oracles.quad_inner(ga, pb)
     assert lhs == pytest.approx(rhs, rel=1e-10)
     # <P g, grad phi> = 0 for a gradient test function
-    T1, T2 = GridField.nodes(m)
+    T1, T2 = oracles.grid_nodes(m)
     grad_phi = np.stack([-np.sin(T1) * 2.0, np.zeros_like(T1)], axis=-1)
     assert abs(oracles.quad_inner(pa, grad_phi)) <= 1e-10 * np.abs(pa).max()
 
@@ -185,10 +212,10 @@ def test_norm_examples():
     b = get_basis(1)
     f = SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)])
     assert l2_inner(f, f) == pytest.approx(2 * PI**2, rel=1e-14)
-    assert h1_inner(f, f) == pytest.approx(2 * PI**2, rel=1e-14)
+    assert f.h1_norm() ** 2 == pytest.approx(2 * PI**2, rel=1e-14)
     g = SpectralField.from_modes(b, [(BasisMode("c", (0, 0)), 3.0)])
     assert l2_inner(g, g) == pytest.approx(36 * PI**2, rel=1e-14)
-    assert h1_inner(g, g) == 0.0
+    assert g.h1_norm() == 0.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -197,8 +224,8 @@ def test_parseval_and_divergence(seed):
     rng = np.random.default_rng(seed)
     b = get_basis(4)
     f = random_field(b, rng, include_mean=True)
-    g = synthesize(f, 64)
-    quad = oracles.quad_inner(g.values, g.values)
+    g = to_grid(f, 64)
+    quad = oracles.quad_inner(g, g)
     assert quad == pytest.approx(f.l2_norm() ** 2, rel=1e-10)
     assert divergence_max(f) <= 1e-10
 
@@ -221,6 +248,6 @@ def test_h1_seminorm_equals_gradient_l2():
     b = get_basis(4)
     f = random_field(b, rng, include_mean=True)
     d1, d2 = gradient(f)
-    assert h1_inner(f, f) == pytest.approx(
+    assert f.h1_norm() ** 2 == pytest.approx(
         l2_inner(d1, d1) + l2_inner(d2, d2), rel=1e-12
     )

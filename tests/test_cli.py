@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from torusflow.cli import main
 from torusflow.diagnostics import ENSEMBLE_CSV_COLUMNS
 
@@ -69,6 +71,29 @@ def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
     assert "residual" in err
     # the failing path is named, so it can be replayed with run --path-id
     assert "(paths 3)" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_solve_exits_2_without_ledger(tmp_path, capsys):
+    # a midpoint iteration that overflows to a NaN residual is a failure,
+    # not a converged step that writes NaN rows
+    out = tmp_path / "o"
+    code = run_cli(
+        "run", "--n", "8", "--dt", "0.1", "--T", "0.1", "--noise", "qwiener:4",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert not (out / "run.csv").exists()
+    assert "residual nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["finite:1,0;2", "qwiener:x", "finite:a,b"])
+def test_malformed_noise_spec_is_quoted(tmp_path, capsys, spec):
+    code = run_cli("run", "--noise", spec, "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"malformed noise spec {spec!r}" in err
+    assert "qwiener:<n_w>" in err
 
 
 def test_ensemble_csv_header(tmp_path):

@@ -10,8 +10,6 @@ from torusflow.diagnostics import (
     MartingaleProbe,
     energy_report,
     gronwall_rate,
-    martingale_L_series,
-    phi_v,
     qv_check,
     write_ensemble_csv,
     write_path_csv,
@@ -24,21 +22,28 @@ PI = np.pi
 SI = NoiseModel.space_independent()
 
 
+def _phi_v(states: list[SpectralField], v: SpectralField) -> np.ndarray:
+    """The generator functional ``phi_v`` at each state, as a probe records it."""
+    probe = MartingaleProbe(v)
+    probe.start(0.0, np.stack([u.coeffs for u in states]))
+    return probe.result().phi[:, 0]
+
+
 def test_phi_v_trivial_and_reference_values():
     b = get_basis(2)
     v = SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)])
-    assert phi_v(SpectralField.zero(b), v) == 0.0
+    zero, same = _phi_v([SpectralField.zero(b), v], v)
+    assert zero == 0.0
     # u = v = c(1,0): quadratic term vanishes, Stokes pairing gives -i pi^2
-    assert phi_v(v, v) == pytest.approx(-1j * PI**2, abs=1e-12)
+    assert same == pytest.approx(-1j * PI**2, abs=1e-12)
 
 
 def test_phi_v_real_part_nonpositive():
     rng = np.random.default_rng(3)
     b = get_basis(3)
     v = SpectralField.from_modes(b, [(BasisMode("s", (1, 1)), 0.7)])
-    for _ in range(20):
-        u = random_field(b, rng)
-        assert phi_v(u, v).real <= 1e-13
+    phi = _phi_v([random_field(b, rng) for _ in range(20)], v)
+    assert np.all(phi.real <= 1e-13)
 
 
 def _exact_decay_path(dt: float, t_final: float) -> PathResult:
@@ -71,23 +76,17 @@ def test_L_series_initial_value_and_chain_rule_cancellation():
     devs = []
     for dt in (2e-2, 1e-2):
         path = _exact_decay_path(dt, 1.0)
-        L = martingale_L_series(path, v)
+        probe = MartingaleProbe(v)
+        probe.start(path.step_times[0], path.states[0].coeffs[None])
+        for t, s in zip(path.step_times[1:], path.states[1:]):
+            probe.after_step(t, s.coeffs[None])
+        L = probe.result().L[0]
         uv0 = 2 * PI**2
         assert L[0] == pytest.approx(np.exp(1j * uv0), abs=1e-14)
         devs.append(np.abs(L - L[0]).max())
     order = np.log2(devs[0] / devs[1])
     assert order >= 1.8  # second-order quadrature
     assert devs[1] <= 3e-3  # measured 1.4e-3 at dt = 1e-2
-
-
-def test_L_series_requires_full_resolution():
-    cfg = SimConfig(
-        n=1, dt=1e-2, t_final=0.1, noise=SI, paths=1, initial="mode:1,0", save_every=5
-    )
-    r = run_path(cfg, 0)
-    v = SpectralField.from_modes(get_basis(1), [(BasisMode("c", (1, 0)), 1.0)])
-    with pytest.raises(ConfigurationError):
-        martingale_L_series(r, v)
 
 
 def _one_mode_reference(paths=128, dt=1e-3, seed=1):

@@ -9,7 +9,6 @@ from torusflow.noise import (
     NoiseModel,
     WienerIncrement,
     path_stream,
-    sample_increments,
 )
 from torusflow.integrate import (
     SCHEMES,
@@ -24,10 +23,16 @@ from torusflow.integrate import (
 SI = NoiseModel.space_independent()
 
 
+def _increment(model, dt, seed, path_id):
+    """One step's increments from the path's stream, drawn as the runners do."""
+    vals = path_stream(seed, path_id).standard_normal((model.n_components, 2))
+    return WienerIncrement(dt, vals * np.sqrt(dt))
+
+
 def test_zero_state_stays_zero():
     b = get_basis(3)
     z = SpectralField.zero(b)
-    dw = sample_increments(SI, 1e-3, path_stream(0, 0))
+    dw = _increment(SI, 1e-3, 0, 0)
     for scheme in ("ito-em", "strat-heun", "strat-midpoint"):
         out = step(scheme, z, dw, SI)
         assert np.all(out.coeffs == 0.0)
@@ -52,7 +57,7 @@ def test_midpoint_conserves_energy_per_step():
     rng = np.random.default_rng(4)
     for model in (SI, NoiseModel.q_wiener(3, beta=4.0)):
         f = random_field(get_basis(3), rng)
-        dw = sample_increments(model, 1e-3, path_stream(1, 0))
+        dw = _increment(model, 1e-3, 1, 0)
         out = step("strat-midpoint", f, dw, model)
         rel = abs(out.l2_norm() ** 2 - f.l2_norm() ** 2) / f.l2_norm() ** 2
         assert rel <= 1e-10
@@ -110,15 +115,28 @@ def test_midpoint_conserves_enstrophy_heun_does_not():
     assert drift["strat-midpoint"] <= 1e-10 < drift["strat-heun"]
 
 
-def test_midpoint_nonconvergence_reports_residual():
+def test_midpoint_nonconvergence_reports_residual(monkeypatch):
     # a huge step makes the fixed point repel; the error carries the residual
+    monkeypatch.setattr(integrate, "MIDPOINT_MAX_ITER", 5)
     rng = np.random.default_rng(9)
     f = random_field(get_basis(3), rng)
     dw = WienerIncrement(4.0, np.array([[3.0, -2.0]]))
     with pytest.raises(MidpointConvergenceError) as exc:
-        step("strat-midpoint", f, dw, SI, midpoint_max_iter=5)
+        step("strat-midpoint", f, dw, SI)
     assert exc.value.residual > 0
     assert exc.value.iterations == 5
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_midpoint_solve_raises():
+    # at dt = 0.1 the Picard iteration overflows to a NaN residual, which
+    # must count as unconverged rather than pass the tolerance test
+    cfg = SimConfig(n=8, dt=0.1, t_final=0.1, noise=NoiseModel.q_wiener(4))
+    with pytest.raises(MidpointConvergenceError) as exc:
+        run_path(cfg)
+    assert exc.value.step_index == 0
+    assert exc.value.paths == (0,)
+    assert np.isnan(exc.value.residual)
 
 
 def test_run_path_single_step_and_times():
@@ -209,10 +227,10 @@ def test_blocked_ensemble_matches_single_paths(monkeypatch, scheme, noise):
 def test_midpoint_failure_collects_every_block(monkeypatch):
     # unconverged paths in two blocks of 4 give one error naming all of them
     # with the largest residual, not the first failing block's
+    monkeypatch.setattr(integrate, "MIDPOINT_MAX_ITER", 20)
     cfg = SimConfig(
         n=3, dt=0.02, t_final=0.02, scheme="strat-midpoint",
         noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=1,
-        midpoint_max_iter=20,
     )
     ids = [1, 0, 3, 2, 6, 9, 13, 17, 4, 5]
     solo = {}
@@ -294,16 +312,6 @@ def test_config_validation_lists_all_violations():
         cfg.validate()
 
 
-def test_config_rejects_zero_midpoint_iterations():
-    cfg = SimConfig(n=2, noise=SI, midpoint_max_iter=0)
-    assert "midpoint_max_iter must be >= 1 (got 0)" in cfg.violations()
-    with pytest.raises(ConfigurationError):
-        run_path(cfg)
-    dw = WienerIncrement(1e-2, np.zeros((1, 2)))
-    with pytest.raises(ConfigurationError):
-        step("strat-midpoint", cfg.initial_field(), dw, SI, midpoint_max_iter=0)
-
-
 def test_config_rejects_partial_steps():
     cfg = SimConfig(n=2, dt=3e-3, t_final=1.0, noise=SI)
     assert any("whole number" in m for m in cfg.violations())
@@ -339,14 +347,15 @@ def test_em_step_matches_manual_assembly_qwiener():
     rng = np.random.default_rng(12)
     f = random_field(b, rng)
     dt = 1e-3
-    dw = sample_increments(model, dt, path_stream(2, 4))
+    dw = _increment(model, dt, 2, 4)
 
     def increment(g, drift):
         incr = dt * drift(g)
         for coeff, mode, (j, comp) in model.transport_pairs():
             amp = coeff * dw.values[j, comp]
             if amp != 0.0:
-                incr = incr + amp * transport_apply(g, mode, out_basis=b)
+                w = SpectralField.from_modes(model.field_basis, [(mode, 1.0)])
+                incr = incr + amp * transport_apply(g, w, out_basis=b)
         return incr
 
     em = f + increment(f, ito_drift)

@@ -12,7 +12,6 @@ from torusflow.noise import (
     path_stream,
     q_coeff,
     q_trace,
-    sample_increments,
 )
 
 
@@ -149,40 +148,31 @@ def test_model_rejects_bad_beta():
 
 def test_increment_assembly_matches_modewise_sum():
     m = NoiseModel.q_wiener(2, beta=4.0)
-    incr = sample_increments(m, 1e-2, path_stream(3, 1))
-    assembled = SpectralField(m.field_basis, m.increments_to_field(incr.values))
+    incr = path_stream(3, 1).standard_normal((m.n_components, 2)) * np.sqrt(1e-2)
+    assembled = SpectralField(m.field_basis, m.increments_to_field(incr))
     ref = SpectralField.zero(m.field_basis)
     for c, md, (j, comp) in m.transport_pairs():
-        ref = ref + (c * incr.values[j, comp]) * SpectralField.from_modes(
+        ref = ref + (c * incr[j, comp]) * SpectralField.from_modes(
             m.field_basis, [(md, 1.0)]
         )
     np.testing.assert_allclose(assembled.coeffs, ref.coeffs, atol=1e-15)
     assert assembled.divergence_max() < 1e-12
 
 
-def test_zero_dt_increment():
-    m = NoiseModel.space_independent()
-    incr = sample_increments(m, 0.0, path_stream(0, 0))
-    assert np.all(incr.values == 0.0)
-
-
 def test_increment_moments():
     # mean within 4 sigma / sqrt(N), variance within 5% (approx 3 sigma bound)
-    m = NoiseModel.space_independent()
     dt = 1e-2
     n = 100_000
-    vals = sample_increments(m, dt, path_stream(0, 7), steps=n)
-    flat = vals.reshape(-1)
+    flat = path_stream(0, 7).standard_normal(2 * n) * np.sqrt(dt)
     assert abs(flat.mean()) <= 4 * np.sqrt(dt) / np.sqrt(flat.size)
     assert abs(flat.var() - dt) <= 0.05 * dt
 
 
 def test_stream_independence_and_determinism():
-    m = NoiseModel.space_independent()
     n = 50_000
-    a = sample_increments(m, 1.0, path_stream(9, 0), steps=n).reshape(-1)
-    b = sample_increments(m, 1.0, path_stream(9, 1), steps=n).reshape(-1)
-    a2 = sample_increments(m, 1.0, path_stream(9, 0), steps=n).reshape(-1)
+    a = path_stream(9, 0).standard_normal(2 * n)
+    b = path_stream(9, 1).standard_normal(2 * n)
+    a2 = path_stream(9, 0).standard_normal(2 * n)
     assert np.array_equal(a, a2)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) <= 4.0 / np.sqrt(a.size)
@@ -190,12 +180,11 @@ def test_stream_independence_and_determinism():
 
 def test_brownian_quadratic_variation():
     # space-independent regime behaves like a plain 2D Brownian motion
-    m = NoiseModel.space_independent()
     dt = 1e-3
     steps = 1000
     qv = []
     for pid in range(32):
-        vals = sample_increments(m, dt, path_stream(11, pid), steps=steps)
+        vals = path_stream(11, pid).standard_normal((steps, 1, 2)) * np.sqrt(dt)
         qv.append(np.sum(vals[:, 0, 0] ** 2))
     qv = np.array(qv)
     t = steps * dt
