@@ -26,6 +26,27 @@ The basis is orthogonal but not normalized: ``||c_k||_0^2 = 2*pi^2`` for
 ``k != 0`` and ``4*pi^2`` for the constant modes.  All inner products carry
 these weights explicitly so that coefficients remain directly comparable to
 the unnormalized mode convention.
+
+Grid transforms
+---------------
+A field of truncation ``n`` occupies only the ``(2n+1) x (n+1)`` block of
+the rfft2 half-spectrum with ``|k1| <= n`` and ``0 <= k2 <= n``, while the
+dealiased grid is ``m x m`` with ``m >= 3n + 1``.  For transforms this short
+and this sparse, partial summation by dense matrix products beats an FFT
+(Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 10), so every
+transform is two matrix stages over the block.  ``place_halfspectrum``
+writes the fields a pass needs (``u``, ``omega``, ``d1 u``, ``d2 u``)
+straight from the coefficients into the block; ``halfspectrum_to_grid``
+applies the complex ``k1 -> theta1`` stage to the narrow block, then the
+real c2r stage ``k2 -> theta2``; ``grid_to_halfspectrum`` applies the real
+stage first, then the complex one, computing only the output block; and
+``gather_coeffs`` projects the block onto the basis.
+
+Each stage is a stacked ``@`` with one small product per path (fields may
+share a product, since their number is fixed by the pass).  Paths are never
+folded into the rows or columns of one GEMM: BLAS rounds a row differently
+for different row counts, and would switch to a matrix-vector kernel for a
+single path, so a path would not give the same bits alone and in a batch.
 """
 
 from __future__ import annotations
@@ -35,7 +56,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-import scipy.fft as _fft
 
 #: squared L2 norm of cos/sin modes (k != 0) and of the constant modes
 MODE_NORMSQ = 2.0 * np.pi**2
@@ -134,115 +154,176 @@ def get_basis(n: int) -> Basis:
 
 
 class _GridMap:
-    """Index arrays mapping canonical coefficients to the rfft2 half-spectrum.
+    """The occupied spectral block of a basis and its DFT matrices on an ``m x m`` grid.
 
-    For each nonzero canonical mode we pick the member of the ``{+k, -k}``
-    pair whose second component lands inside the half-spectrum columns
-    ``0 .. m//2``.  ``sign = +1`` means the cell holds the ``+k`` Fourier
-    coefficient, ``-1`` the ``-k`` one (stored conjugated).  Modes on the
-    ``k2 == 0`` column need their conjugate partner placed explicitly for
-    ``irfft2`` to see a Hermitian column.
+    A field of truncation ``n`` occupies only the cells with rows
+    ``k1 = -n..n`` and columns ``k2 = 0..n`` of the rfft2 half-spectrum.  A
+    canonical mode ``k`` fills the cell of ``+k`` when ``k2 >= 0`` and of
+    ``-k`` (conjugated) otherwise; a mode on the ``k2 == 0`` column also fills
+    the cell of its conjugate partner ``-k``, so that column is Hermitian.
+    These cells cover the block exactly once: ``src`` names the source mode
+    of every cell, and ``amp_imag = -s/2`` carries the sign ``s`` of the
+    cell's wavevector ``s k`` into the amplitude ``z = (a - i s b) / 2``.
+
+    The inverse runs in two stages: the complex ``k1 -> theta1`` matrix
+    ``inv_rows`` (m x 2n+1) on the narrow block, then the real c2r matrix
+    ``inv_cols`` (2(n+1) x m) on the interleaved real and imaginary parts,
+    weighted 1 at ``k2 = 0`` and 2 elsewhere.  The forward runs real first
+    (``fwd_cols``, m x 2(n+1)), then complex (``fwd_rows``, 2n+1 x m, scaled
+    by ``1/m^2``), so it computes only the block's rows and columns.
     """
 
     def __init__(self, basis: Basis, m: int):
-        if m < 2 * basis.n + 1:
+        n = basis.n
+        if m < 2 * n + 1:
             raise ResolutionError(
-                f"grid m={m} cannot carry truncation n={basis.n} (need m >= {2 * basis.n + 1})"
+                f"grid m={m} cannot carry truncation n={n} (need m >= {2 * n + 1})"
             )
-        self.m = m
-        self.mh = m // 2 + 1
-        k = basis.modes[1:]
-        k1, k2 = k[:, 0], k[:, 1]
-        take_pos = k2 >= 0  # +k lands in the half spectrum iff k2 >= 0
-        self.sign = np.where(take_pos, 1, -1).astype(np.int64)
-        r1 = np.where(take_pos, k1, -k1) % m
-        r2 = np.where(take_pos, k2, -k2)
-        self.cells = r1 * self.mh + r2
-        # conjugate partners for the k2 == 0 column (k1 > 0 there)
-        col0 = k2 == 0
-        self.col0_src = np.nonzero(col0)[0]
-        self.col0_cells = ((-k1[col0]) % m) * self.mh + 0
-        # signed wavenumbers of every half-spectrum cell, for derivatives
-        w1 = np.rint(np.fft.fftfreq(m) * m).astype(np.int64)
-        self.kgrid1 = np.repeat(w1, self.mh).astype(np.float64)
-        self.kgrid2 = np.tile(np.arange(self.mh), m).astype(np.float64)
+        self.shape = (2 * n + 1, n + 1)
+        cols = n + 1
+        k1, k2 = basis.modes[:, 0], basis.modes[:, 1]
+        self.sign = np.where(k2 >= 0, 1, -1)
+        self.cells = (self.sign * k1 + n) * cols + self.sign * k2
+        partner = np.flatnonzero((k2 == 0) & (k1 > 0))
+        partner_cells = (n - k1[partner]) * cols
+        self.src = np.empty(self.shape[0] * cols, dtype=np.int64)
+        self.src[self.cells] = np.arange(basis.n_modes)
+        self.src[partner_cells] = partner
+        cell_sign = np.empty(self.src.size)
+        cell_sign[self.cells] = self.sign
+        cell_sign[partner_cells] = -1.0
+        self.dvec = basis.dvec[self.src]
+        self.q1 = np.repeat(np.arange(-n, n + 1.0), cols).reshape(self.shape)
+        self.q2 = np.tile(np.arange(cols, dtype=np.float64), 2 * n + 1).reshape(self.shape)
+        self.amp_imag = -0.5 * cell_sign
+        self.proj = 2.0 * basis.dvec.T
+        self.proj_imag = -self.sign.astype(np.float64)
+        self._symbols: dict[tuple[str, ...], tuple[np.ndarray, list[int]]] = {}
+
+        root = np.exp(2j * np.pi * np.arange(m) / m)
+        nodes = np.arange(m)
+        self.inv_rows = root[np.outer(nodes, np.arange(-n, n + 1)) % m]
+        twiddle = root[np.outer(np.arange(cols), nodes) % m]
+        weight = np.where(np.arange(cols) == 0, 1.0, 2.0)[:, None]
+        self.inv_cols = np.empty((2 * cols, m))
+        self.inv_cols[0::2] = weight * twiddle.real
+        self.inv_cols[1::2] = -weight * twiddle.imag
+        self.fwd_cols = np.empty((m, 2 * cols))
+        self.fwd_cols[:, 0::2] = twiddle.real.T
+        self.fwd_cols[:, 1::2] = -twiddle.imag.T
+        self.fwd_rows = self.inv_rows.conj().T / (m * m)
+
+    def symbols(self, fields: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
+        """Per-cell factors ``(F, cells)`` of a placement of ``fields``, and where ``u`` starts.
+
+        A cell with wavevector ``q = s k`` holds the vector amplitude
+        ``z = (a - i s b) / 2`` of its source mode ``(a, b)``, and scalar
+        field ``f`` the product ``phi[f] z``: ``d`` for ``u``, ``i q_l d``
+        for ``d_l u`` and ``i (q1 d2 - q2 d1) = -i s |k|`` for ``omega``.
+        ``d`` vanishes on the mean cell, which holds ``u = (a, b)`` itself
+        in the two rows starting at each listed index.
+        """
+        if fields not in self._symbols:
+            d1, d2 = self.dvec[:, 0], self.dvec[:, 1]
+            q1, q2 = self.q1.ravel(), self.q2.ravel()
+            table = {
+                "u": (d1, d2),
+                "omega": (1j * (q1 * d2 - q2 * d1),),
+                "d1u": (1j * q1 * d1, 1j * q1 * d2),
+                "d2u": (1j * q2 * d1, 1j * q2 * d2),
+            }
+            phi = np.array([s for name in fields for s in table[name]], dtype=np.complex128)
+            starts = np.cumsum([0] + [len(table[name]) for name in fields])
+            u_rows = [int(i) for i, name in zip(starts, fields) if name == "u"]
+            self._symbols[fields] = (phi, u_rows)
+        return self._symbols[fields]
 
 
 # ---------------------------------------------------------------------------
 # batched low-level transforms (leading axes pass through untouched)
 # ---------------------------------------------------------------------------
+#
+# Every matrix stage is a stacked ``@`` with one small product per path: a
+# stage that multiplies from the right folds the path's fields into the rows
+# of its product, one that multiplies from the left runs one product per
+# field.  Folding paths into one GEMM would round a path differently for
+# different batch sizes (module docstring).
 
-
-def place_halfspectrum(basis: Basis, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Build the rfft2 half-spectrum of a coefficient array.
+def place_halfspectrum(
+    basis: Basis, coeffs: np.ndarray, m: int, fields: tuple[str, ...] = ("u",)
+) -> np.ndarray:
+    """Write ``fields`` of a coefficient array into the occupied spectral block.
 
     ``coeffs`` has shape ``(..., 2, N)``; the result has shape
-    ``(..., 2, m, m//2 + 1)`` and is scaled so that ``irfft2`` of it evaluates
-    the field on the ``m x m`` collocation grid exactly.
+    ``(..., F, 2n+1, n+1)``, one scalar field per entry of ``F``: ``"u"``
+    gives ``(u1, u2)``, ``"omega"`` the vorticity ``d1 u2 - d2 u1``, and
+    ``"d1u"``/``"d2u"`` the two components of ``d1 u``/``d2 u``.  Cells hold
+    Fourier coefficients, so ``halfspectrum_to_grid`` of the block evaluates
+    the fields on the ``m x m`` collocation grid exactly.
     """
     gm = basis._grid_map(m)
-    lead = coeffs.shape[:-2]
-    out = np.zeros(lead + (2, m * gm.mh), dtype=np.complex128)
-    a = coeffs[..., 0, 1:]
-    b = coeffs[..., 1, 1:]
-    z = 0.5 * (a - 1j * (gm.sign * b))  # conjugated automatically when sign=-1
-    vals = basis.dvec[1:, :].T * z[..., None, :]  # (..., 2, N-1)
-    out[..., :, gm.cells] = m * m * vals
-    if gm.col0_src.size:
-        out[..., :, gm.col0_cells] = m * m * np.conj(vals[..., :, gm.col0_src])
-    out[..., 0, 0] = m * m * coeffs[..., 0, 0]
-    out[..., 1, 0] = m * m * coeffs[..., 1, 0]
-    return out.reshape(lead + (2, m, gm.mh))
+    phi, u_rows = gm.symbols(tuple(fields))
+    src = coeffs[..., gm.src]
+    z = np.empty(coeffs.shape[:-2] + (1, gm.src.size), dtype=np.complex128)
+    np.multiply(src[..., 0, :], 0.5, out=z.real[..., 0, :])
+    np.multiply(src[..., 1, :], gm.amp_imag, out=z.imag[..., 0, :])
+    out = z * phi
+    for f in u_rows:
+        out[..., f : f + 2, gm.cells[0]] = coeffs[..., :, 0]
+    return out.reshape(coeffs.shape[:-2] + (len(phi),) + gm.shape)
 
 
 def halfspectrum_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
-    """Inverse transform of the half-spectrum; returns ``(..., 2, m, m)`` real."""
-    return _fft.irfft2(spec, s=(m, m), axes=(-2, -1))
+    """Inverse transform of a placed block ``(..., F, 2n+1, n+1)`` to ``(..., F, m, m)`` real."""
+    n = spec.shape[-1] - 1
+    if spec.shape[-2] != 2 * n + 1:
+        raise ValueError(f"spectral block {spec.shape[-2:]} is not (2n+1, n+1)")
+    gm = get_basis(n)._grid_map(m)
+    lead = spec.shape[:-3]
+    x = gm.inv_rows @ spec  # (..., F, m, n+1): one product per path and field
+    x = x.view(np.float64).reshape(lead + (-1, 2 * (n + 1)))
+    return (x @ gm.inv_cols).reshape(spec.shape[:-2] + (m, m))  # one product per path
 
 
-def grid_to_halfspectrum(grid: np.ndarray) -> np.ndarray:
-    """Forward rfft2 over the trailing grid axes: ``(..., m, m//2 + 1)``, unnormalized."""
-    return _fft.rfft2(grid, axes=(-2, -1))
+def grid_to_halfspectrum(grid: np.ndarray, basis: Basis) -> np.ndarray:
+    """Forward transform of ``(..., F, m, m)`` grids onto the block of ``basis``.
+
+    Returns ``(..., F, 2n+1, n+1)``, the rfft2 cells with ``|k1|, k2 <= n``
+    scaled by ``1/m^2``, i.e. the Fourier coefficients of the grid values.
+    """
+    m = grid.shape[-1]
+    gm = basis._grid_map(m)
+    y = grid.reshape(grid.shape[:-3] + (-1, m)) @ gm.fwd_cols  # one product per path
+    y = y.view(np.complex128).reshape(grid.shape[:-2] + (m, gm.shape[1]))
+    return gm.fwd_rows @ y  # one product per path and field
 
 
 def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
-    """Project an (unnormalized) half-spectrum onto the canonical basis.
+    """Project a vector field's block ``(..., 2, 2n+1, n+1)`` onto the canonical basis.
 
     Performs the orthogonal projection of each Fourier vector coefficient onto
     the divergence-free direction ``d_k`` (the mean vector passes through), so
     gradient content is discarded.  Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
-    lead = spec.shape[:-3]
-    flat = spec.reshape(lead + (2, m * gm.mh))
-    cellvals = flat[..., :, gm.cells]  # (..., 2, N-1)
-    z = (
-        cellvals[..., 0, :] * basis.dvec[1:, 0]
-        + cellvals[..., 1, :] * basis.dvec[1:, 1]
-    ) / (m * m)
-    z = np.where(gm.sign < 0, np.conj(z), z)
-    out = np.empty(lead + (2, basis.n_modes), dtype=np.float64)
-    out[..., 0, 1:] = 2.0 * z.real
-    out[..., 1, 1:] = -2.0 * z.imag
-    out[..., 0, 0] = flat[..., 0, 0].real / (m * m)
-    out[..., 1, 0] = flat[..., 1, 0].real / (m * m)
+    cells = spec.reshape(spec.shape[:-2] + (-1,))[..., gm.cells]  # (..., 2, N)
+    z = cells[..., 0, :] * gm.proj[0]
+    z += cells[..., 1, :] * gm.proj[1]
+    out = np.empty(spec.shape[:-3] + (2, basis.n_modes))
+    out[..., 0, :] = z.real
+    np.multiply(z.imag, gm.proj_imag, out=out[..., 1, :])
+    out[..., :, 0] = cells[..., :, 0].real
     return out
 
 
 def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectra of ``d/d theta1`` and ``d/d theta2`` of a placed field."""
-    gm = basis._grid_map(m)
-    k1 = gm.kgrid1.reshape(m, gm.mh)
-    k2 = gm.kgrid2.reshape(m, gm.mh)
-    return (1j * k1) * spec, (1j * k2) * spec
+    """Blocks of ``d/d theta1`` and ``d/d theta2`` of a placed block ``(..., 2n+1, n+1)``.
 
-
-def curl_spectrum(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
-    """Half-spectrum ``(..., m, m//2 + 1)`` of the vorticity ``d1 u2 - d2 u1``."""
+    A pass needs no call: ``place_halfspectrum`` writes ``d1 u`` and ``d2 u``
+    directly.
+    """
     gm = basis._grid_map(m)
-    k1 = gm.kgrid1.reshape(m, gm.mh)
-    k2 = gm.kgrid2.reshape(m, gm.mh)
-    return 1j * (k1 * spec[..., 1, :, :] - k2 * spec[..., 0, :, :])
+    return (1j * gm.q1) * spec, (1j * gm.q2) * spec
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +456,9 @@ def divergence_max(f: SpectralField, m: int | None = None) -> float:
     """Max of ``|div f|`` on a collocation grid, via spectral differentiation."""
     if m is None:
         m = max(2 * f.basis.n + 2, 8)
-    d1, d2 = gradient(f)
-    spec1 = place_halfspectrum(f.basis, d1.coeffs, m)
-    spec2 = place_halfspectrum(f.basis, d2.coeffs, m)
-    # div f = d1 f^1 + d2 f^2: component 0 of d1 plus component 1 of d2
-    div_spec = spec1[..., 0, :, :] + spec2[..., 1, :, :]
-    div = _fft.irfft2(div_spec, s=(m, m), axes=(-2, -1))
+    d1, d2 = derivative_spectra(f.basis, place_halfspectrum(f.basis, f.coeffs, m), m)
+    # div f = d1 f^1 + d2 f^2
+    div = halfspectrum_to_grid(d1[..., 0:1, :, :] + d2[..., 1:2, :, :], m)
     return float(np.abs(div).max())
 
 

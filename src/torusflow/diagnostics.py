@@ -54,12 +54,28 @@ class _ProbeContractions:
     def __init__(self, v: SpectralField):
         self.v = v
         b = v.basis
-        self.w_l2 = b.norm_sq * v.coeffs                      # <u, v>_0
-        self.w_a = b.norm_sq * b.ksq * v.coeffs               # <u, A v>_0
         d1v, d2v = gradient(v)
-        self.w_d1 = b.norm_sq * d1v.coeffs                    # <u, d1 v>_0
-        self.w_d2 = b.norm_sq * d2v.coeffs
-        self.q_i, self.q_j, self.q_v = middle_slice(b, v)     # <(u.grad)v, u>_0
+        # one column per linear pairing: <u, v>_0, <u, A v>_0 and
+        # <d_l u, v>_0 = -<u, d_l v>_0
+        self.w = np.stack(
+            [
+                b.norm_sq * v.coeffs,
+                b.norm_sq * b.ksq * v.coeffs,
+                -b.norm_sq * d1v.coeffs,
+                -b.norm_sq * d2v.coeffs,
+            ],
+            axis=-1,
+        ).reshape(2 * b.n_modes, 4)
+        # <(u.grad)v, u>_0 = sum_ij Q_ij u_i u_j with each (i, j)/(j, i) pair
+        # merged onto i <= j; pairs that cancel exactly are dropped
+        q_i, q_j, q_v = middle_slice(b, v)
+        size = 2 * b.n_modes
+        pair = np.minimum(q_i, q_j).astype(np.int64) * size + np.maximum(q_i, q_j)
+        keys, inv = np.unique(pair, return_inverse=True)
+        vals = np.bincount(inv, weights=q_v, minlength=len(keys))
+        keep = vals != 0.0
+        self.q_i, self.q_j = np.divmod(keys[keep], size)
+        self.q_v = vals[keep]
 
     def pairings(self, u: np.ndarray):
         """Return ``(uv, drift_pair, qv_density)`` for batched coefficients.
@@ -67,14 +83,13 @@ class _ProbeContractions:
         ``drift_pair = < -(1/2) A u - B(u), v >`` and ``qv_density`` is the
         summed square of the transport pairings.
         """
-        uv = np.einsum("...cn,cn->...", u, self.w_l2)
-        a_pair = np.einsum("...cn,cn->...", u, self.w_a)
         flat = u.reshape(u.shape[:-2] + (-1,))
+        pairs = flat @ self.w
         b_quad = (flat[..., self.q_i] * flat[..., self.q_j]) @ self.q_v
-        drift_pair = -0.5 * a_pair + b_quad
-        t1 = -np.einsum("...cn,cn->...", u, self.w_d1)
-        t2 = -np.einsum("...cn,cn->...", u, self.w_d2)
-        return uv, drift_pair, t1 * t1 + t2 * t2
+        t1, t2 = pairs[..., 2], pairs[..., 3]
+        # a probe keeps uv for every step: a copy, not a view that would keep
+        # all four columns alive
+        return pairs[..., 0].copy(), -0.5 * pairs[..., 1] + b_quad, t1 * t1 + t2 * t2
 
 
 @dataclass

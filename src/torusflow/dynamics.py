@@ -10,11 +10,12 @@ the precomputed coupling coefficients
 over the enumerated basis (closed-form trigonometric integrals, O(n^4) per
 apply); ``build_advection_tensor`` is the correctness oracle, and the probe
 tables of ``middle_slice`` are slices of it.  The pseudo-spectral route,
-``advect``, forms the products on a dealiased collocation grid
-(O(M^2 log M)) for batched states and any number of advectors, and must
-agree with the tensor route to full precision; the time stepper, the drifts
-and ``transport_apply`` all use it.  A spatially constant advector needs no
-grid: its transport is the exact per-mode rotation
+``advect``, forms the products on a dealiased ``M x M`` collocation grid
+(dense DFT-matrix stages over the occupied spectral block, O(M^2 n) per
+field; see ``basis``) for batched states and any number of advectors, and
+must agree with the tensor route to full precision; the time stepper, the
+drifts and ``transport_apply`` all use it.  A spatially constant advector
+needs no grid: its transport is the exact per-mode rotation
 ``basis.constant_advection``.
 
 ``advect`` takes the quadratic term in rotational form.  In 2D
@@ -24,11 +25,13 @@ grid: its transport is the exact per-mode rotation
 
 and the projection removes the gradient, so ``P (u . grad) u = P (omega
 u_perp)`` exactly at every truncation (Canuto, Hussaini, Quarteroni & Zang,
-*Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  The
-product needs 3 inverse-transformed fields per state, ``(u1, u2, omega)``,
-against 6 for ``(d1 u, d2 u, u)``; transport by a field advector needs the
-gradient, 4 fields, and with both terms requested ``omega`` is read off the
-gradient grids, 6 fields.  Each term takes 2 forward-transformed fields.
+*Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  One
+placement writes every field a pass needs straight from the coefficients,
+and one inverse call takes them all: 3 fields per state for the quadratic
+term, ``(u1, u2, omega)``, against 6 for ``(d1 u, d2 u, u)``; 4 for
+transport by a field advector, ``(d1 u, d2 u)``; and 6 with both terms,
+``(d1 u, d2 u, u)``, with ``omega`` read off the gradient grids.  One
+forward call takes 2 fields per term.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -54,8 +57,6 @@ from .basis import (
     BasisMode,
     SpectralField,
     constant_advection,
-    curl_spectrum,
-    derivative_spectra,
     gather_coeffs,
     get_basis,
     grid_to_halfspectrum,
@@ -340,44 +341,41 @@ def advect(
     quadratic term ``P (u . grad) u``), or an advecting field already on the
     ``m x m`` grid, ``(..., 2, m, m)``, so a caller transforms a field it
     reuses only once.  The quadratic term is taken in rotational form,
-    ``P (u . grad) u = P (omega u_perp)`` (module docstring), and the inverse
-    transforms evaluate only the fields the products need, per state:
+    ``P (u . grad) u = P (omega u_perp)`` (module docstring), and one
+    placement and one inverse transform evaluate only the fields the products
+    need, per state:
 
-    * ``(None,)``: ``u`` and ``omega``, 3 fields, with the ``omega`` spectrum
-      formed directly as ``i (k1 u2 - k2 u1)``;
+    * ``(None,)``: ``u`` and ``omega``, 3 fields, with ``omega`` placed
+      directly as ``i (k1 u2 - k2 u1)``;
     * ``(w,)``: ``(d1 u, d2 u)``, 4 fields;
     * ``(None, w)``: ``(d1 u, d2 u, u)``, 6 fields, with
       ``omega = d1 u2 - d2 u1`` taken from the gradient grids.
 
-    One forward transform takes the stacked products, 2 fields each.  Returns
+    One forward transform takes the stacked products, 2 fields each, onto
+    the block of ``out_basis``.  Returns
     ``(len(advectors), ..., 2, N)`` over ``out_basis`` (default: the basis
     of ``u``).
     """
-    spec = place_halfspectrum(basis, coeffs, m)
+    out_basis = out_basis or basis
     if all(a is None for a in advectors):
-        # two inverse calls rather than one on a concatenated copy, and each
-        # large temporary freed as soon as it is dead: a pass that holds
-        # fewer of them at once touches fewer fresh pages (n=8, 256 paths:
-        # ~3200 minor faults per pass against ~3900, ~10% of its time)
-        omega = halfspectrum_to_grid(curl_spectrum(basis, spec, m)[..., None, :, :], m)
-        u = halfspectrum_to_grid(spec, m)
-        del spec
-        self_term = _omega_u_perp(omega, u)
-        del u, omega
+        grids = halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, ("u", "omega")), m)
+        self_term = _omega_u_perp(grids[..., 2:3, :, :], grids[..., 0:2, :, :])
+        del grids
         prods = [self_term] * len(advectors)
     else:
-        d1, d2 = derivative_spectra(basis, spec, m)
         need_self = any(a is None for a in advectors)
-        grids = halfspectrum_to_grid(np.stack([d1, d2, spec] if need_self else [d1, d2]), m)
-        g1, g2 = grids[0], grids[1]
+        fields = ("d1u", "d2u", "u") if need_self else ("d1u", "d2u")
+        grids = halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, fields), m)
+        g1, g2 = grids[..., 0:2, :, :], grids[..., 2:4, :, :]
         if need_self:
-            self_term = _omega_u_perp(g1[..., 1:2, :, :] - g2[..., 0:1, :, :], grids[2])
+            omega = g1[..., 1:2, :, :] - g2[..., 0:1, :, :]
+            self_term = _omega_u_perp(omega, grids[..., 4:6, :, :])
         prods = [
             self_term if a is None else a[..., 0:1, :, :] * g1 + a[..., 1:2, :, :] * g2
             for a in advectors
         ]
     stack = prods[0][None] if len(prods) == 1 else np.stack(prods)
-    return gather_coeffs(out_basis or basis, grid_to_halfspectrum(stack), m)
+    return gather_coeffs(out_basis, grid_to_halfspectrum(stack, out_basis), m)
 
 
 def _omega_u_perp(omega: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -25,14 +25,20 @@ Paths own independent counter-based streams keyed by ``(seed, path_id)``;
 increments are drawn in fixed blocks of ``BLOCK_STEPS`` steps so a path's
 noise is identical whether it runs alone or inside any batch, in any order.
 
-A batched step runs over contiguous blocks of paths sized from
-``BLOCK_BYTES``, so the temporaries of one operator pass stay in cache and
-are reused from the allocator's free lists rather than faulted in afresh: at
-n=8 a pass over 256 paths at once faults in ~3200 fresh pages, a pass over
-blocks of 16 paths ~30.  Every operation, the midpoint convergence test
-included, acts on each path alone, so results do not depend on the blocks: a
-path is bit-identical alone, in any batch and in any block.  Observers see
-the whole batch after each step.
+A batched step runs over contiguous blocks of paths, so the temporaries of
+one operator pass stay in cache and are reused from the allocator's free
+lists rather than faulted in afresh.  The block size is
+``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts what
+one pass allocates per path: each transformed field (3 in and 2 out for the
+quadratic term alone, 6 in and 4 out with a field advector) takes an
+``m x m`` real grid and an ``m x (n+1)`` complex matrix-stage array.  At
+n=8 (m=25) that gives 16 paths with spatially constant noise and 8 with
+Q-Wiener noise (n=8, 256 paths, strat-midpoint: ~6000 minor page faults
+per step at 32 paths per block, ~130 at 16).  Every operation, the midpoint
+convergence test and the transform stages included, acts on each path
+alone, so results do not depend on the blocks: a path is bit-identical
+alone, in any batch and in any block.  Observers see the whole batch after
+each step.
 """
 
 from __future__ import annotations
@@ -68,11 +74,12 @@ SCHEMES = ("ito-em", "strat-heun", "strat-midpoint")
 #: increments are drawn per path in blocks of this many steps
 BLOCK_STEPS = 64
 
-#: a batched step runs over contiguous blocks of paths whose grid fields in
-#: one operator pass take about this many bytes, so the temporaries of a pass
-#: stay in cache and come back from the allocator's free lists instead of
-#: faulting in fresh pages; measured sweep in ``BENCH_path_blocks.json``
-BLOCK_BYTES = 400_000
+#: a batched step runs over contiguous blocks of paths whose grids and
+#: transform stage arrays in one operator pass take about this many bytes, so
+#: the temporaries of a pass stay in cache and come back from the allocator's
+#: free lists instead of faulting in fresh pages; measured sweeps in
+#: ``BENCH_path_blocks.json`` and ``BENCH_dft_matrix.json``
+BLOCK_BYTES = 700_000
 
 #: the midpoint fixed-point iteration stops once every path's update moves no
 #: coefficient by more than ``MIDPOINT_TOL``, and fails after
@@ -218,11 +225,11 @@ class StepKernel:
         self.k2 = basis.modes[:, 1].astype(np.float64)
         self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
-        # real m x m fields per path that one operator pass transforms: 3 in
-        # and 2 out for the quadratic term alone, 6 in and 4 out with a field
-        # advector
+        # one operator pass transforms 3 fields in and 2 out per path for the
+        # quadratic term alone, 6 in and 4 out with a field advector; each
+        # field takes an m x m real grid and an m x (n+1) complex stage array
         fields = 5 if self.constant_noise else 10
-        self.path_bytes = fields * 8 * self.m * self.m
+        self.path_bytes = fields * 8 * self.m * (self.m + 2 * (basis.n + 1))
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
 
     # -- building blocks ---------------------------------------------------
@@ -271,7 +278,7 @@ class StepKernel:
         if failed:
             raise MidpointConvergenceError(
                 float(np.max([e.residual for _, e in failed])),
-                MIDPOINT_MAX_ITER,
+                max(e.iterations for _, e in failed),
                 paths=[lo + i for lo, e in failed for i in e.paths],
             )
         return out
@@ -325,15 +332,23 @@ class StepKernel:
 
             v = u.copy()
         active = np.ones(u.shape[:-2], dtype=bool)
-        for _ in range(MIDPOINT_MAX_ITER):
-            idx = np.nonzero(active)
-            v_new = update(idx, 0.5 * (u[idx] + v[idx]))
-            res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
-            v[idx] = v_new
-            still = ~(res <= MIDPOINT_TOL)  # a NaN residual is not converged
-            if not still.any():
-                return v
-            active[idx] = still
+        # a diverging iterate overflows on the grid; its residual turns
+        # non-finite in the same pass and ends the solve there
+        with np.errstate(over="ignore", invalid="ignore"):
+            for iteration in range(1, MIDPOINT_MAX_ITER + 1):
+                idx = np.nonzero(active)
+                v_new = update(idx, 0.5 * (u[idx] + v[idx]))
+                res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
+                v[idx] = v_new
+                blown = ~np.isfinite(res)
+                if blown.any():
+                    raise MidpointConvergenceError(
+                        float(np.max(res)), iteration, paths=np.flatnonzero(active)[blown]
+                    )
+                still = res > MIDPOINT_TOL
+                if not still.any():
+                    return v
+                active[idx] = still
         raise MidpointConvergenceError(
             float(np.max(res)), MIDPOINT_MAX_ITER, paths=np.flatnonzero(active)
         )

@@ -5,14 +5,24 @@ trapezoid quadrature on the periodic grid (exact for trigonometric
 polynomials), and mode-by-mode projection.  None of it shares code with the
 package's transform path, except the assemblies at the end: the two drifts
 and a plain midpoint step, built from the package's public operators, which
-only tests use.
+only tests use.  The pocketfft section keeps the operator pass as it stood
+before the transforms became dense DFT-matrix products: the full rfft2
+half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps.  The
+probe section keeps the first form of the martingale probe's pairings.
 """
 
 import mpmath as mp
 import numpy as np
+import scipy.fft as sfft
 
-from torusflow.basis import Basis, BasisMode, SpectralField
-from torusflow.dynamics import ITO_VISCOSITY, advect, dealias_resolution, nonlinear_pseudospectral
+from torusflow.basis import Basis, BasisMode, SpectralField, gradient
+from torusflow.dynamics import (
+    ITO_VISCOSITY,
+    advect,
+    dealias_resolution,
+    middle_slice,
+    nonlinear_pseudospectral,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,3 +149,126 @@ def midpoint_step_plain(
         rhs = base - dt * np.moveaxis(conv, 1, -1)
         v = np.moveaxis(np.linalg.solve(lhs, rhs[..., None])[..., 0], -1, 1)
     return v
+
+
+# ---------------------------------------------------------------------------
+# the pocketfft operator pass over the full rfft2 half-spectrum
+# ---------------------------------------------------------------------------
+
+
+def _half_spectrum_maps(basis: Basis, m: int):
+    """Cells of the ``(m, m//2 + 1)`` half-spectrum each canonical mode fills.
+
+    Returns ``(sign, cells, col0_src, col0_cells, k1, k2)``: the member of
+    ``{+k, -k}`` whose ``k2`` lands in columns ``0 .. m//2`` (``sign = -1``:
+    the ``-k`` cell, conjugated), the conjugate partners the ``k2 == 0``
+    column needs, and the signed wavenumbers of every cell.
+    """
+    mh = m // 2 + 1
+    k = basis.modes[1:]
+    k1, k2 = k[:, 0], k[:, 1]
+    take_pos = k2 >= 0
+    sign = np.where(take_pos, 1, -1)
+    cells = (np.where(take_pos, k1, -k1) % m) * mh + np.where(take_pos, k2, -k2)
+    col0 = k2 == 0
+    col0_cells = ((-k1[col0]) % m) * mh
+    w1 = np.rint(np.fft.fftfreq(m) * m)
+    kk1 = np.repeat(w1, mh).reshape(m, mh)
+    kk2 = np.tile(np.arange(mh, dtype=np.float64), m).reshape(m, mh)
+    return sign, cells, np.nonzero(col0)[0], col0_cells, kk1, kk2
+
+
+def block_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
+    """``irfft2`` of the full half-spectrum holding a Fourier block ``(..., 2n+1, n+1)``."""
+    n = spec.shape[-1] - 1
+    full = np.zeros(spec.shape[:-2] + (m, m // 2 + 1), dtype=np.complex128)
+    full[..., np.arange(-n, n + 1) % m, : n + 1] = m * m * spec
+    return sfft.irfft2(full, s=(m, m), axes=(-2, -1))
+
+
+def grid_to_block(grid: np.ndarray, n: int) -> np.ndarray:
+    """The ``|k1|, k2 <= n`` block of ``rfft2(grid) / m^2``."""
+    m = grid.shape[-1]
+    return (sfft.rfft2(grid, axes=(-2, -1)) / (m * m))[..., np.arange(-n, n + 1) % m, : n + 1]
+
+
+def place_full(basis: Basis, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Full half-spectrum ``(..., 2, m, m//2 + 1)`` of ``u``, scaled for ``irfft2``."""
+    sign, cells, col0_src, col0_cells, _, _ = _half_spectrum_maps(basis, m)
+    mh = m // 2 + 1
+    lead = coeffs.shape[:-2]
+    out = np.zeros(lead + (2, m * mh), dtype=np.complex128)
+    z = 0.5 * (coeffs[..., 0, 1:] - 1j * (sign * coeffs[..., 1, 1:]))
+    vals = basis.dvec[1:, :].T * z[..., None, :]
+    out[..., :, cells] = m * m * vals
+    out[..., :, col0_cells] = m * m * np.conj(vals[..., :, col0_src])
+    out[..., 0, 0] = m * m * coeffs[..., 0, 0]
+    out[..., 1, 0] = m * m * coeffs[..., 1, 0]
+    return out.reshape(lead + (2, m, mh))
+
+
+def gather_full(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
+    """Divergence-free projection of an unnormalized full half-spectrum ``(..., 2, m, mh)``."""
+    sign, cells, _, _, _, _ = _half_spectrum_maps(basis, m)
+    lead = spec.shape[:-3]
+    flat = spec.reshape(lead + (2, -1))
+    cv = flat[..., :, cells]
+    z = (cv[..., 0, :] * basis.dvec[1:, 0] + cv[..., 1, :] * basis.dvec[1:, 1]) / (m * m)
+    z = np.where(sign < 0, np.conj(z), z)
+    out = np.empty(lead + (2, basis.n_modes))
+    out[..., 0, 1:] = 2.0 * z.real
+    out[..., 1, 1:] = -2.0 * z.imag
+    out[..., :, 0] = flat[..., :, 0].real / (m * m)
+    return out
+
+
+def full_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
+    return sfft.irfft2(spec, s=(m, m), axes=(-2, -1))
+
+
+def advect_fft(basis: Basis, coeffs, m: int, advectors=(None,), out_basis=None) -> np.ndarray:
+    """``P (a . grad) u`` per advector by the pocketfft pass (same contract as ``advect``).
+
+    Advector grids are ``(..., 2, m, m)``; the quadratic term is taken in
+    rotational form, with ``omega`` placed as ``i (k1 u2 - k2 u1)`` or read
+    off the gradient grids when a field advector is present.
+    """
+    _, _, _, _, k1, k2 = _half_spectrum_maps(basis, m)
+    spec = place_full(basis, coeffs, m)
+    if all(a is None for a in advectors):
+        omega = full_to_grid(1j * (k1 * spec[..., 1:2, :, :] - k2 * spec[..., 0:1, :, :]), m)
+        u = full_to_grid(spec, m)
+        prods = [_rot(omega, u)] * len(advectors)
+    else:
+        g1 = full_to_grid(1j * k1 * spec, m)
+        g2 = full_to_grid(1j * k2 * spec, m)
+        self_term = _rot(g1[..., 1:2, :, :] - g2[..., 0:1, :, :], full_to_grid(spec, m))
+        prods = [
+            self_term if a is None else a[..., 0:1, :, :] * g1 + a[..., 1:2, :, :] * g2
+            for a in advectors
+        ]
+    spec_out = sfft.rfft2(np.stack(prods), axes=(-2, -1))
+    return gather_full(out_basis or basis, spec_out, m)
+
+
+def _rot(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.concatenate([-omega * u[..., 1:2, :, :], omega * u[..., 0:1, :, :]], axis=-3)
+
+
+# ---------------------------------------------------------------------------
+# the martingale probe's pairings in their first form
+# ---------------------------------------------------------------------------
+
+
+def probe_pairings(v: SpectralField, u: np.ndarray):
+    """``(uv, drift_pair, qv_density)`` by four einsums and the unmerged quadratic form."""
+    b = v.basis
+    d1v, d2v = gradient(v)
+    q_i, q_j, q_v = middle_slice(b, v)
+    uv = np.einsum("...cn,cn->...", u, b.norm_sq * v.coeffs)
+    a_pair = np.einsum("...cn,cn->...", u, b.norm_sq * b.ksq * v.coeffs)
+    flat = u.reshape(u.shape[:-2] + (-1,))
+    b_quad = (flat[..., q_i] * flat[..., q_j]) @ q_v
+    t1 = -np.einsum("...cn,cn->...", u, b.norm_sq * d1v.coeffs)
+    t2 = -np.einsum("...cn,cn->...", u, b.norm_sq * d2v.coeffs)
+    return uv, -0.5 * a_pair + b_quad, t1 * t1 + t2 * t2

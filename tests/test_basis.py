@@ -20,6 +20,7 @@ from torusflow.basis import (
     place_halfspectrum,
     random_field,
 )
+from torusflow.dynamics import dealias_resolution
 
 import oracles
 
@@ -34,7 +35,7 @@ def to_grid(f: SpectralField, m: int) -> np.ndarray:
 
 def from_grid(values: np.ndarray, basis) -> SpectralField:
     """Projection of ``(m, m, 2)`` grid samples through the stepper's transforms."""
-    spec = grid_to_halfspectrum(np.moveaxis(values, -1, 0))
+    spec = grid_to_halfspectrum(np.moveaxis(values, -1, 0), basis)
     return SpectralField(basis, gather_coeffs(basis, spec, values.shape[0]))
 
 
@@ -122,7 +123,48 @@ def test_synthesize_resolution_guard():
     with pytest.raises(ResolutionError):
         place_halfspectrum(b, SpectralField.zero(b).coeffs, 8)
     with pytest.raises(ResolutionError):
-        gather_coeffs(b, grid_to_halfspectrum(np.zeros((2, 8, 8))), 8)
+        grid_to_halfspectrum(np.zeros((2, 8, 8)), b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_transforms_against_rfft2_oracle(n):
+    # the two matrix stages each way against scipy's irfft2/rfft2 of the full
+    # half-spectrum, at the grid every pass at truncation n uses (even m
+    # included) and onto output blocks larger than the input's
+    rng = np.random.default_rng(100 + n)
+    b = get_basis(n)
+    m = dealias_resolution(n, n, n)
+    spec = rng.standard_normal((3, 4, 2 * n + 1, n + 1)) + 1j * rng.standard_normal(
+        (3, 4, 2 * n + 1, n + 1)
+    )
+    want = oracles.block_to_grid(spec, m)
+    assert np.abs(halfspectrum_to_grid(spec, m) - want).max() <= 1e-14 * np.abs(want).max()
+    coeffs = rng.standard_normal((3, 2, b.n_modes))
+    placed = place_halfspectrum(b, coeffs, m, ("u", "omega", "d1u", "d2u"))
+    want = oracles.block_to_grid(placed, m)
+    assert np.abs(halfspectrum_to_grid(placed, m) - want).max() <= 1e-14 * np.abs(want).max()
+    for n_out, m_out in ((n, m), ((m - 1) // 2, m), (n + 3, dealias_resolution(n, n, n + 3))):
+        grid = rng.standard_normal((3, 2, m_out, m_out))
+        want = oracles.grid_to_block(grid, n_out)
+        got = grid_to_halfspectrum(grid, get_basis(n_out))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_placement_fields_against_pointwise_derivatives():
+    # every field a placement writes, against the mode-wise oracle: u, the
+    # two gradient components and the vorticity d1 u2 - d2 u1
+    rng = np.random.default_rng(8)
+    b = get_basis(4)
+    m = 15
+    f = random_field(b, rng, include_mean=True)
+    spec = place_halfspectrum(b, f.coeffs, m, ("u", "d1u", "d2u", "omega"))
+    grids = halfspectrum_to_grid(spec, m)
+    u = oracles.field_on_grid(f, m)
+    d1 = oracles.advect_grid(np.broadcast_to([1.0, 0.0], (m, m, 2)), f, m)
+    d2 = oracles.advect_grid(np.broadcast_to([0.0, 1.0], (m, m, 2)), f, m)
+    want = np.concatenate([u, d1, d2, d1[..., 1:] - d2[..., :1]], axis=-1)
+    np.testing.assert_allclose(np.moveaxis(grids, 0, -1), want, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,6 +18,8 @@ from torusflow.diagnostics import (
 from torusflow.integrate import PathResult, SimConfig, run_ensemble, run_path
 from torusflow.noise import ConfigurationError, NoiseModel
 
+import oracles
+
 PI = np.pi
 SI = NoiseModel.space_independent()
 
@@ -44,6 +46,25 @@ def test_phi_v_real_part_nonpositive():
     v = SpectralField.from_modes(b, [(BasisMode("s", (1, 1)), 0.7)])
     phi = _phi_v([random_field(b, rng) for _ in range(20)], v)
     assert np.all(phi.real <= 1e-13)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [BasisMode("c", (1, 0)), BasisMode("c", (1, 1)), BasisMode("s", (0, 1)), "random"],
+    ids=str,
+)
+def test_probe_pairings_match_their_first_form(v):
+    # one product for the four linear pairings and the merged quadratic form
+    # against the four einsums and the unmerged (i, j) / (j, i) entries
+    rng = np.random.default_rng(6)
+    b = get_basis(8)
+    v = random_field(b, rng) if v == "random" else SpectralField.from_modes(b, [(v, 1.0)])
+    u = np.stack([random_field(b, rng, include_mean=True).coeffs for _ in range(64)])
+    probe = MartingaleProbe(v)
+    probe.start(0.0, u)
+    got = probe._pc.pairings(u)
+    for g, w in zip(got, oracles.probe_pairings(v, u)):
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
 
 def _exact_decay_path(dt: float, t_final: float) -> PathResult:

@@ -311,6 +311,23 @@ def test_advect_self_and_transport_against_per_state_oracles(n):
     np.testing.assert_allclose(conv, only, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_advect_against_the_pocketfft_pass(n):
+    # the DFT-matrix pass against the pocketfft pass it replaced, for every
+    # advector combination, into the input basis and a larger one
+    rng = np.random.default_rng(70 + n)
+    b, wb = get_basis(n), get_basis(2)
+    U = _batch(b, rng, 3, include_mean=True)
+    W = _batch(wb, rng, 3, include_mean=True)
+    for out in (b, get_basis(n + 3)):
+        m = dealias_resolution(n, n, out.n)
+        w_grid = _on_grid(wb, W, m)
+        for advectors in ((None,), (w_grid,), (None, w_grid)):
+            got = advect(b, U, m, advectors, out)
+            want = oracles.advect_fft(b, U, m, advectors, out)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_advect_into_a_larger_output_basis():
     # A5's path: the output truncation exceeds the input's
     rng = np.random.default_rng(9)

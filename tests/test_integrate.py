@@ -1,3 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,16 +134,35 @@ def test_midpoint_nonconvergence_reports_residual(monkeypatch):
     assert exc.value.iterations == 5
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_diverging_midpoint_solve_raises():
     # at dt = 0.1 the Picard iteration overflows to a NaN residual, which
-    # must count as unconverged rather than pass the tolerance test
+    # ends the solve in that pass, before the iteration cap and without a
+    # numpy warning
     cfg = SimConfig(n=8, dt=0.1, t_final=0.1, noise=NoiseModel.q_wiener(4))
-    with pytest.raises(MidpointConvergenceError) as exc:
-        run_path(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MidpointConvergenceError) as exc:
+            run_path(cfg)
     assert exc.value.step_index == 0
     assert exc.value.paths == (0,)
     assert np.isnan(exc.value.residual)
+    assert exc.value.iterations < integrate.MIDPOINT_MAX_ITER
+
+
+def test_diverging_blocks_report_their_iterations(monkeypatch):
+    # one path per block: the merged error names every diverging path and
+    # the largest pass count at which a block stopped, not the cap
+    cfg = SimConfig(n=8, dt=0.1, t_final=0.1, noise=NoiseModel.q_wiener(4), paths=3)
+    solo = {}
+    for pid in range(3):
+        with pytest.raises(MidpointConvergenceError) as exc:
+            run_path(cfg, pid)
+        solo[pid] = exc.value.iterations
+    _shrink_blocks(monkeypatch, cfg, 1)
+    with pytest.raises(MidpointConvergenceError) as exc:
+        run_ensemble(cfg)
+    assert exc.value.paths == (0, 1, 2)
+    assert exc.value.iterations == max(solo.values()) < integrate.MIDPOINT_MAX_ITER
 
 
 def test_run_path_single_step_and_times():
@@ -222,6 +248,34 @@ def test_blocked_ensemble_matches_single_paths(monkeypatch, scheme, noise):
     shuffled = run_ensemble(cfg, path_ids=ids)
     assert np.array_equal(shuffled.l2_sq, ens.l2_sq[ids])
     assert np.array_equal(shuffled.h1_sq, ens.h1_sq[ids])
+
+
+def _blas_fingerprints() -> list[str]:
+    """sha256 of the energy series of two short n=8 midpoint ensembles."""
+    out = []
+    for noise in (SI, NoiseModel.q_wiener(2, beta=4.0)):
+        cfg = SimConfig(
+            n=8, dt=1e-3, t_final=5e-3, scheme="strat-midpoint", noise=noise, paths=32, seed=7
+        )
+        ens = run_ensemble(cfg)
+        out.append(hashlib.sha256(ens.l2_sq.tobytes() + ens.h1_sq.tobytes()).hexdigest())
+    return out
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # every matrix stage is one small product per path, so a path rounds the
+    # same with one BLAS thread as with the default count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here), str(Path(integrate.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import test_integrate as t; print(' '.join(t._blas_fingerprints()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == _blas_fingerprints()
 
 
 def test_midpoint_failure_collects_every_block(monkeypatch):
