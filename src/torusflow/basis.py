@@ -29,18 +29,22 @@ the unnormalized mode convention.
 
 Grid transforms
 ---------------
-A field of truncation ``n`` occupies only the ``(2n+1) x (n+1)`` block of
-the rfft2 half-spectrum with ``|k1| <= n`` and ``0 <= k2 <= n``, while the
-dealiased grid is ``m x m`` with ``m >= 3n + 1``.  For transforms this short
-and this sparse, partial summation by dense matrix products beats an FFT
-(Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 10), so every
-transform is two matrix stages over the block.  ``place_halfspectrum``
-writes the fields a pass needs (``u``, ``omega``, ``d1 u``, ``d2 u``)
-straight from the coefficients into the block; ``halfspectrum_to_grid``
-applies the complex ``k1 -> theta1`` stage to the narrow block, then the
-real c2r stage ``k2 -> theta2``; ``grid_to_halfspectrum`` applies the real
-stage first, then the complex one, computing only the output block; and
-``gather_coeffs`` projects the block onto the basis.
+A field of truncation ``n`` is a real cosine/sine sum over the wavevectors
+with ``0 <= k1 <= n`` and ``|k2| <= n``, which fit an ``(n+1) x 2(2n+1)``
+block of real cos/sin coefficients, while the dealiased grid is ``m x m``
+with ``m >= 3n + 1``.  For transforms this short and this sparse, partial
+summation by dense matrix products beats an FFT (Boyd, *Chebyshev and
+Fourier Spectral Methods*, 2001, ch. 10), so every transform is two real
+matrix stages over the block.  ``place_halfspectrum`` writes the fields a
+pass needs (``u``, ``u_perp``, ``omega``, ``d1 u``, ``d2 u``) straight from
+the coefficients into the block, one gather and one multiply by per-cell
+weights; ``halfspectrum_to_grid`` applies the cos/sin rotation of
+``k2 theta2`` from the right, then the cos/sin of ``k1 theta1`` from the
+left; ``grid_to_halfspectrum`` applies the adjoint stages in the opposite
+order, computing only the output block; and ``gather_coeffs`` projects the
+block onto the basis.  The names keep the word "halfspectrum": a block cell
+pair ``(alpha, beta)`` at ``k`` is the rfft2 coefficient ``(alpha - i beta)
+/ 2`` at ``k`` together with its conjugate at ``-k``.
 
 Each stage is a stacked ``@`` with one small product per path (fields may
 share a product, since their number is fixed by the pass).  Paths are never
@@ -153,24 +157,49 @@ def get_basis(n: int) -> Basis:
     return Basis(n)
 
 
+class Workspace:
+    """Arrays reused across calls: one slot per name, reallocated when its shape changes.
+
+    A slot is overwritten by the next call that takes it, so nothing a caller
+    keeps may be a slot or a view of one.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        a = self._slots.get(name)
+        if a is None or a.shape != shape:
+            a = self._slots[name] = np.empty(shape)
+        return a
+
+
+#: stage arrays of the transforms called with ``out=``
+_STAGES = Workspace()
+
+
+def block_shape(basis: Basis) -> tuple[int, int]:
+    """Rows ``k1 = 0..n`` and columns ``[alpha | beta]`` over ``k2 = -n..n`` of a field's block."""
+    return basis.n + 1, 2 * (2 * basis.n + 1)
+
+
 class _GridMap:
-    """The occupied spectral block of a basis and its DFT matrices on an ``m x m`` grid.
+    """The real cos/sin block of a basis and its DFT matrices on an ``m x m`` grid.
 
-    A field of truncation ``n`` occupies only the cells with rows
-    ``k1 = -n..n`` and columns ``k2 = 0..n`` of the rfft2 half-spectrum.  A
-    canonical mode ``k`` fills the cell of ``+k`` when ``k2 >= 0`` and of
-    ``-k`` (conjugated) otherwise; a mode on the ``k2 == 0`` column also fills
-    the cell of its conjugate partner ``-k``, so that column is Hermitian.
-    These cells cover the block exactly once: ``src`` names the source mode
-    of every cell, and ``amp_imag = -s/2`` carries the sign ``s`` of the
-    cell's wavevector ``s k`` into the amplitude ``z = (a - i s b) / 2``.
+    A scalar field of truncation ``n`` is ``sum alpha cos(k . theta) + beta
+    sin(k . theta)`` over rows ``k1 = 0..n`` and columns ``[alpha | beta]``
+    for ``k2 = -n..n``, an ``(n+1) x 2(2n+1)`` block.  Each canonical mode
+    owns one cell pair, ``cells`` (its ``alpha`` cell; the ``beta`` cell is
+    ``2n+1`` further on); the cells with ``k1 = 0, k2 < 0`` stay 0.
 
-    The inverse runs in two stages: the complex ``k1 -> theta1`` matrix
-    ``inv_rows`` (m x 2n+1) on the narrow block, then the real c2r matrix
-    ``inv_cols`` (2(n+1) x m) on the interleaved real and imaginary parts,
-    weighted 1 at ``k2 = 0`` and 2 elsewhere.  The forward runs real first
-    (``fwd_cols``, m x 2(n+1)), then complex (``fwd_rows``, 2n+1 x m, scaled
-    by ``1/m^2``), so it computes only the block's rows and columns.
+    The inverse right-multiplies the block by ``inv_k2``, the rotation
+    ``[[cos, -sin], [sin, cos]]`` of ``k2 theta2`` (2(2n+1) x 2m), which
+    leaves per row the cos and sin parts of ``k1 theta1`` side by side; the
+    reshape to ``(2(n+1), m)`` is free, and ``inv_k1``, the interleaved
+    cos/sin of ``k1 theta1`` (m x 2(n+1)), multiplies from the left.  The
+    forward is the adjoint, ``fwd_k1 = inv_k1^T / m^2`` then ``fwd_k2 =
+    inv_k2^T``, so a cell pair receives ``(Re Z(k), -Im Z(k))`` of the grid's
+    Fourier coefficient ``Z(k)``.
     """
 
     def __init__(self, basis: Basis, m: int):
@@ -179,151 +208,193 @@ class _GridMap:
             raise ResolutionError(
                 f"grid m={m} cannot carry truncation n={n} (need m >= {2 * n + 1})"
             )
-        self.shape = (2 * n + 1, n + 1)
-        cols = n + 1
+        self.basis = basis
+        width = 2 * n + 1
+        self.shape = block_shape(basis)
         k1, k2 = basis.modes[:, 0], basis.modes[:, 1]
-        self.sign = np.where(k2 >= 0, 1, -1)
-        self.cells = (self.sign * k1 + n) * cols + self.sign * k2
-        partner = np.flatnonzero((k2 == 0) & (k1 > 0))
-        partner_cells = (n - k1[partner]) * cols
-        self.src = np.empty(self.shape[0] * cols, dtype=np.int64)
-        self.src[self.cells] = np.arange(basis.n_modes)
-        self.src[partner_cells] = partner
-        cell_sign = np.empty(self.src.size)
-        cell_sign[self.cells] = self.sign
-        cell_sign[partner_cells] = -1.0
-        self.dvec = basis.dvec[self.src]
-        self.q1 = np.repeat(np.arange(-n, n + 1.0), cols).reshape(self.shape)
-        self.q2 = np.tile(np.arange(cols, dtype=np.float64), 2 * n + 1).reshape(self.shape)
-        self.amp_imag = -0.5 * cell_sign
-        self.proj = 2.0 * basis.dvec.T
-        self.proj_imag = -self.sign.astype(np.float64)
-        self._symbols: dict[tuple[str, ...], tuple[np.ndarray, list[int]]] = {}
+        self.cells = k1 * self.shape[1] + k2 + n
+        # the mode each cell reads; a cell no mode owns reads the mean, whose
+        # d, k and |k| are 0
+        self.owner = np.zeros(self.shape, dtype=np.int64)
+        for half in (0, width):
+            self.owner.ravel()[self.cells + half] = np.arange(basis.n_modes)
+        self.is_beta = np.arange(2 * width) >= width
+        self._placements: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
 
+        # gather: one index into the two flattened components per output
+        # coefficient (row r of mode i reads the alpha cell for r = 0 and the
+        # beta cell for r = 1, the mean both rows from the alpha cell)
+        size = self.owner.size
+        beta_cells = self.cells + width
+        beta_cells[0] = self.cells[0]
+        rows = np.stack([self.cells, beta_cells])
+        self.gather_idx = np.stack([rows, size + rows])  # (component, row, mode)
+        self.gather_w = np.stack([2.0 * basis.dvec.T] * 2, axis=1)
+        self.gather_w[:, :, 0] = np.eye(2)
+
+        # trig tables from the root-of-unity table, indexed by k . j mod m
         root = np.exp(2j * np.pi * np.arange(m) / m)
         nodes = np.arange(m)
-        self.inv_rows = root[np.outer(nodes, np.arange(-n, n + 1)) % m]
-        twiddle = root[np.outer(np.arange(cols), nodes) % m]
-        weight = np.where(np.arange(cols) == 0, 1.0, 2.0)[:, None]
-        self.inv_cols = np.empty((2 * cols, m))
-        self.inv_cols[0::2] = weight * twiddle.real
-        self.inv_cols[1::2] = -weight * twiddle.imag
-        self.fwd_cols = np.empty((m, 2 * cols))
-        self.fwd_cols[:, 0::2] = twiddle.real.T
-        self.fwd_cols[:, 1::2] = -twiddle.imag.T
-        self.fwd_rows = self.inv_rows.conj().T / (m * m)
+        e2 = root[np.outer(np.arange(-n, n + 1), nodes) % m]  # (2n+1, m) at k2 theta2
+        self.inv_k2 = np.block([[e2.real, -e2.imag], [e2.imag, e2.real]])
+        e1 = root[np.outer(nodes, np.arange(n + 1)) % m]  # (m, n+1) at k1 theta1
+        self.inv_k1 = np.empty((m, 2 * (n + 1)))
+        self.inv_k1[:, 0::2] = e1.real
+        self.inv_k1[:, 1::2] = e1.imag
+        self.fwd_k1 = np.ascontiguousarray(self.inv_k1.T) / (m * m)
+        self.fwd_k2 = np.ascontiguousarray(self.inv_k2.T)
 
-    def symbols(self, fields: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
-        """Per-cell factors ``(F, cells)`` of a placement of ``fields``, and where ``u`` starts.
+    def placement(self, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Gather index and weight ``(F, n+1, 2(2n+1))`` of a placement of ``fields``.
 
-        A cell with wavevector ``q = s k`` holds the vector amplitude
-        ``z = (a - i s b) / 2`` of its source mode ``(a, b)``, and scalar
-        field ``f`` the product ``phi[f] z``: ``d`` for ``u``, ``i q_l d``
-        for ``d_l u`` and ``i (q1 d2 - q2 d1) = -i s |k|`` for ``omega``.
-        ``d`` vanishes on the mean cell, which holds ``u = (a, b)`` itself
-        in the two rows starting at each listed index.
+        Every cell reads one flattened coefficient ``row * N + mode`` of its
+        mode ``(a, b)`` and multiplies it by a real weight ``w``.  A cell
+        pair holds ``w (a, b)`` for each component ``d_c (a, b)`` of ``u``
+        and of ``u_perp = (-u2, u1)``, and ``w (b, -a)`` for ``omega = |k|
+        (-b, a)`` and for each component ``(k_l beta, -k_l alpha)`` of
+        ``d_l u``.  ``d`` vanishes at the origin, whose ``alpha`` cell holds
+        the mean ``(a, b)`` of ``u`` and ``(-b, a)`` of ``u_perp``.
         """
-        if fields not in self._symbols:
-            d1, d2 = self.dvec[:, 0], self.dvec[:, 1]
-            q1, q2 = self.q1.ravel(), self.q2.ravel()
+        if fields not in self._placements:
+            b = self.basis
+            n_modes = b.n_modes
+            d1, d2 = b.dvec[self.owner, 0], b.dvec[self.owner, 1]
+            q1 = b.modes[self.owner, 0].astype(np.float64)
+            q2 = b.modes[self.owner, 1].astype(np.float64)
+            kabs = np.sqrt(b.ksq[self.owner])
+            # per scalar field: weight, whether the cells read (b, -a), and
+            # the mean's row and weight
             table = {
-                "u": (d1, d2),
-                "omega": (1j * (q1 * d2 - q2 * d1),),
-                "d1u": (1j * q1 * d1, 1j * q1 * d2),
-                "d2u": (1j * q2 * d1, 1j * q2 * d2),
+                "u": [(d1, False, 0, 1.0), (d2, False, 1, 1.0)],
+                "uperp": [(-d2, False, 1, -1.0), (d1, False, 0, 1.0)],
+                "omega": [(-kabs, True, 0, 0.0)],
+                "d1u": [(q1 * d1, True, 0, 0.0), (q1 * d2, True, 0, 0.0)],
+                "d2u": [(q2 * d1, True, 0, 0.0), (q2 * d2, True, 0, 0.0)],
             }
-            phi = np.array([s for name in fields for s in table[name]], dtype=np.complex128)
-            starts = np.cumsum([0] + [len(table[name]) for name in fields])
-            u_rows = [int(i) for i, name in zip(starts, fields) if name == "u"]
-            self._symbols[fields] = (phi, u_rows)
-        return self._symbols[fields]
+            index, weight = [], []
+            origin = self.cells[0]
+            for name in fields:
+                for w, swap, mean_row, mean_w in table[name]:
+                    row = self.is_beta != swap
+                    idx = row * n_modes + self.owner
+                    w = np.where(self.is_beta & swap, -w, w)
+                    idx.ravel()[origin] = mean_row * n_modes
+                    w.ravel()[origin] = mean_w
+                    index.append(idx)
+                    weight.append(w)
+            self._placements[fields] = (np.stack(index), np.stack(weight))
+        return self._placements[fields]
 
 
 # ---------------------------------------------------------------------------
 # batched low-level transforms (leading axes pass through untouched)
 # ---------------------------------------------------------------------------
 #
-# Every matrix stage is a stacked ``@`` with one small product per path: a
-# stage that multiplies from the right folds the path's fields into the rows
-# of its product, one that multiplies from the left runs one product per
+# Every matrix stage is a stacked real ``@`` with one small product per path:
+# a stage that multiplies from the right folds the path's fields into the
+# rows of its product, one that multiplies from the left runs one product per
 # field.  Folding paths into one GEMM would round a path differently for
-# different batch sizes (module docstring).
+# different batch sizes (module docstring).  Each function returns a fresh
+# array unless the caller passes ``out=``; with ``out=``, the stage array in
+# between is reused as well.
 
 def place_halfspectrum(
-    basis: Basis, coeffs: np.ndarray, m: int, fields: tuple[str, ...] = ("u",)
+    basis: Basis,
+    coeffs: np.ndarray,
+    m: int,
+    fields: tuple[str, ...] = ("u",),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Write ``fields`` of a coefficient array into the occupied spectral block.
+    """Write ``fields`` of a coefficient array into the real cos/sin block.
 
     ``coeffs`` has shape ``(..., 2, N)``; the result has shape
-    ``(..., F, 2n+1, n+1)``, one scalar field per entry of ``F``: ``"u"``
-    gives ``(u1, u2)``, ``"omega"`` the vorticity ``d1 u2 - d2 u1``, and
-    ``"d1u"``/``"d2u"`` the two components of ``d1 u``/``d2 u``.  Cells hold
-    Fourier coefficients, so ``halfspectrum_to_grid`` of the block evaluates
-    the fields on the ``m x m`` collocation grid exactly.
+    ``(..., F, n+1, 2(2n+1))``, one scalar field per entry of ``F``:
+    ``"u"`` gives ``(u1, u2)``, ``"uperp"`` gives ``(-u2, u1)``, ``"omega"``
+    the vorticity ``d1 u2 - d2 u1``, and ``"d1u"``/``"d2u"`` the two
+    components of ``d1 u``/``d2 u``.  ``halfspectrum_to_grid`` of the block
+    evaluates the fields on the ``m x m`` collocation grid exactly.  One
+    gather and one multiply by per-cell weights.
     """
-    gm = basis._grid_map(m)
-    phi, u_rows = gm.symbols(tuple(fields))
-    src = coeffs[..., gm.src]
-    z = np.empty(coeffs.shape[:-2] + (1, gm.src.size), dtype=np.complex128)
-    np.multiply(src[..., 0, :], 0.5, out=z.real[..., 0, :])
-    np.multiply(src[..., 1, :], gm.amp_imag, out=z.imag[..., 0, :])
-    out = z * phi
-    for f in u_rows:
-        out[..., f : f + 2, gm.cells[0]] = coeffs[..., :, 0]
-    return out.reshape(coeffs.shape[:-2] + (len(phi),) + gm.shape)
-
-
-def halfspectrum_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
-    """Inverse transform of a placed block ``(..., F, 2n+1, n+1)`` to ``(..., F, m, m)`` real."""
-    n = spec.shape[-1] - 1
-    if spec.shape[-2] != 2 * n + 1:
-        raise ValueError(f"spectral block {spec.shape[-2:]} is not (2n+1, n+1)")
-    gm = get_basis(n)._grid_map(m)
-    lead = spec.shape[:-3]
-    x = gm.inv_rows @ spec  # (..., F, m, n+1): one product per path and field
-    x = x.view(np.float64).reshape(lead + (-1, 2 * (n + 1)))
-    return (x @ gm.inv_cols).reshape(spec.shape[:-2] + (m, m))  # one product per path
-
-
-def grid_to_halfspectrum(grid: np.ndarray, basis: Basis) -> np.ndarray:
-    """Forward transform of ``(..., F, m, m)`` grids onto the block of ``basis``.
-
-    Returns ``(..., F, 2n+1, n+1)``, the rfft2 cells with ``|k1|, k2 <= n``
-    scaled by ``1/m^2``, i.e. the Fourier coefficients of the grid values.
-    """
-    m = grid.shape[-1]
-    gm = basis._grid_map(m)
-    y = grid.reshape(grid.shape[:-3] + (-1, m)) @ gm.fwd_cols  # one product per path
-    y = y.view(np.complex128).reshape(grid.shape[:-2] + (m, gm.shape[1]))
-    return gm.fwd_rows @ y  # one product per path and field
-
-
-def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
-    """Project a vector field's block ``(..., 2, 2n+1, n+1)`` onto the canonical basis.
-
-    Performs the orthogonal projection of each Fourier vector coefficient onto
-    the divergence-free direction ``d_k`` (the mean vector passes through), so
-    gradient content is discarded.  Returns ``(..., 2, N)``.
-    """
-    gm = basis._grid_map(m)
-    cells = spec.reshape(spec.shape[:-2] + (-1,))[..., gm.cells]  # (..., 2, N)
-    z = cells[..., 0, :] * gm.proj[0]
-    z += cells[..., 1, :] * gm.proj[1]
-    out = np.empty(spec.shape[:-3] + (2, basis.n_modes))
-    out[..., 0, :] = z.real
-    np.multiply(z.imag, gm.proj_imag, out=out[..., 1, :])
-    out[..., :, 0] = cells[..., :, 0].real
+    index, weight = basis._grid_map(m).placement(tuple(fields))
+    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    out = np.take(flat, index, axis=-1, out=out, mode="clip")
+    np.multiply(out, weight, out=out)
     return out
 
 
-def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of ``d/d theta1`` and ``d/d theta2`` of a placed block ``(..., 2n+1, n+1)``.
+def halfspectrum_to_grid(
+    spec: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse transform of a placed block ``(..., F, n+1, 2(2n+1))`` to ``(..., F, m, m)``."""
+    n = spec.shape[-2] - 1
+    if spec.shape[-1] != 2 * (2 * n + 1):
+        raise ValueError(f"spectral block {spec.shape[-2:]} is not (n+1, 2(2n+1))")
+    gm = get_basis(n)._grid_map(m)
+    lead, fields = spec.shape[:-3], spec.shape[-3]
+    rows = lead + (fields * (n + 1), 2 * m)
+    stage = None if out is None else _STAGES.take("to_grid", rows)
+    x = np.matmul(spec.reshape(rows[:-1] + (-1,)), gm.inv_k2, out=stage)  # one per path
+    x = x.reshape(lead + (fields, 2 * (n + 1), m))
+    return np.matmul(gm.inv_k1, x, out=out)  # one product per path and field
 
-    A pass needs no call: ``place_halfspectrum`` writes ``d1 u`` and ``d2 u``
-    directly.
+
+def grid_to_halfspectrum(
+    grid: np.ndarray, basis: Basis, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward transform of ``(..., F, m, m)`` grids onto the block of ``basis``.
+
+    Returns ``(..., F, n+1, 2(2n+1))``: each cell pair holds ``(Re Z(k), -Im
+    Z(k))`` of the grid's Fourier coefficient ``Z(k) = m^-2 sum g e^{-i k .
+    theta}``, i.e. half the grid's cos/sin coefficients away from the mean.
+    """
+    m = grid.shape[-1]
+    gm = basis._grid_map(m)
+    n = basis.n
+    lead, fields = grid.shape[:-3], grid.shape[-3]
+    shape = lead + (fields, 2 * (n + 1), m)
+    stage = None if out is None else _STAGES.take("to_spectrum", shape)
+    y = np.matmul(gm.fwd_k1, grid, out=stage)  # one product per path and field
+    y = y.reshape(lead + (fields * (n + 1), 2 * m))
+    rows = None if out is None else out.reshape(y.shape[:-1] + (-1,))
+    res = np.matmul(y, gm.fwd_k2, out=rows)  # one product per path
+    return res.reshape(lead + (fields,) + gm.shape)
+
+
+def gather_coeffs(
+    basis: Basis, spec: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Project a vector field's block ``(..., 2, n+1, 2(2n+1))`` onto the canonical basis.
+
+    Performs the orthogonal projection of each Fourier vector coefficient onto
+    the divergence-free direction ``d_k`` (the mean vector passes through), so
+    gradient content is discarded: one gather, a multiply, and a sum over the
+    two components.  Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
-    return (1j * gm.q1) * spec, (1j * gm.q2) * spec
+    flat = spec.reshape(spec.shape[:-3] + (-1,))
+    shape = flat.shape[:-1] + gm.gather_idx.shape
+    parts = None if out is None else _STAGES.take("gather", shape)
+    parts = np.take(flat, gm.gather_idx, axis=-1, out=parts, mode="clip")  # (..., 2, 2, N)
+    np.multiply(parts, gm.gather_w, out=parts)
+    return np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
+
+
+def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of ``d/d theta1`` and ``d/d theta2`` of a placed block ``(..., n+1, 2(2n+1))``.
+
+    Each cell pair maps ``(alpha, beta) -> (k_l beta, -k_l alpha)``.  A pass
+    needs no call: ``place_halfspectrum`` writes ``d1 u`` and ``d2 u``
+    directly.
+    """
+    n = basis.n
+    width = 2 * n + 1
+    k1 = np.arange(n + 1.0)[:, None]
+    k2 = np.arange(-n, n + 1.0)
+    alpha, beta = spec[..., :width], spec[..., width:]
+    return (
+        np.concatenate([k1 * beta, -k1 * alpha], axis=-1),
+        np.concatenate([k2 * beta, -k2 * alpha], axis=-1),
+    )
 
 
 # ---------------------------------------------------------------------------

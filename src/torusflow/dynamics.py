@@ -11,8 +11,8 @@ over the enumerated basis (closed-form trigonometric integrals, O(n^4) per
 apply); ``build_advection_tensor`` is the correctness oracle, and the probe
 tables of ``middle_slice`` are slices of it.  The pseudo-spectral route,
 ``advect``, forms the products on a dealiased ``M x M`` collocation grid
-(dense DFT-matrix stages over the occupied spectral block, O(M^2 n) per
-field; see ``basis``) for batched states and any number of advectors, and
+(dense real matrix stages over the cos/sin block of each field, O(M^2 n)
+per field; see ``basis``) for batched states and any number of advectors, and
 must agree with the tensor route to full precision; the time stepper, the
 drifts and ``transport_apply`` all use it.  A spatially constant advector
 needs no grid: its transport is the exact per-mode rotation
@@ -28,10 +28,13 @@ u_perp)`` exactly at every truncation (Canuto, Hussaini, Quarteroni & Zang,
 *Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  One
 placement writes every field a pass needs straight from the coefficients,
 and one inverse call takes them all: 3 fields per state for the quadratic
-term, ``(u1, u2, omega)``, against 6 for ``(d1 u, d2 u, u)``; 4 for
-transport by a field advector, ``(d1 u, d2 u)``; and 6 with both terms,
-``(d1 u, d2 u, u)``, with ``omega`` read off the gradient grids.  One
-forward call takes 2 fields per term.
+term, ``(u_perp, omega)``, so that the self term is one broadcast product,
+against 6 for ``(d1 u, d2 u, u)``; 4 for transport by a field advector,
+``(d1 u, d2 u)``; and 6 with both terms, ``(d1 u, d2 u, u_perp)``, with
+``omega`` read off the gradient grids.  One forward call takes 2 fields per
+term.  Every stage of a pass writes into arrays kept for the next pass of
+the same shape (``_PASS``), so a pass allocates little beyond its result;
+the arrays are module state, so passes must not run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -56,6 +59,8 @@ from .basis import (
     Basis,
     BasisMode,
     SpectralField,
+    Workspace,
+    block_shape,
     constant_advection,
     gather_coeffs,
     get_basis,
@@ -327,6 +332,10 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
     return _fft.next_fast_len(need, real=True)
 
 
+#: the arrays of one ``advect`` pass, reused by the next pass of the same shape
+_PASS = Workspace()
+
+
 def advect(
     basis: Basis,
     coeffs: np.ndarray,
@@ -345,44 +354,52 @@ def advect(
     placement and one inverse transform evaluate only the fields the products
     need, per state:
 
-    * ``(None,)``: ``u`` and ``omega``, 3 fields, with ``omega`` placed
-      directly as ``i (k1 u2 - k2 u1)``;
+    * ``(None,)``: ``u_perp`` and ``omega``, 3 fields, with ``omega`` placed
+      directly as ``|k| (-b, a)``;
     * ``(w,)``: ``(d1 u, d2 u)``, 4 fields;
-    * ``(None, w)``: ``(d1 u, d2 u, u)``, 6 fields, with
+    * ``(None, w)``: ``(d1 u, d2 u, u_perp)``, 6 fields, with
       ``omega = d1 u2 - d2 u1`` taken from the gradient grids.
 
     One forward transform takes the stacked products, 2 fields each, onto
-    the block of ``out_basis``.  Returns
-    ``(len(advectors), ..., 2, N)`` over ``out_basis`` (default: the basis
-    of ``u``).
+    the block of ``out_basis``.  Every stage writes into an array of
+    ``_PASS`` kept for the next pass of the same shape; only the result is
+    fresh.  Returns ``(len(advectors), ..., 2, N)`` over ``out_basis``
+    (default: the basis of ``u``).
     """
     out_basis = out_basis or basis
+    lead = coeffs.shape[:-2]
+    need_self = any(a is None for a in advectors)
     if all(a is None for a in advectors):
-        grids = halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, ("u", "omega")), m)
-        self_term = _omega_u_perp(grids[..., 2:3, :, :], grids[..., 0:2, :, :])
-        del grids
-        prods = [self_term] * len(advectors)
+        fields, width = ("uperp", "omega"), 3
+    elif need_self:
+        fields, width = ("d1u", "d2u", "uperp"), 6
     else:
-        need_self = any(a is None for a in advectors)
-        fields = ("d1u", "d2u", "u") if need_self else ("d1u", "d2u")
-        grids = halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, fields), m)
-        g1, g2 = grids[..., 0:2, :, :], grids[..., 2:4, :, :]
-        if need_self:
-            omega = g1[..., 1:2, :, :] - g2[..., 0:1, :, :]
-            self_term = _omega_u_perp(omega, grids[..., 4:6, :, :])
-        prods = [
-            self_term if a is None else a[..., 0:1, :, :] * g1 + a[..., 1:2, :, :] * g2
-            for a in advectors
-        ]
-    stack = prods[0][None] if len(prods) == 1 else np.stack(prods)
-    return gather_coeffs(out_basis, grid_to_halfspectrum(stack, out_basis), m)
-
-
-def _omega_u_perp(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``omega u_perp = (-omega u2, omega u1)`` on the grid, ``(..., 2, m, m)``."""
-    p = omega * u[..., ::-1, :, :]
-    p[..., 0, :, :] *= -1.0
-    return p
+        fields, width = ("d1u", "d2u"), 4
+    spec = place_halfspectrum(
+        basis, coeffs, m, fields, out=_PASS.take("spec", lead + (width,) + block_shape(basis))
+    )
+    grids = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (width, m, m)))
+    if width == 3:
+        omega, u_perp = grids[..., 2:3, :, :], grids[..., 0:2, :, :]
+    elif need_self:
+        omega = np.subtract(
+            grids[..., 1:2, :, :], grids[..., 2:3, :, :], out=_PASS.take("omega", lead + (1, m, m))
+        )
+        u_perp = grids[..., 4:6, :, :]
+    prods = _PASS.take("prods", (len(advectors),) + lead + (2, m, m))
+    for p, a in zip(prods, advectors):
+        if a is None:
+            np.multiply(omega, u_perp, out=p)
+        else:
+            np.multiply(a[..., 0:1, :, :], grids[..., 0:2, :, :], out=p)
+            p += np.multiply(
+                a[..., 1:2, :, :], grids[..., 2:4, :, :], out=_PASS.take("term", lead + (2, m, m))
+            )
+    spec_out = grid_to_halfspectrum(
+        prods, out_basis, out=_PASS.take("spec_out", prods.shape[:-2] + block_shape(out_basis))
+    )
+    coeffs_out = np.empty(prods.shape[:-3] + (2, out_basis.n_modes))
+    return gather_coeffs(out_basis, spec_out, m, out=coeffs_out)
 
 
 def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -> SpectralField:

@@ -18,27 +18,30 @@ Scheme menu
     starts from the exact noise-only step: the midpoint map with the quadratic
     term dropped, a Cayley rotation of each mode by ``kappa = dW . k``.  Its
     first residual is then ``O(dt |B(u)|)``, not ``O(sqrt(dt) |k| |u|)``, and
-    at n=8, dt=1e-3 the solve reaches ``1e-12`` in 3 passes.
+    at n=8, dt=1e-3 the solve reaches ``1e-12`` in 3 passes.  Each pass
+    then adds ``-dt (I - T/2)^-1 B(mid)`` to that start, two per-mode
+    products precomputed once per step.
     The fixed point, and with it every conserved quantity, is unchanged.
 
 Paths own independent counter-based streams keyed by ``(seed, path_id)``;
 increments are drawn in fixed blocks of ``BLOCK_STEPS`` steps so a path's
 noise is identical whether it runs alone or inside any batch, in any order.
 
-A batched step runs over contiguous blocks of paths, so the temporaries of
-one operator pass stay in cache and are reused from the allocator's free
-lists rather than faulted in afresh.  The block size is
-``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts what
-one pass allocates per path: each transformed field (3 in and 2 out for the
-quadratic term alone, 6 in and 4 out with a field advector) takes an
-``m x m`` real grid and an ``m x (n+1)`` complex matrix-stage array.  At
-n=8 (m=25) that gives 16 paths with spatially constant noise and 8 with
-Q-Wiener noise (n=8, 256 paths, strat-midpoint: ~6000 minor page faults
-per step at 32 paths per block, ~130 at 16).  Every operation, the midpoint
-convergence test and the transform stages included, acts on each path
-alone, so results do not depend on the blocks: a path is bit-identical
-alone, in any batch and in any block.  Observers see the whole batch after
-each step.
+A batched step runs over contiguous blocks of paths, so the arrays of one
+operator pass stay in cache.  The pass writes its stages into arrays that
+``dynamics.advect`` keeps for the next pass of the same shape, so in a run
+they are allocated once, not faulted in afresh every pass.  The block size
+is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts
+what one pass touches per path: each transformed field (3 in and 2 out for
+the quadratic term alone, 6 in and 4 out with a field advector) takes an
+``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an
+``(n+1) x 2(2n+1)`` cos/sin block, all real.  At n=8 (m=25) that gives 32
+paths with spatially constant noise and 16 with Q-Wiener noise; in the
+sweep in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and
+128 or 256 faulted most.  Every operation, the midpoint convergence test and the
+transform stages included, acts on each path alone, so results do not
+depend on the blocks: a path is bit-identical alone, in any batch and in
+any block.  Observers see the whole batch after each step.
 """
 
 from __future__ import annotations
@@ -74,12 +77,10 @@ SCHEMES = ("ito-em", "strat-heun", "strat-midpoint")
 #: increments are drawn per path in blocks of this many steps
 BLOCK_STEPS = 64
 
-#: a batched step runs over contiguous blocks of paths whose grids and
-#: transform stage arrays in one operator pass take about this many bytes, so
-#: the temporaries of a pass stay in cache and come back from the allocator's
-#: free lists instead of faulting in fresh pages; measured sweeps in
-#: ``BENCH_path_blocks.json`` and ``BENCH_dft_matrix.json``
-BLOCK_BYTES = 700_000
+#: a batched step runs over contiguous blocks of paths whose grids, stage
+#: arrays and blocks in one operator pass take about this many bytes, so a
+#: pass stays in cache; measured sweep in ``BENCH_real_blocks.json``
+BLOCK_BYTES = 1_800_000
 
 #: the midpoint fixed-point iteration stops once every path's update moves no
 #: coefficient by more than ``MIDPOINT_TOL``, and fails after
@@ -227,9 +228,11 @@ class StepKernel:
         self.constant_noise = noise.is_constant_advection
         # one operator pass transforms 3 fields in and 2 out per path for the
         # quadratic term alone, 6 in and 4 out with a field advector; each
-        # field takes an m x m real grid and an m x (n+1) complex stage array
+        # field takes an m x m grid, an (n+1) x 2m stage array and an
+        # (n+1) x 2(2n+1) block, all real
         fields = 5 if self.constant_noise else 10
-        self.path_bytes = fields * 8 * self.m * (self.m + 2 * (basis.n + 1))
+        n, m = basis.n, self.m
+        self.path_bytes = fields * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
 
     # -- building blocks ---------------------------------------------------
@@ -309,37 +312,45 @@ class StepKernel:
         # fixed-point iteration on the paths not yet converged
         if self.constant_noise:
             # the linear noise part T is inverted exactly per mode (2x2
-            # blocks), and the iteration starts from the exact noise-only
-            # step, the Cayley rotation of u by kappa
+            # blocks): the iteration starts from the exact noise-only step v0,
+            # the Cayley rotation of u by kappa, and each pass adds
+            # -dt S(B(mid)), S = (I - T/2)^-1, as two per-mode products:
+            # -dt S maps (x0, x1) to s0 (x0, x1) + (s1 x1, -s1 x0), with
+            # h = kappa/2, s0 = -dt / (1 + h^2) and s1 = h s0
             half_k = 0.5 * noise
             denom = 1.0 + half_k * half_k
             base = u + 0.5 * constant_advection(noise, u)
+            va = (base[..., 0, :] + half_k * base[..., 1, :]) / denom
+            v0 = np.stack([va, base[..., 1, :] - half_k * va], axis=-2)
+            s0 = (-self.dt / denom)[..., None, :]
+            s1 = s0 * half_k[..., None, :] * [[1.0], [-1.0]]
 
-            def solve(x, hk, d):
-                va = (x[..., 0, :] + hk * x[..., 1, :]) / d
-                return np.stack([va, x[..., 1, :] - hk * va], axis=-2)
+            def update(rows, mid):
+                b = advect(self.basis, mid, self.m)[0]
+                inc = s1[rows] * b[..., ::-1, :]
+                inc += s0[rows] * b
+                inc += v0[rows]
+                return inc
 
-            def update(idx, mid):
-                x = base[idx] - self.dt * advect(self.basis, mid, self.m)[0]
-                return solve(x, half_k[idx], denom[idx])
-
-            v = solve(base, half_k, denom)
+            v = v0.copy()
         else:
 
-            def update(idx, mid):
-                conv, tr = advect(self.basis, mid, self.m, (None, noise[idx]))
-                return u[idx] - self.dt * conv + tr
+            def update(rows, mid):
+                conv, tr = advect(self.basis, mid, self.m, (None, noise[rows]))
+                return u[rows] - self.dt * conv + tr
 
             v = u.copy()
+        # every path takes every pass until one has converged; from then on
+        # a pass gathers the rows still active
         active = np.ones(u.shape[:-2], dtype=bool)
+        rows = ...
         # a diverging iterate overflows on the grid; its residual turns
         # non-finite in the same pass and ends the solve there
         with np.errstate(over="ignore", invalid="ignore"):
             for iteration in range(1, MIDPOINT_MAX_ITER + 1):
-                idx = np.nonzero(active)
-                v_new = update(idx, 0.5 * (u[idx] + v[idx]))
-                res = np.abs(v_new - v[idx]).max(axis=(-2, -1))
-                v[idx] = v_new
+                v_new = update(rows, 0.5 * (u[rows] + v[rows]))
+                res = np.abs(v_new - v[rows]).max(axis=(-2, -1))
+                v[rows] = v_new
                 blown = ~np.isfinite(res)
                 if blown.any():
                     raise MidpointConvergenceError(
@@ -348,7 +359,9 @@ class StepKernel:
                 still = res > MIDPOINT_TOL
                 if not still.any():
                     return v
-                active[idx] = still
+                if not still.all():
+                    active[rows] = still
+                    rows = np.nonzero(active)
         raise MidpointConvergenceError(
             float(np.max(res)), MIDPOINT_MAX_ITER, paths=np.flatnonzero(active)
         )

@@ -7,7 +7,9 @@ package's transform path, except the assemblies at the end: the two drifts
 and a plain midpoint step, built from the package's public operators, which
 only tests use.  The pocketfft section keeps the operator pass as it stood
 before the transforms became dense DFT-matrix products: the full rfft2
-half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps.  The
+half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps, plus
+the conversions between the package's real cos/sin block and the complex
+half-spectrum cells.  The
 probe section keeps the first form of the martingale probe's pairings.
 """
 
@@ -151,6 +153,39 @@ def midpoint_step_plain(
     return v
 
 
+def midpoint_step_solve(
+    basis: Basis, u: np.ndarray, w_coeffs: np.ndarray, dt: float, tol: float = 1e-12
+) -> np.ndarray:
+    """The constant-noise midpoint step with a 2x2 solve in every pass.
+
+    The kernel's first form of the solve: from the Cayley start, each pass
+    gathers the paths still active, rebuilds ``base - dt B(mid)`` with
+    ``base = u + T(u)/2`` and solves ``(I - T/2) v = base - dt B(mid)`` per
+    mode; a path stops once its update moves no coefficient by more than
+    ``tol``.
+    """
+    k = basis.modes.astype(np.float64)
+    kappa = w_coeffs[:, 0, :1] * k[:, 0] + w_coeffs[:, 1, :1] * k[:, 1]
+    half_k = 0.5 * kappa
+    denom = 1.0 + half_k * half_k
+    base = u + 0.5 * np.stack([kappa * u[:, 1], -kappa * u[:, 0]], axis=1)
+    m = dealias_resolution(basis.n, basis.n, basis.n)
+
+    def solve(x, hk, d):
+        va = (x[:, 0] + hk * x[:, 1]) / d
+        return np.stack([va, x[:, 1] - hk * va], axis=1)
+
+    v = solve(base, half_k, denom)
+    active = np.ones(len(u), dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        x = base[idx] - dt * advect(basis, 0.5 * (u[idx] + v[idx]), m)[0]
+        v_new = solve(x, half_k[idx], denom[idx])
+        active[idx] = np.abs(v_new - v[idx]).max(axis=(1, 2)) > tol
+        v[idx] = v_new
+    return v
+
+
 # ---------------------------------------------------------------------------
 # the pocketfft operator pass over the full rfft2 half-spectrum
 # ---------------------------------------------------------------------------
@@ -176,6 +211,45 @@ def _half_spectrum_maps(basis: Basis, m: int):
     kk1 = np.repeat(w1, mh).reshape(m, mh)
     kk2 = np.tile(np.arange(mh, dtype=np.float64), m).reshape(m, mh)
     return sign, cells, np.nonzero(col0)[0], col0_cells, kk1, kk2
+
+
+def block_to_halfspectrum(block: np.ndarray) -> np.ndarray:
+    """The rfft2 half-spectrum cells ``(..., 2n+1, n+1)`` of a real cos/sin block.
+
+    ``block`` is ``(..., n+1, 2(2n+1))``: rows ``k1 = 0..n``, columns
+    ``[alpha | beta]`` for ``k2 = -n..n``.  A cell pair adds
+    ``Z(k) = (alpha - i beta) / 2`` at ``k`` and the conjugate at ``-k``;
+    only the wavevectors with ``k2 >= 0`` are stored, rows ``k1 = -n..n``.
+    """
+    n = block.shape[-2] - 1
+    width = 2 * n + 1
+    out = np.zeros(block.shape[:-2] + (width, n + 1), dtype=np.complex128)
+    for k1 in range(n + 1):
+        for j, k2 in enumerate(range(-n, n + 1)):
+            z = 0.5 * (block[..., k1, j] - 1j * block[..., k1, width + j])
+            if k2 >= 0:
+                out[..., n + k1, k2] += z
+            if k2 <= 0:
+                out[..., n - k1, -k2] += np.conj(z)
+    return out
+
+
+def halfspectrum_to_block(z: np.ndarray) -> np.ndarray:
+    """The real block ``(..., n+1, 2(2n+1))`` holding ``(Re Z(k), -Im Z(k))`` per cell pair.
+
+    ``z`` holds the half-spectrum cells ``(..., 2n+1, n+1)`` with rows
+    ``k1 = -n..n`` and ``k2 >= 0``; ``Z(k)`` at ``k2 < 0`` is the conjugate
+    of ``Z(-k)``.
+    """
+    n = z.shape[-1] - 1
+    width = 2 * n + 1
+    out = np.empty(z.shape[:-2] + (n + 1, 2 * width))
+    for k1 in range(n + 1):
+        for j, k2 in enumerate(range(-n, n + 1)):
+            zk = z[..., n + k1, k2] if k2 >= 0 else np.conj(z[..., n - k1, -k2])
+            out[..., k1, j] = zk.real
+            out[..., k1, width + j] = -zk.imag
+    return out
 
 
 def block_to_grid(spec: np.ndarray, m: int) -> np.ndarray:

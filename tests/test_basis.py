@@ -128,42 +128,43 @@ def test_synthesize_resolution_guard():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_block_transforms_against_rfft2_oracle(n):
-    # the two matrix stages each way against scipy's irfft2/rfft2 of the full
-    # half-spectrum, at the grid every pass at truncation n uses (even m
+    # the two real matrix stages each way against scipy's irfft2/rfft2 of the
+    # full half-spectrum, reached through the real block <-> half-spectrum
+    # conversions, at the grid every pass at truncation n uses (even m
     # included) and onto output blocks larger than the input's
     rng = np.random.default_rng(100 + n)
     b = get_basis(n)
     m = dealias_resolution(n, n, n)
-    spec = rng.standard_normal((3, 4, 2 * n + 1, n + 1)) + 1j * rng.standard_normal(
-        (3, 4, 2 * n + 1, n + 1)
-    )
-    want = oracles.block_to_grid(spec, m)
+    spec = rng.standard_normal((3, 4, n + 1, 2 * (2 * n + 1)))
+    want = oracles.block_to_grid(oracles.block_to_halfspectrum(spec), m)
     assert np.abs(halfspectrum_to_grid(spec, m) - want).max() <= 1e-14 * np.abs(want).max()
     coeffs = rng.standard_normal((3, 2, b.n_modes))
-    placed = place_halfspectrum(b, coeffs, m, ("u", "omega", "d1u", "d2u"))
-    want = oracles.block_to_grid(placed, m)
+    placed = place_halfspectrum(b, coeffs, m, ("u", "uperp", "omega", "d1u", "d2u"))
+    want = oracles.block_to_grid(oracles.block_to_halfspectrum(placed), m)
     assert np.abs(halfspectrum_to_grid(placed, m) - want).max() <= 1e-14 * np.abs(want).max()
     for n_out, m_out in ((n, m), ((m - 1) // 2, m), (n + 3, dealias_resolution(n, n, n + 3))):
         grid = rng.standard_normal((3, 2, m_out, m_out))
-        want = oracles.grid_to_block(grid, n_out)
+        want = oracles.halfspectrum_to_block(oracles.grid_to_block(grid, n_out))
         got = grid_to_halfspectrum(grid, get_basis(n_out))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_placement_fields_against_pointwise_derivatives():
-    # every field a placement writes, against the mode-wise oracle: u, the
-    # two gradient components and the vorticity d1 u2 - d2 u1
+    # every field a placement writes, against the mode-wise oracle: u,
+    # u_perp = (-u2, u1), the two gradient components and the vorticity
+    # d1 u2 - d2 u1
     rng = np.random.default_rng(8)
     b = get_basis(4)
     m = 15
     f = random_field(b, rng, include_mean=True)
-    spec = place_halfspectrum(b, f.coeffs, m, ("u", "d1u", "d2u", "omega"))
+    spec = place_halfspectrum(b, f.coeffs, m, ("u", "uperp", "d1u", "d2u", "omega"))
     grids = halfspectrum_to_grid(spec, m)
     u = oracles.field_on_grid(f, m)
     d1 = oracles.advect_grid(np.broadcast_to([1.0, 0.0], (m, m, 2)), f, m)
     d2 = oracles.advect_grid(np.broadcast_to([0.0, 1.0], (m, m, 2)), f, m)
-    want = np.concatenate([u, d1, d2, d1[..., 1:] - d2[..., :1]], axis=-1)
+    u_perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    want = np.concatenate([u, u_perp, d1, d2, d1[..., 1:] - d2[..., :1]], axis=-1)
     np.testing.assert_allclose(np.moveaxis(grids, 0, -1), want, rtol=0, atol=1e-13)
 
 

@@ -1,14 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusflow import basis as basis_module
 from torusflow import dynamics
 from torusflow.basis import (
     BasisMode,
     SpectralField,
+    Workspace,
     get_basis,
     gradient,
     halfspectrum_to_grid,
@@ -29,6 +32,8 @@ from torusflow.dynamics import (
     stokes_apply,
     transport_apply,
 )
+from torusflow.integrate import StepKernel
+from torusflow.noise import NoiseModel
 
 import oracles
 
@@ -358,9 +363,9 @@ def test_advect_transform_counts(monkeypatch, kinds, inverse, forward):
     seen = {"inverse": 0, "forward": 0}
 
     def counting(key, fn):
-        def wrapped(x, *args):
+        def wrapped(x, *args, **kwargs):
             seen[key] += int(np.prod(x.shape[:-2]))
-            return fn(x, *args)
+            return fn(x, *args, **kwargs)
 
         return wrapped
 
@@ -373,3 +378,53 @@ def test_advect_transform_counts(monkeypatch, kinds, inverse, forward):
         monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
     advect(b, U, m, tuple(None if k == "self" else w_grid for k in kinds))
     assert seen == {"inverse": inverse * paths, "forward": forward * paths}
+
+
+def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
+    # advector kinds, batch sizes and output bases interleave on the shared
+    # pass arrays; each result is bit-equal to the same call on fresh ones,
+    # and nothing handed out earlier (results, a step's noise grids) changes
+    rng = np.random.default_rng(12)
+    b, big = get_basis(8), get_basis(11)
+    noise = NoiseModel.q_wiener(2, beta=4.0)
+    kernel = StepKernel(b, noise, "strat-midpoint", 1e-3)
+    m_big = dealias_resolution(b.n, b.n, big.n)
+
+    def fresh(*args):
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_PASS", Workspace())
+            mp.setattr(basis_module, "_STAGES", Workspace())
+            return advect(*args)
+
+    handed_out = []
+    for paths in (16, 3, 1, 16):
+        U = _batch(b, rng, paths, include_mean=True)
+        W = noise.increments_to_field(0.03 * rng.standard_normal((paths, noise.n_components, 2)))
+        w_grid = kernel._prepare_noise(W)
+        w_big = _on_grid(noise.field_basis, W, m_big)
+        handed_out += [(w_grid, w_grid.copy()), (w_big, w_big.copy())]
+        for out, m, w in ((b, kernel.m, w_grid), (big, m_big, w_big)):
+            for advectors in ((None,), (w,), (None, w)):
+                got = advect(b, U, m, advectors, out)
+                assert np.array_equal(got, fresh(b, U, m, advectors, out))
+                handed_out.append((got, got.copy()))
+    for arr, copy in handed_out:
+        assert np.array_equal(arr, copy)
+
+
+def test_advect_pass_allocates_nothing_large():
+    # after a warm-up pass every stage array is reused: a 16-path pass at n=8
+    # allocates little beyond its own result
+    rng = np.random.default_rng(2)
+    b = get_basis(8)
+    m = dealias_resolution(b.n, b.n, b.n)
+    U = _batch(b, rng, 16)
+    advect(b, U, m)
+    tracemalloc.start()
+    try:
+        out = advect(b, U, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 16, 2, b.n_modes)
+    assert peak < 4 * out.nbytes

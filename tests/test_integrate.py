@@ -111,6 +111,31 @@ def test_midpoint_step_matches_plain_iteration(noise):
     assert np.abs(got - want).max() <= 1e-13
 
 
+def test_midpoint_active_set_paths_match_solo_runs(monkeypatch):
+    # a path scaled x30 needs more passes than the rest: the passes after the
+    # others converge run on it alone, and every path is bit-equal to the
+    # same path stepped alone; the lean update matches the first form of the
+    # solve, a 2x2 solve of base - dt B(mid) in every pass
+    cfg, u, w = _desk_batch(SI, paths=6)
+    u[2] *= 30.0
+    kernel = StepKernel(cfg.basis, SI, "strat-midpoint", cfg.dt)
+    rows = []
+    advect = integrate.advect
+
+    def counted(basis, coeffs, *args, **kwargs):
+        rows.append(len(coeffs))
+        return advect(basis, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "advect", counted)
+    got = kernel.step(u, w)
+    assert rows[:3] == [6, 6, 6] and len(rows) > 4 and set(rows[3:]) == {1}
+    for p in range(6):
+        assert np.array_equal(got[p], kernel.step(u[p : p + 1], w[p : p + 1])[0])
+    want = oracles.midpoint_step_solve(cfg.basis, u, w, cfg.dt)
+    for p in range(6):
+        assert np.abs(got[p] - want[p]).max() <= 1e-14 * np.abs(want[p]).max()
+
+
 def test_midpoint_conserves_enstrophy_heun_does_not():
     # with constant noise ||u||_1^2 is a quadratic invariant of the midpoint
     # scheme, conserved to solver tolerance; Heun's drift is far above that
