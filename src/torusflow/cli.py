@@ -262,12 +262,15 @@ def cmd_ensemble(args) -> int:
     t0 = time.perf_counter()
     manifest = resolve_manifest(args, "ensemble")
     cfg = manifest.resolved = manifest.sim_config()
-    v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
-    probe = MartingaleProbe(v, "probe")
-    diag = run_ensemble(cfg, observers=[probe])
+    # the probe's generator is the constant-noise one: field noise gets nan columns
+    observers = []
+    if cfg.noise.is_constant_advection:
+        v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
+        observers.append(MartingaleProbe(v, "probe"))
+    diag = run_ensemble(cfg, observers=observers)
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     p_csv = manifest.out_dir / "ensemble.csv"
-    write_ensemble_csv(diag, p_csv, probe="probe")
+    write_ensemble_csv(diag, p_csv, probe="probe" if observers else None)
     _finish(manifest, [p_csv], t0)
     return 0
 
@@ -276,11 +279,9 @@ def cmd_verify(args) -> int:
     from .acceptance import run_suite
 
     results = run_suite(args.suite, quick=args.quick, seed=args.seed or 0)
-    width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.measured}  [{r.bound}]  {r.seconds:.1f}s")
+        print(r.line())
         failed += not r.passed
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 1 if failed else 0

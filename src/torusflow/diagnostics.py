@@ -191,9 +191,20 @@ class QvReport:
     n_paths: int
 
 
+def _probe_series(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> ProbeSeries:
+    """The named probe of an ensemble, or ``probe`` itself; refuses field noise,
+    under which the probe's constant-noise generator (module docstring) is wrong."""
+    noise = diag.config.noise
+    if not noise.is_constant_advection:
+        raise ConfigurationError(
+            f"the martingale probe assumes constant noise, not the {noise.regime!r} regime"
+        )
+    return diag.observers[probe] if isinstance(probe, str) else probe
+
+
 def qv_check(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> QvReport:
     """Compare the martingale estimate and its quadratic-variation ledger."""
-    series = diag.observers[probe] if isinstance(probe, str) else probe
+    series = _probe_series(diag, probe)
     p = series.mart.shape[0]
     if p < 64:
         raise ConfigurationError(f"qv_check needs >= 64 paths (got {p})")
@@ -255,9 +266,7 @@ def write_ensemble_csv(
     the named martingale probe; without one they are written as ``nan``.
     """
     report = energy_report(diag)
-    series = None
-    if probe is not None:
-        series = diag.observers[probe] if isinstance(probe, str) else probe
+    series = None if probe is None else _probe_series(diag, probe)
     qv = qv_check(diag, series) if series is not None and diag.n_paths >= 64 else None
 
     keep = _saved_indices(len(diag.times) - 1, diag.config.save_every)

@@ -12,29 +12,28 @@ apply); ``build_advection_tensor`` is the correctness oracle, and the probe
 tables of ``middle_slice`` are slices of it.  The pseudo-spectral route,
 ``advect``, forms the products on a dealiased ``M x M`` collocation grid
 (dense real matrix stages over the cos/sin block of each field, O(M^2 n)
-per field; see ``basis``) for batched states and any number of advectors, and
-must agree with the tensor route to full precision; the time stepper, the
-drifts and ``transport_apply`` all use it.  A spatially constant advector
-needs no grid: its transport is the exact per-mode rotation
-``basis.constant_advection``.
+per field; see ``basis``) for batched states, with or without an advecting
+field, and must agree with the tensor route to full precision; the time
+stepper, the drifts and ``transport_apply`` all use it.  A spatially
+constant advector needs no grid: its transport is the exact per-mode
+rotation ``basis.constant_advection``.
 
-``advect`` takes the quadratic term in rotational form.  In 2D
+``advect`` takes both terms in rotational form.  In 2D, with ``omega = d1
+u2 - d2 u1`` and ``u_perp = (-u2, u1)``,
 
     (u . grad) u = grad(|u|^2 / 2) + omega u_perp,
-    omega = d1 u2 - d2 u1,   u_perp = (-u2, u1),
+    (w . grad) u = grad(u . w) + omega_u w_perp - (u . d1 w, u . d2 w),
 
-and the projection removes the gradient, so ``P (u . grad) u = P (omega
-u_perp)`` exactly at every truncation (Canuto, Hussaini, Quarteroni & Zang,
-*Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  One
-placement writes every field a pass needs straight from the coefficients,
-and one inverse call takes them all: 3 fields per state for the quadratic
-term, ``(u_perp, omega)``, so that the self term is one broadcast product,
-against 6 for ``(d1 u, d2 u, u)``; 4 for transport by a field advector,
-``(d1 u, d2 u)``; and 6 with both terms, ``(d1 u, d2 u, u_perp)``, with
-``omega`` read off the gradient grids.  One forward call takes 2 fields per
-term.  Every stage of a pass writes into arrays kept for the next pass of
-the same shape (``_PASS``), so a pass allocates little beyond its result;
-the arrays are module state, so passes must not run concurrently.
+the second being the first polarised, and the projection removes the
+gradients exactly at every truncation (Canuto, Hussaini, Quarteroni & Zang,
+*Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  So a state
+enters only through ``u_perp`` (``u = (u_perp2, -u_perp1)``) and ``omega``,
+3 fields, and an advecting field through ``w_perp``, ``d1 w`` and ``d2 w``,
+6 fields that a caller places once for every state it advects.  ``advect``
+sums ``scale P (u . grad) u + P (w . grad) u`` on the grid, so one forward
+call takes 2 fields per state.  Every stage of a pass writes into arrays
+kept for the next pass of the same shape (``_PASS``); the arrays are module
+state, so passes must not run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -335,78 +334,61 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
 #: the arrays of one ``advect`` pass, reused by the next pass of the same shape
 _PASS = Workspace()
 
+#: the placement of an advecting field ``w`` for ``advect``: ``w_perp``,
+#: ``d1 w`` and ``d2 w``, 6 scalar fields
+ADVECTOR_FIELDS = ("uperp", "d1u", "d2u")
+
 
 def advect(
     basis: Basis,
     coeffs: np.ndarray,
     m: int,
-    advectors: tuple = (None,),
+    scale: float = 1.0,
+    advector: np.ndarray | None = None,
     out_basis: Basis | None = None,
 ) -> np.ndarray:
-    """Galerkin projections ``P (a . grad) u``, one per advector ``a``.
+    """Galerkin projection ``scale P (u . grad) u + P (w . grad) u``.
 
-    ``coeffs`` holds ``u`` with leading batch axes ``(..., 2, N)``.  Each entry
-    of ``advectors`` is either ``None``, standing for ``u`` itself (the
-    quadratic term ``P (u . grad) u``), or an advecting field already on the
-    ``m x m`` grid, ``(..., 2, m, m)``, so a caller transforms a field it
-    reuses only once.  The quadratic term is taken in rotational form,
-    ``P (u . grad) u = P (omega u_perp)`` (module docstring), and one
-    placement and one inverse transform evaluate only the fields the products
-    need, per state:
-
-    * ``(None,)``: ``u_perp`` and ``omega``, 3 fields, with ``omega`` placed
-      directly as ``|k| (-b, a)``;
-    * ``(w,)``: ``(d1 u, d2 u)``, 4 fields;
-    * ``(None, w)``: ``(d1 u, d2 u, u_perp)``, 6 fields, with
-      ``omega = d1 u2 - d2 u1`` taken from the gradient grids.
-
-    One forward transform takes the stacked products, 2 fields each, onto
-    the block of ``out_basis``.  Every stage writes into an array of
-    ``_PASS`` kept for the next pass of the same shape; only the result is
-    fresh.  Returns ``(len(advectors), ..., 2, N)`` over ``out_basis``
-    (default: the basis of ``u``).
+    ``coeffs`` holds ``u`` with leading batch axes ``(..., 2, N)``;
+    ``advector`` is ``w`` on the ``m x m`` grid as its ``ADVECTOR_FIELDS``,
+    ``(..., 6, m, m)``, and ``None`` drops the transport term.  One placement
+    and one inverse transform give ``(u_perp, omega)``, 3 fields per state;
+    the products ``omega (scale u_perp + w_perp) - (u . d1 w, u . d2 w)`` are
+    summed on the grid, and one forward transform takes their 2 fields onto
+    the block of ``out_basis`` (module docstring).  Every stage writes into
+    an array of ``_PASS``; only the result is fresh.  Returns ``(..., 2, N)``
+    over ``out_basis`` (default: the basis of ``u``).
     """
     out_basis = out_basis or basis
     lead = coeffs.shape[:-2]
-    need_self = any(a is None for a in advectors)
-    if all(a is None for a in advectors):
-        fields, width = ("uperp", "omega"), 3
-    elif need_self:
-        fields, width = ("d1u", "d2u", "uperp"), 6
+    spec = _PASS.take("spec", lead + (3,) + block_shape(basis))
+    spec = place_halfspectrum(basis, coeffs, m, ("uperp", "omega"), out=spec)
+    grids = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (3, m, m)))
+    u_perp, omega = grids[..., 0:2, :, :], grids[..., 2:3, :, :]
+    prods = _PASS.take("prods", lead + (2, m, m))
+    if advector is None:
+        np.multiply(omega, u_perp, out=prods)
+        if scale != 1.0:
+            prods *= scale
     else:
-        fields, width = ("d1u", "d2u"), 4
-    spec = place_halfspectrum(
-        basis, coeffs, m, fields, out=_PASS.take("spec", lead + (width,) + block_shape(basis))
-    )
-    grids = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (width, m, m)))
-    if width == 3:
-        omega, u_perp = grids[..., 2:3, :, :], grids[..., 0:2, :, :]
-    elif need_self:
-        omega = np.subtract(
-            grids[..., 1:2, :, :], grids[..., 2:3, :, :], out=_PASS.take("omega", lead + (1, m, m))
-        )
-        u_perp = grids[..., 4:6, :, :]
-    prods = _PASS.take("prods", (len(advectors),) + lead + (2, m, m))
-    for p, a in zip(prods, advectors):
-        if a is None:
-            np.multiply(omega, u_perp, out=p)
-        else:
-            np.multiply(a[..., 0:1, :, :], grids[..., 0:2, :, :], out=p)
-            p += np.multiply(
-                a[..., 1:2, :, :], grids[..., 2:4, :, :], out=_PASS.take("term", lead + (2, m, m))
-            )
+        np.multiply(u_perp, scale, out=prods)
+        prods += advector[..., 0:2, :, :]
+        prods *= omega
+        # u . d_l w = u_perp2 d_l w1 - u_perp1 d_l w2, for l = 1, 2 at once
+        term = _PASS.take("term", lead + (2, m, m))
+        prods -= np.multiply(u_perp[..., 1:2, :, :], advector[..., 2::2, :, :], out=term)
+        prods += np.multiply(u_perp[..., 0:1, :, :], advector[..., 3::2, :, :], out=term)
     spec_out = grid_to_halfspectrum(
-        prods, out_basis, out=_PASS.take("spec_out", prods.shape[:-2] + block_shape(out_basis))
+        prods, out_basis, out=_PASS.take("spec_out", lead + (2,) + block_shape(out_basis))
     )
-    coeffs_out = np.empty(prods.shape[:-3] + (2, out_basis.n_modes))
-    return gather_coeffs(out_basis, spec_out, m, out=coeffs_out)
+    return gather_coeffs(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))
 
 
 def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -> SpectralField:
     """Galerkin projection of ``(f . grad) f`` via the dealiased grid product."""
     out_basis = out_basis or f.basis
     m = dealias_resolution(f.basis.n, f.basis.n, out_basis.n)
-    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, out_basis=out_basis)[0])
+    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, out_basis=out_basis))
 
 
 def transport_apply(
@@ -427,8 +409,8 @@ def transport_apply(
         res = SpectralField(f.basis, constant_advection(kappa, f.coeffs))
         return res if out_basis.n == f.basis.n else leray_project(res, out_basis)
     m = dealias_resolution(f.basis.n, w.basis.n, out_basis.n)
-    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m), m)
-    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, (w_grid,), out_basis)[0])
+    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m, ADVECTOR_FIELDS), m)
+    return SpectralField(out_basis, advect(f.basis, f.coeffs, m, 0.0, w_grid, out_basis))
 
 
 # ---------------------------------------------------------------------------

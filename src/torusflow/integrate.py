@@ -2,14 +2,16 @@
 
 Scheme menu
 -----------
+Every scheme steps by the Stratonovich increment ``incr(u) = -dt B(u) +
+P (dW . grad) u``, ``B(u) = P (u . grad) u`` (``StepKernel._increment``).
+
 ``ito-em``
-    Euler-Maruyama on the Ito form: drift ``-(1/2) A u - B(u)``, transport
-    increments applied explicitly.
+    Euler-Maruyama on the Ito form: ``u - dt (1/2) A u + incr(u)``.
 ``strat-heun``
-    Two-stage predictor-corrector (trapezoidal in both drift and noise) on
-    the Stratonovich form, whose drift is the inviscid ``-B(u)``.
+    Predictor-corrector on the Stratonovich form (drift ``-B(u)``): ``u``
+    plus the mean of ``incr(u)`` and ``incr(u + incr(u))``.
 ``strat-midpoint``
-    Implicit midpoint on the Stratonovich form, solved to a fixed-point
+    ``v = u + incr((u + v) / 2)``, implicit midpoint, solved to a fixed-point
     residual of ``MIDPOINT_TOL``.  Drift and transport are both skew in the
     L2 pairing, so this scheme conserves ``||u||_0^2`` to solver tolerance
     per step.  For spatially constant noise the linear noise part of the
@@ -32,13 +34,13 @@ operator pass stay in cache.  The pass writes its stages into arrays that
 ``dynamics.advect`` keeps for the next pass of the same shape, so in a run
 they are allocated once, not faulted in afresh every pass.  The block size
 is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts
-what one pass touches per path: each transformed field (3 in and 2 out for
-the quadratic term alone, 6 in and 4 out with a field advector) takes an
+what one pass touches per path: 3 transformed fields in and 2 out, each an
 ``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an
-``(n+1) x 2(2n+1)`` cos/sin block, all real.  At n=8 (m=25) that gives 32
-paths with spatially constant noise and 16 with Q-Wiener noise; in the
-sweep in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and
-128 or 256 faulted most.  Every operation, the midpoint convergence test and the
+``(n+1) x 2(2n+1)`` cos/sin block, all real, plus under field noise the 6
+grids of the step's noise field, placed once per step.  At n=8 (m=25) that
+gives 32 paths with spatially constant noise and 21 with ``qwiener:8``; in
+the sweep in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest,
+and 128 or 256 faulted most.  Every operation, the midpoint convergence test and the
 transform stages included, acts on each path alone, so results do not
 depend on the blocks: a path is bit-identical alone, in any batch and in
 any block.  Observers see the whole batch after each step.
@@ -55,15 +57,17 @@ from .basis import (
     Basis,
     BasisMode,
     SpectralField,
+    Workspace,
     batch_h1_sq,
     batch_l2_sq,
+    block_shape,
     constant_advection,
     get_basis,
     halfspectrum_to_grid,
     place_halfspectrum,
     random_field,
 )
-from .dynamics import ITO_VISCOSITY, advect, dealias_resolution
+from .dynamics import ADVECTOR_FIELDS, ITO_VISCOSITY, advect, dealias_resolution
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -226,14 +230,14 @@ class StepKernel:
         self.k2 = basis.modes[:, 1].astype(np.float64)
         self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
-        # one operator pass transforms 3 fields in and 2 out per path for the
-        # quadratic term alone, 6 in and 4 out with a field advector; each
-        # field takes an m x m grid, an (n+1) x 2m stage array and an
-        # (n+1) x 2(2n+1) block, all real
-        fields = 5 if self.constant_noise else 10
+        # one operator pass transforms 3 fields in and 2 out per path, each
+        # an m x m grid, an (n+1) x 2m stage array and an (n+1) x 2(2n+1)
+        # block, all real, and under field noise reads 6 noise grids
         n, m = basis.n, self.m
-        self.path_bytes = fields * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
+        self.path_bytes = 5 * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
+        self.path_bytes += 0 if self.constant_noise else 6 * 8 * m * m
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
+        self._noise_arrays = Workspace()
 
     # -- building blocks ---------------------------------------------------
 
@@ -241,19 +245,21 @@ class StepKernel:
         """What every operator evaluation of one step needs of its noise field.
 
         Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
-        rotation.  Otherwise: the field on the grid, transformed once per step.
+        rotation.  Otherwise: the field as ``advect``'s advector, on the grid
+        in arrays the next step reuses.
         """
         if self.constant_noise:
             return w_coeffs[..., 0, 0:1] * self.k1 + w_coeffs[..., 1, 0:1] * self.k2
-        spec = place_halfspectrum(self.noise.field_basis, w_coeffs, self.m)
-        return halfspectrum_to_grid(spec, self.m)
+        fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (6,)
+        spec = self._noise_arrays.take("spec", lead + block_shape(fb))
+        spec = place_halfspectrum(fb, w_coeffs, m, ADVECTOR_FIELDS, out=spec)
+        return halfspectrum_to_grid(spec, m, out=self._noise_arrays.take("grids", lead + (m, m)))
 
-    def _operators(self, u: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(P (u . grad) u, P (w . grad) u)`` for the prepared noise."""
+    def _increment(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The Stratonovich increment ``-dt P (u . grad) u + P (dW . grad) u``."""
         if self.constant_noise:
-            return advect(self.basis, u, self.m)[0], constant_advection(noise, u)
-        conv, tr = advect(self.basis, u, self.m, (None, noise))
-        return conv, tr
+            return constant_advection(noise, u) - self.dt * advect(self.basis, u, self.m)
+        return advect(self.basis, u, self.m, -self.dt, noise)
 
     # -- schemes -------------------------------------------------------------
 
@@ -295,16 +301,11 @@ class StepKernel:
         return self._step_midpoint(u, noise)
 
     def _step_em(self, u, noise):
-        conv, tr = self._operators(u, noise)
-        drift = -ITO_VISCOSITY * self.ksq * u - conv
-        return u + self.dt * drift + tr
+        return u - self.dt * ITO_VISCOSITY * self.ksq * u + self._increment(u, noise)
 
     def _step_heun(self, u, noise):
-        conv0, tr0 = self._operators(u, noise)
-        incr0 = -self.dt * conv0 + tr0
-        pred = u + incr0
-        conv1, tr1 = self._operators(pred, noise)
-        incr1 = -self.dt * conv1 + tr1
+        incr0 = self._increment(u, noise)
+        incr1 = self._increment(u + incr0, noise)
         return u + 0.5 * (incr0 + incr1)
 
     def _step_midpoint(self, u, noise):
@@ -326,7 +327,7 @@ class StepKernel:
             s1 = s0 * half_k[..., None, :] * [[1.0], [-1.0]]
 
             def update(rows, mid):
-                b = advect(self.basis, mid, self.m)[0]
+                b = advect(self.basis, mid, self.m)
                 inc = s1[rows] * b[..., ::-1, :]
                 inc += s0[rows] * b
                 inc += v0[rows]
@@ -336,8 +337,7 @@ class StepKernel:
         else:
 
             def update(rows, mid):
-                conv, tr = advect(self.basis, mid, self.m, (None, noise[rows]))
-                return u[rows] - self.dt * conv + tr
+                return u[rows] + self._increment(mid, noise[rows])
 
             v = u.copy()
         # every path takes every pass until one has converged; from then on

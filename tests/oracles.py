@@ -147,7 +147,7 @@ def midpoint_step_plain(
     m = dealias_resolution(basis.n, basis.n, basis.n)
     v = u.copy()
     for _ in range(iters):
-        conv = advect(basis, 0.5 * (u + v), m)[0]
+        conv = advect(basis, 0.5 * (u + v), m)
         rhs = base - dt * np.moveaxis(conv, 1, -1)
         v = np.moveaxis(np.linalg.solve(lhs, rhs[..., None])[..., 0], -1, 1)
     return v
@@ -179,7 +179,7 @@ def midpoint_step_solve(
     active = np.ones(len(u), dtype=bool)
     while active.any():
         idx = np.flatnonzero(active)
-        x = base[idx] - dt * advect(basis, 0.5 * (u[idx] + v[idx]), m)[0]
+        x = base[idx] - dt * advect(basis, 0.5 * (u[idx] + v[idx]), m)
         v_new = solve(x, half_k[idx], denom[idx])
         active[idx] = np.abs(v_new - v[idx]).max(axis=(1, 2)) > tol
         v[idx] = v_new
@@ -301,11 +301,14 @@ def full_to_grid(spec: np.ndarray, m: int) -> np.ndarray:
 
 
 def advect_fft(basis: Basis, coeffs, m: int, advectors=(None,), out_basis=None) -> np.ndarray:
-    """``P (a . grad) u`` per advector by the pocketfft pass (same contract as ``advect``).
+    """``P (a . grad) u`` per advector by the pocketfft pass, stacked on a leading axis.
 
-    Advector grids are ``(..., 2, m, m)``; the quadratic term is taken in
-    rotational form, with ``omega`` placed as ``i (k1 u2 - k2 u1)`` or read
-    off the gradient grids when a field advector is present.
+    Each entry of ``advectors`` is ``None`` (the quadratic term) or an
+    advecting field's ``(..., 2, m, m)`` grid of ``(w1, w2)``, transported
+    as ``w1 d1 u + w2 d2 u``; the quadratic term is taken in rotational form,
+    with ``omega`` placed as ``i (k1 u2 - k2 u1)`` or read off the gradient
+    grids when a field advector is present.  ``advect``'s fused result is
+    ``scale`` times the first plus the second.
     """
     _, _, _, _, k1, k2 = _half_spectrum_maps(basis, m)
     spec = place_full(basis, coeffs, m)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -105,6 +106,23 @@ def test_ensemble_csv_header(tmp_path):
     with open(out / "ensemble.csv") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == ENSEMBLE_CSV_COLUMNS
+
+
+def test_ensemble_under_field_noise_writes_nan_probe_columns(tmp_path):
+    # the probe is attached under constant noise only
+    out = tmp_path / "q"
+    assert run_cli(
+        "ensemble", "--n", "2", "--dt", "1e-2", "--T", "0.05", "--paths", "4",
+        "--noise", "qwiener:1", "--out", str(out),
+    ) == 0
+    with open(out / "ensemble.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for col in ("mean_L2", "se_L2", "mean_H1", "se_H1", "envelope_H1"):
+            assert math.isfinite(float(row[col]))
+        for col in ("mean_M", "se_M", "qv_gap", "se_qv"):
+            assert math.isnan(float(row[col]))
 
 
 def test_config_file_defaults_and_override(tmp_path):

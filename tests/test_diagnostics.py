@@ -169,6 +169,21 @@ def test_qv_check_requires_paths():
         qv_check(diag, "sv")
 
 
+def test_probe_reports_refuse_field_noise():
+    # the probe's generator is the constant-noise one; a Q-Wiener ensemble's
+    # probe series is no martingale, so neither report publishes it
+    cfg = SimConfig(
+        n=2, dt=1e-2, t_final=0.05, scheme="ito-em",
+        noise=NoiseModel.q_wiener(1, beta=4.0), paths=2,
+    )
+    v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
+    diag = run_ensemble(cfg, observers=[MartingaleProbe(v, "sv")])
+    with pytest.raises(ConfigurationError, match="'qwiener' regime"):
+        qv_check(diag, "sv")
+    with pytest.raises(ConfigurationError, match="'qwiener' regime"):
+        write_ensemble_csv(diag, io.StringIO(), probe="sv")
+
+
 def test_se_scaling_with_paths():
     _, d128 = _one_mode_reference(paths=128, seed=3)
     _, d256 = _one_mode_reference(paths=256, seed=3)

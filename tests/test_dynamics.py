@@ -21,6 +21,7 @@ from torusflow.basis import (
     random_field,
 )
 from torusflow.dynamics import (
+    ADVECTOR_FIELDS,
     ITO_VISCOSITY,
     TruncationMismatch,
     advect,
@@ -276,8 +277,11 @@ def test_middle_slice_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# the batched core: rotational self term, gradient-grid self term, transport
+# the batched core: one rotational pass for the quadratic term and transport
 # ---------------------------------------------------------------------------
+
+#: the weight of the quadratic term in the fused checks, like a step's -dt
+SCALE = -0.37
 
 
 def _batch(basis, rng, paths, include_mean=False):
@@ -285,51 +289,71 @@ def _batch(basis, rng, paths, include_mean=False):
     return np.stack([f.coeffs for f in draws])
 
 
-def _on_grid(basis, coeffs, m):
-    return halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m), m)
+def _on_grid(basis, coeffs, m, fields=("u",)):
+    return halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, fields), m)
+
+
+def _advector(basis, coeffs, m):
+    return _on_grid(basis, coeffs, m, ADVECTOR_FIELDS)
 
 
 def _tensor_transport(w: SpectralField, f: SpectralField, out) -> np.ndarray:
-    """``P (w . grad) f`` over ``out`` by contracting the coupling tensor."""
-    w, f = leray_project(w, out), leray_project(f, out)
-    t = build_advection_tensor(out.n)
+    """``P (w . grad) f`` over ``out`` by contracting the coupling tensor.
+
+    The contraction runs over a truncation holding ``w``, ``f`` and ``out``,
+    so an advector wider than the output still couples through its outer
+    modes; the result is then projected onto ``out``.
+    """
+    full = get_basis(max(w.basis.n, f.basis.n, out.n))
+    w, f = leray_project(w, full), leray_project(f, full)
+    t = build_advection_tensor(full.n)
     contrib = t.vals * w.coeffs.reshape(-1)[t.i_idx] * f.coeffs.reshape(-1)[t.k_idx]
-    res = np.bincount(t.j_idx, weights=contrib, minlength=2 * out.n_modes)
-    return res.reshape(2, out.n_modes) / out.norm_sq
+    res = np.bincount(t.j_idx, weights=contrib, minlength=2 * full.n_modes)
+    res = SpectralField(full, res.reshape(2, full.n_modes) / full.norm_sq)
+    return leray_project(res, out).coeffs
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_advect_self_and_transport_against_per_state_oracles(n):
+    # the quadratic term alone, transport alone and the fused sum, per state,
+    # for a noise field narrower and one wider than the state
     rng = np.random.default_rng(40 + n)
-    b, wb = get_basis(n), get_basis(2)
+    b = get_basis(n)
     U = _batch(b, rng, 3, include_mean=True)
-    W = _batch(wb, rng, 3, include_mean=True)
-    m = dealias_resolution(n, max(n, wb.n), n)
-    conv, tr = advect(b, U, m, (None, _on_grid(wb, W, m)))
-    only = advect(b, U, m)[0]
-    for p in range(3):
-        f, w = SpectralField(b, U[p]), SpectralField(wb, W[p])
-        np.testing.assert_allclose(conv[p], nonlinear_direct(f).coeffs, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tr[p], transport_apply(f, w).coeffs, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tr[p], _tensor_transport(w, f, b), rtol=0, atol=1e-13)
-    # omega from the gradient grids against omega placed directly
-    np.testing.assert_allclose(conv, only, rtol=0, atol=1e-15)
+    only = advect(b, U, dealias_resolution(n, n, n))
+    for wb in (get_basis(2), get_basis(n + 1)):
+        W = _batch(wb, rng, 3, include_mean=True)
+        m = dealias_resolution(n, max(n, wb.n), n)
+        w_grid = _advector(wb, W, m)
+        tr = advect(b, U, m, 0.0, w_grid)
+        fused = advect(b, U, m, SCALE, w_grid)
+        for p in range(3):
+            f, w = SpectralField(b, U[p]), SpectralField(wb, W[p])
+            conv = nonlinear_direct(f).coeffs
+            ref = _tensor_transport(w, f, b)
+            np.testing.assert_allclose(only[p], conv, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(tr[p], transport_apply(f, w).coeffs, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(tr[p], ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(fused[p], SCALE * conv + ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_advect_against_the_pocketfft_pass(n):
-    # the DFT-matrix pass against the pocketfft pass it replaced, for every
-    # advector combination, into the input basis and a larger one
+    # the DFT-matrix pass against the pocketfft pass it replaced: the
+    # quadratic term, transport and their fused sum, into the input basis
+    # and a larger one
     rng = np.random.default_rng(70 + n)
     b, wb = get_basis(n), get_basis(2)
     U = _batch(b, rng, 3, include_mean=True)
     W = _batch(wb, rng, 3, include_mean=True)
     for out in (b, get_basis(n + 3)):
         m = dealias_resolution(n, n, out.n)
-        w_grid = _on_grid(wb, W, m)
-        for advectors in ((None,), (w_grid,), (None, w_grid)):
-            got = advect(b, U, m, advectors, out)
-            want = oracles.advect_fft(b, U, m, advectors, out)
+        w_grid = _advector(wb, W, m)
+        conv, tr = oracles.advect_fft(b, U, m, (None, _on_grid(wb, W, m)), out)
+        for scale, advector, want in (
+            (1.0, None, conv), (0.0, w_grid, tr), (SCALE, w_grid, SCALE * conv + tr)
+        ):
+            got = advect(b, U, m, scale, advector, out)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -340,25 +364,26 @@ def test_advect_into_a_larger_output_basis():
     U = _batch(b, rng, 2, include_mean=True)
     W = _batch(wb, rng, 2, include_mean=True)
     m = dealias_resolution(b.n, max(b.n, wb.n), big.n)
-    only = advect(b, U, m, out_basis=big)[0]
-    conv, tr = advect(b, U, m, (None, _on_grid(wb, W, m)), big)
+    w_grid = _advector(wb, W, m)
+    only = advect(b, U, m, out_basis=big)
+    tr = advect(b, U, m, 0.0, w_grid, big)
+    fused = advect(b, U, m, SCALE, w_grid, big)
     beyond = np.abs(big.modes).max(axis=1) > b.n
     for p in range(2):
         f, w = SpectralField(b, U[p]), SpectralField(wb, W[p])
         ref = nonlinear_direct(leray_project(f, big)).coeffs
         assert np.abs(ref[:, beyond]).max() > 1e-4  # content the input basis cannot hold
+        ref_tr = _tensor_transport(w, f, big)
         np.testing.assert_allclose(only[p], ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(conv[p], ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(tr[p], _tensor_transport(w, f, big), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tr[p], ref_tr, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fused[p], SCALE * ref + ref_tr, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize(
-    "kinds, inverse, forward",
-    [(("self",), 3, 2), (("self", "grid"), 6, 4), (("grid",), 4, 2)],
-)
-def test_advect_transform_counts(monkeypatch, kinds, inverse, forward):
-    # fields per state through each transform: the rotational form needs
-    # (u, omega) alone; the gradient grids only when a field advector is given
+@pytest.mark.parametrize("kind", ["self", "fused", "transport"])
+def test_advect_transform_counts(monkeypatch, kind):
+    # fields per state through each transform: every pass places (u_perp,
+    # omega) and sends the 2 summed products forward, with or without a
+    # field advector, whose grids come in ready-made
     paths = 3
     seen = {"inverse": 0, "forward": 0}
 
@@ -373,17 +398,19 @@ def test_advect_transform_counts(monkeypatch, kinds, inverse, forward):
     b = get_basis(4)
     m = dealias_resolution(b.n, b.n, b.n)
     U = _batch(b, rng, paths)
-    w_grid = _on_grid(b, _batch(b, rng, paths), m)
+    w_grid = _advector(b, _batch(b, rng, paths), m)
     for attr, key in (("halfspectrum_to_grid", "inverse"), ("grid_to_halfspectrum", "forward")):
         monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
-    advect(b, U, m, tuple(None if k == "self" else w_grid for k in kinds))
-    assert seen == {"inverse": inverse * paths, "forward": forward * paths}
+    calls = {"self": (1.0, None), "fused": (SCALE, w_grid), "transport": (0.0, w_grid)}
+    advect(b, U, m, *calls[kind])
+    assert seen == {"inverse": 3 * paths, "forward": 2 * paths}
 
 
 def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
-    # advector kinds, batch sizes and output bases interleave on the shared
-    # pass arrays; each result is bit-equal to the same call on fresh ones,
-    # and nothing handed out earlier (results, a step's noise grids) changes
+    # call kinds, batch sizes and output bases interleave on the shared pass
+    # arrays; each result is bit-equal to the same call on fresh ones, no
+    # result handed out earlier changes, and a pass never writes into the
+    # step's noise grids
     rng = np.random.default_rng(12)
     b, big = get_basis(8), get_basis(11)
     noise = NoiseModel.q_wiener(2, beta=4.0)
@@ -401,30 +428,35 @@ def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
         U = _batch(b, rng, paths, include_mean=True)
         W = noise.increments_to_field(0.03 * rng.standard_normal((paths, noise.n_components, 2)))
         w_grid = kernel._prepare_noise(W)
-        w_big = _on_grid(noise.field_basis, W, m_big)
-        handed_out += [(w_grid, w_grid.copy()), (w_big, w_big.copy())]
+        w_step = w_grid.copy()
+        w_big = _advector(noise.field_basis, W, m_big)
+        handed_out.append((w_big, w_big.copy()))
         for out, m, w in ((b, kernel.m, w_grid), (big, m_big, w_big)):
-            for advectors in ((None,), (w,), (None, w)):
-                got = advect(b, U, m, advectors, out)
-                assert np.array_equal(got, fresh(b, U, m, advectors, out))
+            for scale, advector in ((1.0, None), (0.0, w), (SCALE, w)):
+                got = advect(b, U, m, scale, advector, out)
+                assert np.array_equal(got, fresh(b, U, m, scale, advector, out))
                 handed_out.append((got, got.copy()))
+        assert np.array_equal(w_grid, w_step)
     for arr, copy in handed_out:
         assert np.array_equal(arr, copy)
 
 
 def test_advect_pass_allocates_nothing_large():
     # after a warm-up pass every stage array is reused: a 16-path pass at n=8
-    # allocates little beyond its own result
+    # allocates little beyond its own result, with or without a field
+    # advector
     rng = np.random.default_rng(2)
     b = get_basis(8)
     m = dealias_resolution(b.n, b.n, b.n)
     U = _batch(b, rng, 16)
-    advect(b, U, m)
-    tracemalloc.start()
-    try:
-        out = advect(b, U, m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (1, 16, 2, b.n_modes)
-    assert peak < 4 * out.nbytes
+    w_grid = _advector(b, _batch(b, rng, 16), m)
+    for args in ((), (SCALE, w_grid)):
+        advect(b, U, m, *args)
+        tracemalloc.start()
+        try:
+            out = advect(b, U, m, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (16, 2, b.n_modes)
+        assert peak < 4 * out.nbytes
