@@ -67,7 +67,14 @@ from .dynamics import (
     transport_apply,
 )
 from .geometry import build_structure_tables, christoffel_contract, geodesic_drift
-from .integrate import SimConfig, StepKernel, _saved_indices, mean_se, run_ensemble
+from .integrate import (
+    SimConfig,
+    StepKernel,
+    _saved_indices,
+    helper_processes,
+    mean_se,
+    run_ensemble,
+)
 from .noise import NoiseModel, normalizer_cw, normalizer_cw_prime, path_stream, q_trace
 
 
@@ -170,8 +177,9 @@ def criterion_a1_heun_order(quick: bool = False, seed: int = 0) -> CriterionResu
             incr = fine[:, : steps * fac].reshape(p, steps, fac, k, 2).sum(axis=2)
             kern = StepKernel(basis, noise, "strat-heun", dt)
             u = np.broadcast_to(u0, (p,) + u0.shape).copy()
-            for s_i in range(steps):
-                u = kern.step(u, noise.increments_to_field(incr[:, s_i]))
+            with helper_processes(kern, p):
+                for s_i in range(steps):
+                    u = kern.step(u, noise.increments_to_field(incr[:, s_i]))
             l2 = batch_l2_sq(basis, u)
             l2_0 = batch_l2_sq(basis, u0[None])[0]
             drifts[:, d_i] = np.abs(l2 - l2_0) / l2_0

@@ -542,6 +542,22 @@ def batch_h1_sq(basis: Basis, coeffs: np.ndarray) -> np.ndarray:
     return np.sum(basis.norm_sq * basis.ksq * (coeffs**2).sum(axis=-2), axis=-1)
 
 
+def batch_norms_sq(
+    basis: Basis, coeffs: np.ndarray, work: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_l2_sq` and :func:`batch_h1_sq` from one squaring into ``work``.
+
+    The arithmetic is theirs, operation for operation, so the bits are too.
+    """
+    shape = coeffs.shape[:-2] + coeffs.shape[-1:]
+    energy = np.square(coeffs[..., 0, :], out=work.take("energy", shape))
+    weighted = np.square(coeffs[..., 1, :], out=work.take("weighted", shape))
+    energy += weighted
+    l2 = np.multiply(basis.norm_sq, energy, out=weighted).sum(axis=-1)
+    h1 = np.multiply(basis.norm_sq * basis.ksq, energy, out=weighted).sum(axis=-1)
+    return l2, h1
+
+
 def random_field(
     basis: Basis,
     rng: np.random.Generator,

@@ -44,6 +44,7 @@ from .diagnostics import (
 )
 from .integrate import (
     SCHEMES,
+    HelperProcessError,
     MidpointConvergenceError,
     SimConfig,
     StepKernel,
@@ -164,6 +165,7 @@ class RunManifest:
     outputs: tuple[str, ...] = ()
     path_id: int | None = None  # the stream a single-path run integrates
     resolved: SimConfig | None = None  # what a run or ensemble integrated
+    processes: int | None = None  # how many processes stepped it
 
     def sim_config(self) -> SimConfig:
         c = self.config
@@ -201,6 +203,8 @@ class RunManifest:
             doc["noise"] = cfg.noise.describe()
             doc["m"] = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt).m
             doc["N"] = cfg.basis.n_modes
+        if self.processes is not None:
+            doc["processes"] = self.processes
         doc["libraries"] = {"numpy": np.__version__, "scipy": scipy.__version__}
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -249,6 +253,7 @@ def cmd_run(args) -> int:
     manifest = resolve_manifest(args, "run")
     cfg = manifest.resolved = manifest.sim_config()
     result = run_path(cfg, path_id=manifest.path_id)
+    manifest.processes = result.processes
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     p_csv = manifest.out_dir / "run.csv"
     p_state = manifest.out_dir / "state_final.csv"
@@ -268,6 +273,7 @@ def cmd_ensemble(args) -> int:
         v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
         observers.append(MartingaleProbe(v, "probe"))
     diag = run_ensemble(cfg, observers=observers)
+    manifest.processes = diag.processes
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     p_csv = manifest.out_dir / "ensemble.csv"
     write_ensemble_csv(diag, p_csv, probe="probe" if observers else None)
@@ -360,7 +366,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigurationError, ValueError, MidpointConvergenceError) as e:
+    except (
+        ConfigFileError,
+        ConfigurationError,
+        ValueError,
+        MidpointConvergenceError,
+        HelperProcessError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

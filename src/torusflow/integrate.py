@@ -43,13 +43,37 @@ the sweep in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest,
 and 128 or 256 faulted most.  Every operation, the midpoint convergence test and the
 transform stages included, acts on each path alone, so results do not
 depend on the blocks: a path is bit-identical alone, in any batch and in
-any block.  Observers see the whole batch after each step.
+any block.
+
+The blocks of an ensemble's steps are shared between the runner and the
+helper processes it forks once per ensemble (:func:`helper_processes`),
+``min(usable CPUs, blocks)`` processes in all, each owning a contiguous
+range of blocks, the runner the first.  Each step the runner hands over the
+state and the increment field through one anonymous shared mapping; every
+process steps the blocks of its own range and then claims what is left of
+the others', so a process that the host slows down (steal time on a shared
+host) holds up the step by at most the blocks it is stepping.  A helper's
+midpoint failure comes back as ``(residual, iterations, rows)`` and merges
+with the runner's in row order.  Draws, norms and observers stay in the
+runner, and observers see the whole batch after each step.  One usable CPU,
+one block, or other threads running in the process give the serial loop,
+so ``taskset -c 0`` runs serially; the bits are the same either way.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import struct
+import threading
+import traceback
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from math import prod
+from multiprocessing.connection import Pipe, wait
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -58,8 +82,7 @@ from .basis import (
     BasisMode,
     SpectralField,
     Workspace,
-    batch_h1_sq,
-    batch_l2_sq,
+    batch_norms_sq,
     block_shape,
     constant_advection,
     get_basis,
@@ -117,6 +140,10 @@ class MidpointConvergenceError(RuntimeError):
             f"midpoint iteration did not reach tolerance{at}: "
             f"residual {residual:.3e} after {iterations} iterations{on}"
         )
+
+
+class HelperProcessError(RuntimeError):
+    """A helper process stepping path blocks ended before it replied."""
 
 
 @dataclass(frozen=True)
@@ -238,6 +265,8 @@ class StepKernel:
         self.path_bytes += 0 if self.constant_noise else 6 * 8 * m * m
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
         self._noise_arrays = Workspace()
+        #: the processes that share a multi-block step, from :func:`helper_processes`
+        self.helpers: _Helpers | None = None
 
     # -- building blocks ---------------------------------------------------
 
@@ -268,29 +297,41 @@ class StepKernel:
 
         ``w_coeffs`` is the assembled Wiener-increment field over the noise
         basis (leading axes matching ``u``).  A batch ``(P, 2, N)`` is stepped
-        in contiguous blocks of ``block_paths`` paths; every operation acts on
-        each path alone, so the result does not depend on the blocks.  A
-        midpoint failure is raised once every block has run, with the largest
-        residual and the unconverged rows of all blocks.
+        in contiguous blocks of ``block_paths`` paths, shared with
+        ``self.helpers`` when there are any; every operation acts on each path
+        alone, so the result does not depend on the blocks or on the process
+        that steps them.  A midpoint failure is raised once every block has
+        run, with the largest residual and the unconverged rows of all blocks.
         """
-        rows = self.block_paths
-        if u.ndim != 3 or len(u) <= rows:
+        if u.ndim != 3 or len(u) <= self.block_paths:
             return self._step_block(u, w_coeffs)
         out = np.empty_like(u)
+        if self.helpers is None:
+            failed = self._step_rows(u, w_coeffs, out, 0, len(u))
+        else:
+            failed = self.helpers.step(u, w_coeffs, out)
+        if failed:
+            raise MidpointConvergenceError(
+                float(np.max([residual for residual, _, _ in failed])),
+                max(iterations for _, iterations, _ in failed),
+                paths=[row for _, _, rows in failed for row in rows],
+            )
+        return out
+
+    def _step_rows(self, u, w_coeffs, out, lo: int, hi: int) -> list:
+        """Step the blocks of rows ``lo:hi`` into ``out``.
+
+        ``lo`` is a block boundary.  Returns the midpoint failures, in row
+        order, as ``(residual, iterations, rows)``.
+        """
         failed = []
-        for lo in range(0, len(u), rows):
-            block = slice(lo, lo + rows)
+        for a in range(lo, hi, self.block_paths):
+            block = slice(a, min(a + self.block_paths, hi))
             try:
                 out[block] = self._step_block(u[block], w_coeffs[block])
             except MidpointConvergenceError as e:
-                failed.append((lo, e))
-        if failed:
-            raise MidpointConvergenceError(
-                float(np.max([e.residual for _, e in failed])),
-                max(e.iterations for _, e in failed),
-                paths=[lo + i for lo, e in failed for i in e.paths],
-            )
-        return out
+                failed.append((e.residual, e.iterations, [a + i for i in e.paths]))
+        return failed
 
     def _step_block(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
         noise = self._prepare_noise(w_coeffs)
@@ -378,6 +419,215 @@ def step(
 
 
 # ---------------------------------------------------------------------------
+# helper processes
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
+    """Share ``kernel``'s steps of ``paths``-path batches with forked helpers.
+
+    One process per usable CPU, at most one per path block.  Yields the
+    number of processes, and reaps the helpers on the way out.  A process
+    with threads running steps serially: a forked child gets only the thread
+    that forked it.
+    """
+    blocks = -(-paths // kernel.block_paths)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(cpus, blocks)
+    if processes < 2 or threading.active_count() != 1:
+        yield 1
+        return
+    kernel.helpers = _Helpers(kernel, paths, processes)
+    try:
+        yield processes
+    finally:
+        kernel.helpers.close()
+        kernel.helpers = None
+
+
+#: each process's row range goes out as at most this many tickets, so a
+#: step's tickets fit in a pipe without a reader
+_MAX_TICKETS = 128
+#: a claim ticket: the rows ``lo:hi`` of one or more whole path blocks
+_TICKET = struct.Struct("<ii")
+
+
+class _Helpers:
+    """Forked processes that step path blocks in lockstep with the caller.
+
+    Every process, the caller first, owns a contiguous range of path blocks.
+    Each step the caller copies the state and the increment field into
+    arrays on one anonymous shared mapping, writes each process's range as
+    tickets to that process's claims pipe, and wakes every helper with a
+    write to its command pipe.  A process steps the tickets it claims from
+    its own pipe, then claims what is left in the others', so one that the
+    host slows down (steal time on a shared host) holds up the step by at
+    most the ticket it is stepping.  A helper then replies with the rows it
+    stepped, its outputs being in the shared arrays, and with its midpoint
+    failures.  A helper leaves only by ``os._exit``, once its command pipe
+    reaches end of file, so also when the caller dies.
+    """
+
+    def __init__(self, kernel: StepKernel, paths: int, processes: int):
+        self.kernel = kernel
+        rows = kernel.block_paths
+        blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
+        self.tickets = []
+        for i in range(processes):
+            own = blocks[len(blocks) * i // processes : len(blocks) * (i + 1) // processes]
+            per = -(-len(own) // _MAX_TICKETS)
+            self.tickets.append(
+                b"".join(
+                    _TICKET.pack(own[j][0], own[min(j + per, len(own)) - 1][1])
+                    for j in range(0, len(own), per)
+                )
+            )
+        self.n_tickets = sum(len(t) for t in self.tickets) // _TICKET.size
+        self.steps = 0
+        # [pid, command writer, reply reader]; pid is None once reaped
+        self.procs: list[list] = []
+        state = (paths, 2, kernel.basis.n_modes)
+        shapes = (state, (paths, 2, kernel.noise.field_basis.n_modes), state)
+        sizes = [8 * prod(s) for s in shapes]
+        mem = mmap.mmap(-1, sum(sizes))
+        offsets = np.cumsum([0] + sizes[:-1])
+        self.u, self.w, self.out = (
+            np.frombuffer(mem, np.float64, prod(s), int(o)).reshape(s)
+            for s, o in zip(shapes, offsets)
+        )
+        self.claims = [os.pipe() for _ in range(processes)]
+        for reader, _ in self.claims:
+            os.set_blocking(reader, False)
+        try:
+            for me in range(1, processes):
+                self._fork(me)
+        except BaseException:
+            self.close()
+            raise
+
+    def _step_claimed(self, me: int, u, w_coeffs, out) -> tuple[list, list]:
+        """Step the tickets left in process ``me``'s pipe, then in the others'.
+
+        Returns the row ranges stepped and their midpoint failures.
+        """
+        stepped, failed = [], []
+        for reader, _ in self.claims[me:] + self.claims[:me]:
+            while True:
+                try:
+                    ticket = os.read(reader, _TICKET.size)
+                except BlockingIOError:
+                    break
+                lo, hi = _TICKET.unpack(ticket)
+                failed += self.kernel._step_rows(u, w_coeffs, out, lo, hi)
+                stepped.append((lo, hi))
+        return stepped, failed
+
+    def _fork(self, me: int) -> None:
+        commands, command_sink = Pipe(duplex=False)
+        replies, reply_sink = Pipe(duplex=False)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork once BLAS has started its thread
+            # pool.  OpenBLAS quiesces that pool through pthread_atfork, and
+            # the child runs only the step kernel.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
+                for _, sink, reader in self.procs:
+                    sink.close()
+                    reader.close()
+                command_sink.close()
+                replies.close()
+                code = self._serve(me, commands, reply_sink)
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        commands.close()
+        reply_sink.close()
+        self.procs.append([pid, command_sink, replies])
+
+    def _serve(self, me: int, commands, replies) -> int:
+        while True:
+            try:
+                commands.recv_bytes()
+            except EOFError:
+                return 0
+            try:
+                replies.send(self._step_claimed(me, self.u, self.w, self.out))
+            except BrokenPipeError:  # the caller is closing
+                return 0
+
+    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray) -> list:
+        """Step the whole batch into ``out``; the failures of every block in row order.
+
+        The caller waits only for tickets a helper has claimed.  A helper
+        that wakes after the caller has claimed everything replies with
+        nothing stepped, and that reply is read later; a helper wakes for
+        each step in turn, and every ticket it claims is the current step's,
+        since no step writes tickets before the last one's are all stepped.
+        """
+        self.u[...] = u
+        self.w[...] = w_coeffs
+        for (_, sink), tickets in zip(self.claims, self.tickets):
+            os.write(sink, tickets)
+        for _, sink, _ in self.procs:
+            try:
+                sink.send_bytes(b"")
+            except BrokenPipeError:  # a dead helper; its reply pipe says how
+                pass
+        stepped, failed = self._step_claimed(0, u, w_coeffs, out)
+        left = self.n_tickets - len(stepped)
+        # block while helpers still step tickets, then read what is in
+        while ready := (
+            wait([reader for _, _, reader in self.procs])
+            if left
+            else [reader for _, _, reader in self.procs if reader.poll()]
+        ):
+            for proc in self.procs:
+                if proc[2] not in ready:
+                    continue
+                try:
+                    stepped, theirs = proc[2].recv()
+                except EOFError:
+                    raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}") from None
+                for lo, hi in stepped:
+                    out[lo:hi] = self.out[lo:hi]
+                failed += theirs
+                left -= len(stepped)
+        self.steps += 1
+        return sorted(failed, key=lambda f: f[2][0])
+
+    def _reap(self, proc: list) -> str:
+        pid = proc[0]
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        proc[0] = None
+        if code < 0:
+            how = f"was killed by {signal.Signals(-code).name}"
+        else:
+            how = f"exited with status {code}"
+        return f"path-block helper process {pid} {how}"
+
+    def close(self) -> None:
+        """End every helper and reap it: each reads end of file and exits."""
+        for _, sink, reader in self.procs:
+            sink.close()
+            reader.close()
+        for pid, _, _ in self.procs:
+            if pid is not None:
+                os.waitpid(pid, 0)
+        self.procs = []
+        for reader, sink in self.claims:
+            os.close(reader)
+            os.close(sink)
+
+
+# ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
 
@@ -401,6 +651,7 @@ class PathResult:
     step_times: np.ndarray     # full step grid
     l2_sq: np.ndarray          # per-step ||u||_0^2
     h1_sq: np.ndarray          # per-step ||u||_1^2
+    processes: int = 1         # the processes that stepped the run
 
 
 @dataclass
@@ -413,6 +664,7 @@ class EnsembleDiagnostics:
     l2_sq: np.ndarray     # (P, S)
     h1_sq: np.ndarray     # (P, S)
     observers: dict = field(default_factory=dict)
+    processes: int = 1    # the processes that stepped the ensemble
 
     @property
     def n_paths(self) -> int:
@@ -453,9 +705,11 @@ def _run_batch(
     """Advance all requested paths in lockstep; the workhorse of both runners.
 
     Increment draws are per-path and blocked, so results are independent of
-    the batch composition.  Returns per-step energies and, when
-    ``keep_states_for`` names a position in ``path_ids``, that path's saved
-    states.
+    the batch composition.  Helper processes, forked here and reaped on the
+    way out, step some of the path blocks; draws, norms and observers stay in
+    this process.  Returns per-step energies, when ``keep_states_for`` names
+    a position in ``path_ids`` that path's saved states, and the number of
+    processes that stepped.
     """
     config.validate()
     basis = config.basis
@@ -468,8 +722,8 @@ def _run_batch(
 
     l2 = np.empty((p, steps + 1))
     h1 = np.empty((p, steps + 1))
-    l2[:, 0] = batch_l2_sq(basis, u)
-    h1[:, 0] = batch_h1_sq(basis, u)
+    norms = Workspace()
+    l2[:, 0], h1[:, 0] = batch_norms_sq(basis, u, norms)
 
     saved = _saved_indices(steps, config.save_every)
     keep = keep_states_for is not None
@@ -477,44 +731,44 @@ def _run_batch(
     if keep and 0 in saved:
         states.append(SpectralField(basis, u[keep_states_for].copy()))
 
-    for obs in observers:
-        obs.start(0.0, u)
+    with helper_processes(kernel, p) as processes:
+        for obs in observers:
+            obs.start(0.0, u)
 
-    gens = [path_stream(config.seed, pid) for pid in path_ids]
-    k = noise.n_components
-    s = 0
-    while s < steps:
-        block = min(BLOCK_STEPS, steps - s)
-        draws = np.empty((p, block, k, 2))
-        for j, g in enumerate(gens):
-            draws[j] = g.standard_normal((block, k, 2))
-        draws *= np.sqrt(config.dt)
-        for b_i in range(block):
-            w = noise.increments_to_field(draws[:, b_i])
-            try:
-                u = kernel.step(u, w)
-            except MidpointConvergenceError as e:
-                raise MidpointConvergenceError(
-                    e.residual, e.iterations, s + b_i, [path_ids[i] for i in e.paths]
-                ) from None
-            t = (s + b_i + 1) * config.dt
-            l2[:, s + b_i + 1] = batch_l2_sq(basis, u)
-            h1[:, s + b_i + 1] = batch_h1_sq(basis, u)
-            for obs in observers:
-                obs.after_step(t, u)
-            if keep and (s + b_i + 1) in saved:
-                states.append(SpectralField(basis, u[keep_states_for].copy()))
-        s += block
+        gens = [path_stream(config.seed, pid) for pid in path_ids]
+        k = noise.n_components
+        s = 0
+        while s < steps:
+            block = min(BLOCK_STEPS, steps - s)
+            draws = np.empty((p, block, k, 2))
+            for j, g in enumerate(gens):
+                draws[j] = g.standard_normal((block, k, 2))
+            draws *= np.sqrt(config.dt)
+            for b_i in range(block):
+                w = noise.increments_to_field(draws[:, b_i])
+                try:
+                    u = kernel.step(u, w)
+                except MidpointConvergenceError as e:
+                    raise MidpointConvergenceError(
+                        e.residual, e.iterations, s + b_i, [path_ids[i] for i in e.paths]
+                    ) from None
+                t = (s + b_i + 1) * config.dt
+                l2[:, s + b_i + 1], h1[:, s + b_i + 1] = batch_norms_sq(basis, u, norms)
+                for obs in observers:
+                    obs.after_step(t, u)
+                if keep and (s + b_i + 1) in saved:
+                    states.append(SpectralField(basis, u[keep_states_for].copy()))
+            s += block
 
     times = np.arange(steps + 1) * config.dt
-    return times, l2, h1, saved, states
+    return times, l2, h1, saved, states, processes
 
 
 def run_path(
     config: SimConfig, path_id: int = 0, observers: Sequence[StepObserver] = ()
 ) -> PathResult:
     """Integrate a single path; deterministic given ``(seed, path_id)``."""
-    times, l2, h1, saved, states = _run_batch(
+    times, l2, h1, saved, states, processes = _run_batch(
         config, [path_id], observers, keep_states_for=0
     )
     return PathResult(
@@ -525,6 +779,7 @@ def run_path(
         step_times=times,
         l2_sq=l2[0],
         h1_sq=h1[0],
+        processes=processes,
     )
 
 
@@ -542,7 +797,7 @@ def run_ensemble(
         path_ids = list(range(config.paths))
     if len(path_ids) < 2:
         raise ConfigurationError("ensemble statistics need at least two paths")
-    times, l2, h1, _, _ = _run_batch(config, path_ids, observers)
+    times, l2, h1, _, _, processes = _run_batch(config, path_ids, observers)
     results = {}
     for obs in observers:
         name = getattr(obs, "name", obs.__class__.__name__)
@@ -555,4 +810,5 @@ def run_ensemble(
         l2_sq=l2,
         h1_sq=h1,
         observers=results,
+        processes=processes,
     )

@@ -9,6 +9,10 @@ from torusflow.basis import (
     BasisMode,
     ResolutionError,
     SpectralField,
+    Workspace,
+    batch_h1_sq,
+    batch_l2_sq,
+    batch_norms_sq,
     divergence_max,
     gather_coeffs,
     get_basis,
@@ -294,3 +298,16 @@ def test_h1_seminorm_equals_gradient_l2():
     assert f.h1_norm() ** 2 == pytest.approx(
         l2_inner(d1, d1) + l2_inner(d2, d2), rel=1e-12
     )
+
+
+def test_batch_norms_match_the_single_norms_bit_for_bit():
+    # the runners' norms, squared once into reused arrays, round as
+    # batch_l2_sq and batch_h1_sq do, also when the arrays are reused
+    work = Workspace()
+    for n, paths in ((1, 1), (3, 7), (8, 256), (3, 7)):
+        b = get_basis(n)
+        rng = np.random.default_rng(paths)
+        u = rng.standard_normal((paths, 2, b.n_modes)) * rng.uniform(0, 10, (paths, 2, b.n_modes))
+        l2, h1 = batch_norms_sq(b, u, work)
+        assert np.array_equal(l2, batch_l2_sq(b, u))
+        assert np.array_equal(h1, batch_h1_sq(b, u))

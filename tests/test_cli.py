@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -31,6 +32,7 @@ def test_run_writes_outputs_and_manifest(tmp_path):
         "discarded_trace": 0.0,
     }
     assert (m["m"], m["N"]) == (8, 13)
+    assert m["processes"] == 1
     assert set(m["libraries"]) == {"numpy", "scipy"}
 
 
@@ -106,6 +108,22 @@ def test_ensemble_csv_header(tmp_path):
     with open(out / "ensemble.csv") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == ENSEMBLE_CSV_COLUMNS
+
+
+def test_ensemble_manifest_records_processes(tmp_path, monkeypatch):
+    # 64 paths at n=8 are two path blocks: with two CPUs a helper process
+    # steps the second, and the output is the serial run's, byte for byte
+    csvs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        out = tmp_path / f"cpus{cpus}"
+        assert run_cli(
+            "ensemble", "--n", "8", "--dt", "1e-3", "--T", "3e-3", "--paths", "64",
+            "--scheme", "ito-em", "--out", str(out),
+        ) == 0
+        assert json.loads((out / "manifest.json").read_text())["processes"] == cpus
+        csvs.append((out / "ensemble.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_ensemble_under_field_noise_writes_nan_probe_columns(tmp_path):

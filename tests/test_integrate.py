@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -326,6 +330,164 @@ def test_midpoint_failure_collects_every_block(monkeypatch):
     assert exc.value.paths == tuple(failing)
     assert exc.value.residual == max(solo.values())
     assert exc.value.step_index == 0
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Make the runners see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the block, rather than hang, after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
+    # 10 paths in blocks of 4, 4 and 2, stepped by 1, 2 and 3 processes:
+    # every split of the blocks gives the serial run's bits
+    model = SI if noise == "space-independent" else NoiseModel.q_wiener(2, beta=4.0)
+    cfg = SimConfig(
+        n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5
+    )
+    _shrink_blocks(monkeypatch, cfg, 4)
+    runs = {}
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        runs[cpus] = run_ensemble(cfg)
+        assert runs[cpus].processes == cpus
+    for cpus in (2, 3):
+        assert np.array_equal(runs[cpus].l2_sq, runs[1].l2_sq)
+        assert np.array_equal(runs[cpus].h1_sq, runs[1].h1_sq)
+    _assert_no_child_left()
+
+
+class _RaiseAtStep:
+    def start(self, t, u):
+        self.steps = 0
+
+    def after_step(self, t, u):
+        self.steps += 1
+        if self.steps == 3:
+            raise RuntimeError("observer failed at step 3")
+
+
+@pytest.mark.parametrize("case", ["clean", "helper-midpoint-failure", "observer-raises"])
+def test_no_helper_outlives_its_ensemble(monkeypatch, tmp_path, case):
+    _use_cpus(monkeypatch, 2)
+    if case == "helper-midpoint-failure":
+        # the failing paths of test_midpoint_failure_collects_every_block lie
+        # in blocks 0 and 2 (rows 0-3 and 8-9); the helper owns blocks 1-2,
+        # and the caller dawdles on every block it claims, so it steals none
+        monkeypatch.setattr(integrate, "MIDPOINT_MAX_ITER", 20)
+        cfg = SimConfig(
+            n=3, dt=0.02, t_final=0.02, scheme="strat-midpoint",
+            noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=1,
+        )
+        _shrink_blocks(monkeypatch, cfg, 4)
+        caller, log, step_rows = os.getpid(), tmp_path / "blocks", StepKernel._step_rows
+
+        def logged_step_rows(self, u, w_coeffs, out, lo, hi):
+            if os.getpid() == caller:
+                time.sleep(0.3)
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {lo}\n")
+            return step_rows(self, u, w_coeffs, out, lo, hi)
+
+        monkeypatch.setattr(StepKernel, "_step_rows", logged_step_rows)
+        ids = [1, 0, 3, 2, 6, 9, 13, 17, 4, 5]
+        with pytest.raises(MidpointConvergenceError) as exc:
+            run_ensemble(cfg, path_ids=ids)
+        assert {ids.index(pid) // 4 for pid in exc.value.paths} == {0, 2}
+        stepped = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(lo) for _, lo in stepped) == [0, 4, 8]
+        assert [int(pid) != caller for pid, lo in stepped if lo == "8"] == [True]
+    else:
+        cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="strat-midpoint", paths=10, seed=5)
+        _shrink_blocks(monkeypatch, cfg, 4)
+        if case == "clean":
+            assert run_ensemble(cfg).processes == 2
+        else:
+            with pytest.raises(RuntimeError, match="observer failed at step 3"):
+                run_ensemble(cfg, observers=[_RaiseAtStep()])
+    _assert_no_child_left()
+
+
+def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
+    # an observer kills the helper after step 1; step 2 reports it, no hang
+    _use_cpus(monkeypatch, 2)
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    class KillHelper:
+        def start(self, t, u):
+            self.steps = 0
+
+        def after_step(self, t, u):
+            self.steps += 1
+            if self.steps == 2:
+                os.kill(forked[0], signal.SIGKILL)
+                time.sleep(0.5)  # for the kernel to close the dead helper's pipes
+
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    with _deadline(60), pytest.raises(integrate.HelperProcessError) as exc:
+        run_ensemble(cfg, observers=[KillHelper()])
+    assert str(exc.value) == (
+        f"path-block helper process {forked[0]} was killed by SIGKILL at step 2"
+    )
+    _assert_no_child_left()
+
+
+def test_forking_ensemble_warns_nothing(monkeypatch):
+    # Python >= 3.12 warns when a process with BLAS threads forks; the
+    # runner filters exactly that warning around its fork
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=2e-3, scheme="ito-em", paths=64, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_ensemble(cfg).processes == 2
+
+
+def test_threads_step_serially(monkeypatch):
+    # a forked child would get only the forking thread, so a process with
+    # threads running forks no helpers
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=2e-3, scheme="ito-em", paths=64, seed=2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert run_ensemble(cfg).processes == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
 
 
 def test_strong_accuracy_against_rotation_oracle():
