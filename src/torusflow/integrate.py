@@ -51,19 +51,23 @@ helper processes it forks once per ensemble (:func:`helper_processes`),
 range of blocks, the runner the first.  Each step the runner hands over the
 state and the increment field through one anonymous shared mapping; every
 process steps the blocks of its own range and then claims what is left of
-the others', so a process that the host slows down (steal time on a shared
-host) holds up the step by at most the blocks it is stepping.  A helper's
-midpoint failure comes back as ``(residual, iterations, rows)`` and merges
-with the runner's in row order.  Draws, norms and observers stay in the
-runner, and observers see the whole batch after each step.  One usable CPU,
-one block, or other threads running in the process give the serial loop,
-so ``taskset -c 0`` runs serially; the bits are the same either way.
+the others'.  Once a helper has held a block half as long again as the
+runner takes to step one, the runner steps it itself, so a helper that the
+host deschedules (steal time on a shared host) delays the step by about one
+block, not by as long as it is off its CPU.  A helper's midpoint failure
+comes back as ``(residual, iterations, rows)`` and merges with the runner's
+in row order.  Draws, norms and observers stay in the runner, and
+observers see the whole batch after each step.  One usable CPU, one block,
+or other threads running in the process give the serial loop, so
+``taskset -c 0`` runs serially; the bits are the same either way.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import pickle
+import selectors
 import signal
 import struct
 import threading
@@ -72,7 +76,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
-from multiprocessing.connection import Pipe, wait
+from time import perf_counter
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
@@ -449,50 +453,76 @@ def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
 #: each process's row range goes out as at most this many tickets, so a
 #: step's tickets fit in a pipe without a reader
 _MAX_TICKETS = 128
-#: a claim ticket: the rows ``lo:hi`` of one or more whole path blocks
-_TICKET = struct.Struct("<ii")
+#: a claim ticket: the rows ``lo:hi`` of one or more whole path blocks, whose
+#: inputs and outputs are in shared slot ``slot``
+_TICKET = struct.Struct("<iii")
+#: a helper's reply to one ticket: its slot, its first row, and the length of
+#: the pickled midpoint failures that follow (0 for none)
+_REPLY = struct.Struct("<iiI")
+#: a helper is late with a ticket once it has held it this many times as long
+#: as the runner's own last ticket took; the runner then steps it itself
+PATIENCE = 1.5
 
 
 class _Helpers:
     """Forked processes that step path blocks in lockstep with the caller.
 
     Every process, the caller first, owns a contiguous range of path blocks.
-    Each step the caller copies the state and the increment field into
-    arrays on one anonymous shared mapping, writes each process's range as
-    tickets to that process's claims pipe, and wakes every helper with a
-    write to its command pipe.  A process steps the tickets it claims from
-    its own pipe, then claims what is left in the others', so one that the
-    host slows down (steal time on a shared host) holds up the step by at
-    most the ticket it is stepping.  A helper then replies with the rows it
-    stepped, its outputs being in the shared arrays, and with its midpoint
-    failures.  A helper leaves only by ``os._exit``, once its command pipe
-    reaches end of file, so also when the caller dies.
+    Each step the caller copies the state and the increment field into one
+    of two slots of arrays on one anonymous shared mapping, the slots taking
+    turns, writes each process's range as tickets to that process's claims
+    pipe, and wakes every helper with a byte on its command pipe.  A process
+    steps the tickets it claims from its own pipe, then claims what is left
+    in the others'.  A helper replies after each ticket; its outputs are in
+    the slot's shared arrays, and it notes in them when it claimed each
+    ticket.  Once a helper has held a ticket ``PATIENCE`` times as long as
+    the caller's own last ticket took, the caller steps that ticket itself,
+    so a helper that the host deschedules (steal time on a shared host)
+    delays the step by about one ticket, not by as long as it is off its
+    CPU; whichever finishes first gives the rows, with the same bits.  The caller rewrites a slot only once every
+    ticket claimed from it has been replied to, and steps serially while
+    one is still out, so no helper's inputs change under it.  A helper
+    leaves only by ``os._exit``, once its command pipe reaches end of file,
+    so also when the caller dies.
     """
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
         self.kernel = kernel
         rows = kernel.block_paths
         blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
-        self.tickets = []
+        # each process's tickets as (lo, hi), its range cut into at most
+        # _MAX_TICKETS runs of whole blocks
+        owned = []
         for i in range(processes):
             own = blocks[len(blocks) * i // processes : len(blocks) * (i + 1) // processes]
             per = -(-len(own) // _MAX_TICKETS)
-            self.tickets.append(
-                b"".join(
-                    _TICKET.pack(own[j][0], own[min(j + per, len(own)) - 1][1])
-                    for j in range(0, len(own), per)
-                )
+            owned.append(
+                [(own[j][0], own[min(j + per, len(own)) - 1][1]) for j in range(0, len(own), per)]
             )
-        self.n_tickets = sum(len(t) for t in self.tickets) // _TICKET.size
+        self.ends = {lo: hi for own in owned for lo, hi in own}
+        self.index = {lo: i for i, lo in enumerate(self.ends)}
+        self.tickets = [
+            [b"".join(_TICKET.pack(slot, lo, hi) for lo, hi in own) for own in owned]
+            for slot in (0, 1)
+        ]
         self.steps = 0
+        #: the first rows of the tickets claimed from each slot by a helper
+        #: and not yet replied to
+        self.out_of_hand: list[set] = [set(), set()]
+        #: the caller's time for its last ticket, in seconds
+        self.ticket_s: float | None = None
         # [pid, command writer, reply reader]; pid is None once reaped
         self.procs: list[list] = []
-        state = (paths, 2, kernel.basis.n_modes)
-        shapes = (state, (paths, 2, kernel.noise.field_basis.n_modes), state)
+        self.replies: selectors.BaseSelector | None = None
+        state = (2, paths, 2, kernel.basis.n_modes)
+        noise = (2, paths, 2, kernel.noise.field_basis.n_modes)
+        shapes = (state, noise, state, (2, len(self.ends)))
         sizes = [8 * prod(s) for s in shapes]
         mem = mmap.mmap(-1, sum(sizes))
         offsets = np.cumsum([0] + sizes[:-1])
-        self.u, self.w, self.out = (
+        #: ``claimed[slot, index[lo]]``: when a helper claimed the ticket, by
+        #: ``perf_counter`` (one clock for every process), or 0
+        self.u, self.w, self.out, self.claimed = (
             np.frombuffer(mem, np.float64, prod(s), int(o)).reshape(s)
             for s, o in zip(shapes, offsets)
         )
@@ -502,106 +532,148 @@ class _Helpers:
         try:
             for me in range(1, processes):
                 self._fork(me)
+            self.replies = selectors.DefaultSelector()
+            for proc in self.procs:
+                self.replies.register(proc[2], selectors.EVENT_READ, proc)
         except BaseException:
             self.close()
             raise
 
-    def _step_claimed(self, me: int, u, w_coeffs, out) -> tuple[list, list]:
-        """Step the tickets left in process ``me``'s pipe, then in the others'.
-
-        Returns the row ranges stepped and their midpoint failures.
-        """
-        stepped, failed = [], []
+    def _claim(self, me: int) -> tuple[int, int, int] | None:
+        """The next ticket in process ``me``'s pipe, else in the others', else None."""
         for reader, _ in self.claims[me:] + self.claims[:me]:
-            while True:
-                try:
-                    ticket = os.read(reader, _TICKET.size)
-                except BlockingIOError:
-                    break
-                lo, hi = _TICKET.unpack(ticket)
-                failed += self.kernel._step_rows(u, w_coeffs, out, lo, hi)
-                stepped.append((lo, hi))
-        return stepped, failed
+            try:
+                return _TICKET.unpack(os.read(reader, _TICKET.size))
+            except BlockingIOError:
+                continue
+        return None
 
     def _fork(self, me: int) -> None:
-        commands, command_sink = Pipe(duplex=False)
-        replies, reply_sink = Pipe(duplex=False)
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork once BLAS has started its thread
-            # pool.  OpenBLAS quiesces that pool through pthread_atfork, and
-            # the child runs only the step kernel.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
+        commands, command_sink = os.pipe()
+        replies, reply_sink = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork once BLAS has started its
+                # thread pool.  OpenBLAS quiesces that pool through
+                # pthread_atfork, and the child runs only the step kernel.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+        except BaseException:
+            for fd in (commands, command_sink, replies, reply_sink):
+                os.close(fd)
+            raise
         if pid == 0:
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
                 for _, sink, reader in self.procs:
-                    sink.close()
-                    reader.close()
-                command_sink.close()
-                replies.close()
+                    os.close(sink)
+                    os.close(reader)
+                os.close(command_sink)
+                os.close(replies)
                 code = self._serve(me, commands, reply_sink)
             except Exception:
                 traceback.print_exc()
             finally:
                 os._exit(code)
-        commands.close()
-        reply_sink.close()
+        os.close(commands)
+        os.close(reply_sink)
         self.procs.append([pid, command_sink, replies])
 
-    def _serve(self, me: int, commands, replies) -> int:
-        while True:
-            try:
-                commands.recv_bytes()
-            except EOFError:
-                return 0
-            try:
-                replies.send(self._step_claimed(me, self.u, self.w, self.out))
-            except BrokenPipeError:  # the caller is closing
-                return 0
+    def _serve(self, me: int, commands: int, replies: int) -> int:
+        # one claim round serves every wake-up already sent; b"" is end of file
+        while os.read(commands, 64):
+            while (ticket := self._claim(me)) is not None:
+                slot, lo, hi = ticket
+                self.claimed[slot, self.index[lo]] = perf_counter()
+                failed = self.kernel._step_rows(
+                    self.u[slot], self.w[slot], self.out[slot], lo, hi
+                )
+                payload = pickle.dumps(failed) if failed else b""
+                message = memoryview(_REPLY.pack(slot, lo, len(payload)) + payload)
+                try:
+                    while message:
+                        message = message[os.write(replies, message) :]
+                except BrokenPipeError:  # the caller is closing
+                    return 0
+        return 0
 
     def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray) -> list:
-        """Step the whole batch into ``out``; the failures of every block in row order.
+        """Step the whole batch into ``out``; the failures of every block in row order."""
+        while ready := self.replies.select(0):
+            for key, _ in ready:
+                self._receive(key.data)
+        slot = self.steps % 2
+        if self.out_of_hand[slot]:
+            # a helper still steps a ticket of two steps ago from this slot
+            failed = self.kernel._step_rows(u, w_coeffs, out, 0, len(u))
+        else:
+            failed = self._share(slot, u, w_coeffs, out)
+        self.steps += 1
+        return failed
 
-        The caller waits only for tickets a helper has claimed.  A helper
-        that wakes after the caller has claimed everything replies with
-        nothing stepped, and that reply is read later; a helper wakes for
-        each step in turn, and every ticket it claims is the current step's,
-        since no step writes tickets before the last one's are all stepped.
-        """
-        self.u[...] = u
-        self.w[...] = w_coeffs
-        for (_, sink), tickets in zip(self.claims, self.tickets):
+    def _share(self, slot: int, u, w_coeffs, out) -> list:
+        self.u[slot] = u
+        self.w[slot] = w_coeffs
+        self.claimed[slot] = 0.0
+        for (_, sink), tickets in zip(self.claims, self.tickets[slot]):
             os.write(sink, tickets)
         for _, sink, _ in self.procs:
             try:
-                sink.send_bytes(b"")
+                os.write(sink, b"\0")
             except BrokenPipeError:  # a dead helper; its reply pipe says how
                 pass
-        stepped, failed = self._step_claimed(0, u, w_coeffs, out)
-        left = self.n_tickets - len(stepped)
-        # block while helpers still step tickets, then read what is in
-        while ready := (
-            wait([reader for _, _, reader in self.procs])
-            if left
-            else [reader for _, _, reader in self.procs if reader.poll()]
-        ):
-            for proc in self.procs:
-                if proc[2] not in ready:
-                    continue
-                try:
-                    stepped, theirs = proc[2].recv()
-                except EOFError:
-                    raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}") from None
-                for lo, hi in stepped:
-                    out[lo:hi] = self.out[lo:hi]
-                failed += theirs
-                left -= len(stepped)
-        self.steps += 1
-        return sorted(failed, key=lambda f: f[2][0])
+        done: dict[int, list] = {}
+        while (ticket := self._claim(0)) is not None:
+            _, lo, hi = ticket
+            done[lo] = self._step_own(u, w_coeffs, out, lo, hi)
+        self.out_of_hand[slot] = set(self.ends) - set(done)
+        waiting = perf_counter()
+        while len(done) < len(self.ends):
+            timeout = None
+            if self.ticket_s is not None:
+                # the ticket held longest; one whose claim time is not yet
+                # written counts from when the wait began
+                held = {
+                    lo: float(self.claimed[slot, self.index[lo]]) or waiting
+                    for lo in self.ends
+                    if lo not in done
+                }
+                lo = min(held, key=held.get)
+                timeout = max(0.0, held[lo] + PATIENCE * self.ticket_s - perf_counter())
+            ready = self.replies.select(timeout)
+            for key, _ in ready:
+                self._receive(key.data, slot, out, done)
+            if not ready:
+                # the helper is late with ticket lo: step it here as well
+                done[lo] = self._step_own(u, w_coeffs, out, lo, self.ends[lo])
+        return sorted((f for failed in done.values() for f in failed), key=lambda f: f[2][0])
+
+    def _step_own(self, u, w_coeffs, out, lo: int, hi: int) -> list:
+        start = perf_counter()
+        failed = self.kernel._step_rows(u, w_coeffs, out, lo, hi)
+        self.ticket_s = perf_counter() - start
+        return failed
+
+    def _receive(self, proc: list, slot: int = -1, out=None, done=None) -> None:
+        """Read one reply of ``proc``; take its rows if they are of this step's ``slot``."""
+        theirs, lo, size = _REPLY.unpack(self._read(proc, _REPLY.size))
+        failed = pickle.loads(self._read(proc, size)) if size else []
+        self.out_of_hand[theirs].discard(lo)
+        if theirs == slot and lo not in done:
+            out[lo : self.ends[lo]] = self.out[slot, lo : self.ends[lo]]
+            done[lo] = failed
+
+    def _read(self, proc: list, size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            chunk = os.read(proc[2], size - len(data))
+            if not chunk:
+                raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}")
+            data += chunk
+        return data
 
     def _reap(self, proc: list) -> str:
         pid = proc[0]
@@ -615,9 +687,11 @@ class _Helpers:
 
     def close(self) -> None:
         """End every helper and reap it: each reads end of file and exits."""
+        if self.replies is not None:
+            self.replies.close()
         for _, sink, reader in self.procs:
-            sink.close()
-            reader.close()
+            os.close(sink)
+            os.close(reader)
         for pid, _, _ in self.procs:
             if pid is not None:
                 os.waitpid(pid, 0)

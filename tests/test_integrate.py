@@ -464,6 +464,72 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
     _assert_no_child_left()
 
 
+def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
+    # the helper sleeps 2 s in the first block it claims, as if its CPU were
+    # taken away; the runner steps that block itself, steps serially while
+    # the sleeping block's inputs must stay, and ends all 5 steps long before
+    # the helper wakes, with the serial run's bits
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="strat-midpoint", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    _use_cpus(monkeypatch, 1)
+    serial = run_ensemble(cfg)
+    _use_cpus(monkeypatch, 2)
+    caller, step_rows, slept = os.getpid(), StepKernel._step_rows, []
+
+    def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
+        if os.getpid() != caller and not slept:
+            slept.append(lo)
+            time.sleep(2.0)
+        return step_rows(self, u, w_coeffs, out, lo, hi)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", sleepy_step_rows)
+
+    class Stamps:
+        def start(self, t, u):
+            self.times = [time.perf_counter()]
+
+        def after_step(self, t, u):
+            self.times.append(time.perf_counter())
+
+    stamps = Stamps()
+    with _deadline(60):
+        sharded = run_ensemble(cfg, observers=[stamps])
+    assert sharded.processes == 2
+    assert stamps.times[-1] - stamps.times[0] < 1.0
+    assert np.array_equal(sharded.l2_sq, serial.l2_sq)
+    assert np.array_equal(sharded.h1_sq, serial.h1_sq)
+    _assert_no_child_left()
+
+
+def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
+    # 3 processes on 5 blocks, the helpers sleeping at random in their
+    # blocks: duplicated blocks, serial steps and late replies to old slots
+    # all leave the serial run's bits
+    cfg = SimConfig(
+        n=3, dt=1e-3, t_final=0.04, scheme="strat-heun",
+        noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=7,
+    )
+    _shrink_blocks(monkeypatch, cfg, 2)
+    _use_cpus(monkeypatch, 1)
+    serial = run_ensemble(cfg)
+    _use_cpus(monkeypatch, 3)
+    caller, step_rows, rngs = os.getpid(), StepKernel._step_rows, {}
+
+    def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
+        if os.getpid() != caller:
+            rng = rngs.setdefault(os.getpid(), np.random.default_rng(os.getpid()))
+            time.sleep(rng.choice([0.0, 0.0, 0.002, 0.01]))
+        return step_rows(self, u, w_coeffs, out, lo, hi)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", sleepy_step_rows)
+    with _deadline(60):
+        sharded = run_ensemble(cfg)
+    assert sharded.processes == 3
+    assert np.array_equal(sharded.l2_sq, serial.l2_sq)
+    assert np.array_equal(sharded.h1_sq, serial.h1_sq)
+    _assert_no_child_left()
+
+
 def test_forking_ensemble_warns_nothing(monkeypatch):
     # Python >= 3.12 warns when a process with BLAS threads forks; the
     # runner filters exactly that warning around its fork
