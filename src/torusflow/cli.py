@@ -35,6 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .acceptance import CRITERIA, SUITES, run_suite
 from .basis import BasisMode, SpectralField
 from .diagnostics import (
     MartingaleProbe,
@@ -282,8 +283,6 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_suite
-
     results = run_suite(args.suite, quick=args.quick, seed=args.seed or 0)
     failed = 0
     for r in results:
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--suite",
         default="all",
-        help="all | energy | oracle | geometry | martingale | consistency | noise | a1a..a9",
+        help=" | ".join(("all", *SUITES, *(c.key for c in CRITERIA))),
     )
     p_ver.add_argument("--quick", action="store_true", help="reduced horizons/ensembles")
     p_ver.add_argument("--seed", type=int, help="seed for the statistical criteria")

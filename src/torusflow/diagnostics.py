@@ -237,10 +237,11 @@ def energy_report(source: PathResult | EnsembleDiagnostics) -> EnergyReport:
         times = source.times
         l2 = source.l2_sq
         h1 = source.h1_sq
-    rate = gronwall_rate(source.config.noise)
-    env = h1[:, 0].mean() * np.exp(rate * times)
     mean_l2, se_l2 = mean_se(l2)
     mean_h1, se_h1 = mean_se(h1)
+    # from mean_h1[0] itself: the column mean and h1[:, 0].mean() sum in
+    # different orders, and the envelope must start at the reported mean
+    env = mean_h1[0] * np.exp(gronwall_rate(source.config.noise) * times)
     ref = l2[:, :1]
     scale = np.where(ref > 0, ref, 1.0)
     drift = float(np.abs((l2 - ref) / scale).max()) if l2.size else 0.0

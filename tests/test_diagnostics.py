@@ -272,6 +272,23 @@ def test_energy_report_midpoint_conservation():
     assert rep.max_rel_l2_drift <= 1e-8
 
 
+def test_energy_report_envelope_starts_at_the_mean():
+    # A3's start at 256 paths: summed down the path axis, the shared initial
+    # enstrophy comes out 11 ulp above a plain mean of the first column
+    cfg = SimConfig(
+        n=8,
+        dt=1e-3,
+        t_final=2e-3,
+        scheme="ito-em",
+        noise=NoiseModel.q_wiener(8, beta=4.0),
+        paths=256,
+        initial="random:4",
+    )
+    rep = energy_report(run_ensemble(cfg))
+    assert rep.envelope_h1[0] == rep.mean_h1[0]
+    assert np.all(rep.envelope_h1[1:] > rep.envelope_h1[0])
+
+
 def test_gronwall_rate():
     assert gronwall_rate(SI) == 0.0
     q = NoiseModel.q_wiener(2, beta=4.0)
