@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -158,8 +159,11 @@ def get_basis(n: int) -> Basis:
 
 
 class Workspace:
-    """Arrays reused across calls: one slot per name, reallocated when its shape changes.
+    """Arrays reused across calls: one slot per name, grown when a call needs more.
 
+    A call gets a C-contiguous array of the shape it asks for, made of the
+    first elements of its slot, so a smaller shape (a partial path block, the
+    paths still active) reuses the slot and only a larger one reallocates it.
     A slot is overwritten by the next call that takes it, so nothing a caller
     keeps may be a slot or a view of one.
     """
@@ -168,10 +172,11 @@ class Workspace:
         self._slots: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = prod(shape)
         a = self._slots.get(name)
-        if a is None or a.shape != shape:
-            a = self._slots[name] = np.empty(shape)
-        return a
+        if a is None or a.size < size:
+            a = self._slots[name] = np.empty(size)
+        return a[:size].reshape(shape)
 
 
 #: stage arrays of the transforms called with ``out=``

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralField, gradient
+from .basis import SpectralField, Workspace, gradient
 from .dynamics import middle_slice
 from .integrate import EnsembleDiagnostics, PathResult, _saved_indices, mean_se
 from .noise import (
@@ -46,6 +46,12 @@ ENSEMBLE_CSV_COLUMNS = (
     "qv_gap",
     "se_qv",
 )
+
+
+#: the arrays of the probes' quadratic form, one set for every probe: the
+#: observers of a run take their turns, and a set per probe would hold ~1.6
+#: MB each at 256 paths
+_QUADRATIC_FORM = Workspace()
 
 
 class _ProbeContractions:
@@ -85,7 +91,18 @@ class _ProbeContractions:
         """
         flat = u.reshape(u.shape[:-2] + (-1,))
         pairs = flat @ self.w
-        b_quad = (flat[..., self.q_i] * flat[..., self.q_j]) @ self.q_v
+        # the quadratic form gathers rows of a transposed copy into arrays
+        # kept for the next call; the product is the transpose of the
+        # F-ordered one that flat[..., q_i] * flat[..., q_j] makes, so the
+        # gemv with q_v rounds as it did on that
+        rows = flat.reshape(-1, flat.shape[-1])
+        cols = _QUADRATIC_FORM.take("cols", rows.shape[::-1])
+        cols[...] = rows.T
+        shape = (len(self.q_v), len(rows))
+        left, right = (_QUADRATIC_FORM.take(name, shape) for name in ("left", "right"))
+        np.take(cols, self.q_i, axis=0, out=left, mode="clip")
+        np.take(cols, self.q_j, axis=0, out=right, mode="clip")
+        b_quad = (np.multiply(left, right, out=left).T @ self.q_v).reshape(flat.shape[:-1])
         t1, t2 = pairs[..., 2], pairs[..., 3]
         # a probe keeps uv for every step: a copy, not a view that would keep
         # all four columns alive

@@ -56,10 +56,21 @@ runner takes to step one, the runner steps it itself, so a helper that the
 host deschedules (steal time on a shared host) delays the step by about one
 block, not by as long as it is off its CPU.  A helper's midpoint failure
 comes back as ``(residual, iterations, rows)`` and merges with the runner's
-in row order.  Draws, norms and observers stay in the runner, and
-observers see the whole batch after each step.  One usable CPU, one block,
-or other threads running in the process give the serial loop, so
-``taskset -c 0`` runs serially; the bits are the same either way.
+in row order.  One usable CPU, one block, or other threads running in the
+process give the serial loop, so ``taskset -c 0`` runs serially; the bits
+are the same either way.
+
+Draws, norms and observers stay in the runner, and run while the helpers
+step: once it has woken them for step ``k + 1``, and before it claims a
+block, the runner takes the norms of the state after step ``k``, passes it
+to the observers (read-only, since its own blocks of step ``k + 1`` still
+read it), keeps it if it is saved, and folds the increment field of step
+``k + 2``, drawing the next ``BLOCK_STEPS`` block first when one is due.
+Every operation is the serial loop's, on the same arrays and in the same
+per-path draw order; only when it runs changes.  Observers see every state
+once, in step order, and a midpoint failure in a step is raised after they
+have seen the state it started from.  Serially the same work runs just
+before each step.
 """
 
 from __future__ import annotations
@@ -77,7 +88,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
 from time import perf_counter
-from typing import Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -246,6 +257,10 @@ def _parse_wavevector(s: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _nothing() -> None:
+    pass
+
+
 class StepKernel:
     """Batched single-step integrator bound to one (basis, noise, scheme)."""
 
@@ -296,7 +311,9 @@ class StepKernel:
 
     # -- schemes -------------------------------------------------------------
 
-    def step(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
+    def step(
+        self, u: np.ndarray, w_coeffs: np.ndarray, meanwhile: Callable[[], object] = _nothing
+    ) -> np.ndarray:
         """Advance batched coefficients ``(..., 2, N)`` by one step.
 
         ``w_coeffs`` is the assembled Wiener-increment field over the noise
@@ -304,16 +321,21 @@ class StepKernel:
         in contiguous blocks of ``block_paths`` paths, shared with
         ``self.helpers`` when there are any; every operation acts on each path
         alone, so the result does not depend on the blocks or on the process
-        that steps them.  A midpoint failure is raised once every block has
-        run, with the largest residual and the unconverged rows of all blocks.
+        that steps them.  ``meanwhile()`` is called once, while the helpers
+        step their blocks and before this process steps its first, or before
+        the step when it runs serially; it must not write ``u`` or
+        ``w_coeffs``.  A midpoint failure is raised once every block has run,
+        with the largest residual and the unconverged rows of all blocks.
         """
         if u.ndim != 3 or len(u) <= self.block_paths:
+            meanwhile()
             return self._step_block(u, w_coeffs)
         out = np.empty_like(u)
         if self.helpers is None:
+            meanwhile()
             failed = self._step_rows(u, w_coeffs, out, 0, len(u))
         else:
-            failed = self.helpers.step(u, w_coeffs, out)
+            failed = self.helpers.step(u, w_coeffs, out, meanwhile)
         if failed:
             raise MidpointConvergenceError(
                 float(np.max([residual for residual, _, _ in failed])),
@@ -479,11 +501,13 @@ class _Helpers:
     the caller's own last ticket took, the caller steps that ticket itself,
     so a helper that the host deschedules (steal time on a shared host)
     delays the step by about one ticket, not by as long as it is off its
-    CPU; whichever finishes first gives the rows, with the same bits.  The caller rewrites a slot only once every
-    ticket claimed from it has been replied to, and steps serially while
-    one is still out, so no helper's inputs change under it.  A helper
-    leaves only by ``os._exit``, once its command pipe reaches end of file,
-    so also when the caller dies.
+    CPU; whichever finishes first gives the rows, with the same bits.  The
+    caller rewrites a slot only once every ticket claimed from it has been
+    replied to, and steps serially while one is still out, so no helper's
+    inputs change under it.  Between the wake-up and its first claim the
+    caller runs the step's ``meanwhile``.  A helper leaves only by
+    ``os._exit``, once its command pipe reaches end of file, so also when
+    the caller dies.
     """
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
@@ -600,21 +624,26 @@ class _Helpers:
                     return 0
         return 0
 
-    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray) -> list:
-        """Step the whole batch into ``out``; the failures of every block in row order."""
+    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile) -> list:
+        """Step the whole batch into ``out``; the failures of every block in row order.
+
+        ``meanwhile()`` runs once the helpers are woken, before this process
+        claims a ticket, or before a serial step.
+        """
         while ready := self.replies.select(0):
             for key, _ in ready:
                 self._receive(key.data)
         slot = self.steps % 2
         if self.out_of_hand[slot]:
             # a helper still steps a ticket of two steps ago from this slot
+            meanwhile()
             failed = self.kernel._step_rows(u, w_coeffs, out, 0, len(u))
         else:
-            failed = self._share(slot, u, w_coeffs, out)
+            failed = self._share(slot, u, w_coeffs, out, meanwhile)
         self.steps += 1
         return failed
 
-    def _share(self, slot: int, u, w_coeffs, out) -> list:
+    def _share(self, slot: int, u, w_coeffs, out, meanwhile) -> list:
         self.u[slot] = u
         self.w[slot] = w_coeffs
         self.claimed[slot] = 0.0
@@ -625,6 +654,7 @@ class _Helpers:
                 os.write(sink, b"\0")
             except BrokenPipeError:  # a dead helper; its reply pipe says how
                 pass
+        meanwhile()
         done: dict[int, list] = {}
         while (ticket := self._claim(0)) is not None:
             _, lo, hi = ticket
@@ -707,11 +737,25 @@ class _Helpers:
 
 
 class StepObserver(Protocol):
-    """Hooks receiving the batched state at t = 0 and after every step."""
+    """Hooks receiving the batched state at t = 0 and after every step.
+
+    ``after_step`` sees every state once, in step order, but runs while the
+    next step is under way, and that step still reads ``u``: both hooks get a
+    read-only view, so an observer that writes to it raises ``ValueError``
+    rather than change the rows that this process steps and not the helpers'.
+    A step's midpoint failure is raised after ``after_step`` has seen the
+    state that the step started from.
+    """
 
     def start(self, t: float, u: np.ndarray) -> None: ...
 
     def after_step(self, t: float, u: np.ndarray) -> None: ...
+
+
+def _read_only(u: np.ndarray) -> np.ndarray:
+    view = u.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -781,9 +825,11 @@ def _run_batch(
     Increment draws are per-path and blocked, so results are independent of
     the batch composition.  Helper processes, forked here and reaped on the
     way out, step some of the path blocks; draws, norms and observers stay in
-    this process.  Returns per-step energies, when ``keep_states_for`` names
-    a position in ``path_ids`` that path's saved states, and the number of
-    processes that stepped.
+    this process, in two stages (module docstring): while step ``s`` runs,
+    ``meanwhile`` observes the state it started from and folds the field of
+    step ``s + 1``.  Returns per-step energies, when ``keep_states_for``
+    names a position in ``path_ids`` that path's saved states, and the
+    number of processes that stepped.
     """
     config.validate()
     basis = config.basis
@@ -805,34 +851,49 @@ def _run_batch(
     if keep and 0 in saved:
         states.append(SpectralField(basis, u[keep_states_for].copy()))
 
+    gens = [path_stream(config.seed, pid) for pid in path_ids]
+    draws = np.empty(0)
+
+    def field(i: int) -> np.ndarray:
+        """The increment field of step ``i``, drawing the block it opens."""
+        nonlocal draws
+        if i % BLOCK_STEPS == 0:
+            draws = np.empty((p, min(BLOCK_STEPS, steps - i), noise.n_components, 2))
+            for j, g in enumerate(gens):
+                draws[j] = g.standard_normal(draws.shape[1:])
+            draws *= np.sqrt(config.dt)
+        return noise.increments_to_field(draws[:, i % BLOCK_STEPS])
+
+    def observe(i: int, u: np.ndarray) -> None:
+        """The norms of the state after ``i`` steps, its observers, and its save."""
+        l2[:, i], h1[:, i] = batch_norms_sq(basis, u, norms)
+        view = _read_only(u)
+        for obs in observers:
+            obs.after_step(i * config.dt, view)
+        if keep and i in saved:
+            states.append(SpectralField(basis, u[keep_states_for].copy()))
+
+    def meanwhile() -> None:
+        # while step s runs: observe the state it starts from (start() saw
+        # state 0) and fold the field of step s + 1
+        nonlocal w
+        if s:
+            observe(s, u)
+        if s + 1 < steps:
+            w = field(s + 1)
+
     with helper_processes(kernel, p) as processes:
         for obs in observers:
-            obs.start(0.0, u)
-
-        gens = [path_stream(config.seed, pid) for pid in path_ids]
-        k = noise.n_components
-        s = 0
-        while s < steps:
-            block = min(BLOCK_STEPS, steps - s)
-            draws = np.empty((p, block, k, 2))
-            for j, g in enumerate(gens):
-                draws[j] = g.standard_normal((block, k, 2))
-            draws *= np.sqrt(config.dt)
-            for b_i in range(block):
-                w = noise.increments_to_field(draws[:, b_i])
-                try:
-                    u = kernel.step(u, w)
-                except MidpointConvergenceError as e:
-                    raise MidpointConvergenceError(
-                        e.residual, e.iterations, s + b_i, [path_ids[i] for i in e.paths]
-                    ) from None
-                t = (s + b_i + 1) * config.dt
-                l2[:, s + b_i + 1], h1[:, s + b_i + 1] = batch_norms_sq(basis, u, norms)
-                for obs in observers:
-                    obs.after_step(t, u)
-                if keep and (s + b_i + 1) in saved:
-                    states.append(SpectralField(basis, u[keep_states_for].copy()))
-            s += block
+            obs.start(0.0, _read_only(u))
+        w = field(0)
+        for s in range(steps):
+            try:
+                u = kernel.step(u, w, meanwhile)
+            except MidpointConvergenceError as e:
+                raise MidpointConvergenceError(
+                    e.residual, e.iterations, s, [path_ids[i] for i in e.paths]
+                ) from None
+        observe(steps, u)
 
     times = np.arange(steps + 1) * config.dt
     return times, l2, h1, saved, states, processes

@@ -311,3 +311,16 @@ def test_batch_norms_match_the_single_norms_bit_for_bit():
         l2, h1 = batch_norms_sq(b, u, work)
         assert np.array_equal(l2, batch_l2_sq(b, u))
         assert np.array_equal(h1, batch_h1_sq(b, u))
+
+
+def test_workspace_takes_smaller_shapes_from_the_slot():
+    # a smaller shape is a contiguous view of the slot's first elements; a
+    # larger one reallocates the slot
+    work = Workspace()
+    full = work.take("a", (21, 3, 4))
+    part = work.take("a", (4, 5))
+    assert part.shape == (4, 5) and part.flags.c_contiguous
+    assert part.ctypes.data == full.ctypes.data
+    assert work.take("a", (21, 3, 4)).ctypes.data == full.ctypes.data
+    assert not np.shares_memory(work.take("a", (22, 3, 4)), full)
+    assert not np.shares_memory(work.take("b", (4, 5)), full)

@@ -67,6 +67,24 @@ def test_probe_pairings_match_their_first_form(v):
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("paths", [1, 32, 256])
+@pytest.mark.parametrize(
+    "mode", [BasisMode("c", (1, 0)), BasisMode("s", (0, 1)), BasisMode("c", (1, 1))], ids=str
+)
+def test_probe_quadratic_form_keeps_its_bits(mode, paths):
+    # the em-probes workload's probes: the quadratic form gathered into the
+    # probe's arrays gives the bits of the product it replaced, also when a
+    # larger batch came first and the arrays are views of larger ones
+    rng = np.random.default_rng(paths)
+    b = get_basis(8)
+    pc = MartingaleProbe(SpectralField.from_modes(b, [(mode, 1.0)]))._pc
+    pc.pairings(rng.standard_normal((300, 2, b.n_modes)))
+    u = np.stack([random_field(b, rng, include_mean=True).coeffs for _ in range(paths)])
+    flat = u.reshape(paths, -1)
+    want = -0.5 * (flat @ pc.w)[:, 1] + (flat[..., pc.q_i] * flat[..., pc.q_j]) @ pc.q_v
+    assert np.array_equal(pc.pairings(u)[1], want)
+
+
 def _exact_decay_path(dt: float, t_final: float) -> PathResult:
     """Exactly sampled viscous decay of one mode: u(t) = exp(-t/2) c(1,0)."""
     b = get_basis(1)

@@ -1,11 +1,16 @@
 import contextlib
+import fcntl
 import hashlib
+import inspect
 import os
 import signal
+import struct
 import subprocess
 import sys
+import termios
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,8 +18,18 @@ import numpy as np
 import pytest
 
 import oracles
+from torusflow import basis as basis_module
 from torusflow import integrate
-from torusflow.basis import BasisMode, SpectralField, get_basis, random_field
+from torusflow.basis import (
+    BasisMode,
+    SpectralField,
+    Workspace,
+    batch_h1_sq,
+    batch_l2_sq,
+    get_basis,
+    random_field,
+)
+from torusflow.diagnostics import MartingaleProbe
 from torusflow.noise import (
     ConfigurationError,
     NoiseModel,
@@ -358,25 +373,148 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _probes(basis):
+    """The three martingale probes of the em-probes benchmark workload."""
+    return [
+        MartingaleProbe(SpectralField.from_modes(basis, [(BasisMode(kind, k), 1.0)]), name)
+        for kind, k, name in (("c", (1, 0), "v1"), ("s", (0, 1), "v2"), ("c", (1, 1), "v3"))
+    ]
+
+
+def _lockstep_run(cfg, observers):
+    """Energies of an ensemble stepped by the plain loop: draw, fold, step, observe."""
+    kernel = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt)
+    u = np.broadcast_to(cfg.initial_field().coeffs, (cfg.paths, 2, cfg.basis.n_modes)).copy()
+    norms = [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
+    for obs in observers:
+        obs.start(0.0, u)
+    gens = [path_stream(cfg.seed, pid) for pid in range(cfg.paths)]
+    shape = (cfg.noise.n_components, 2)
+    for s in range(cfg.n_steps):
+        if s % integrate.BLOCK_STEPS == 0:
+            block = min(integrate.BLOCK_STEPS, cfg.n_steps - s)
+            draws = np.stack([g.standard_normal((block,) + shape) for g in gens])
+            draws *= np.sqrt(cfg.dt)
+        u = kernel.step(u, cfg.noise.increments_to_field(draws[:, s % integrate.BLOCK_STEPS]))
+        norms += [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
+        for obs in observers:
+            obs.after_step((s + 1) * cfg.dt, u)
+    return np.stack(norms[::2], axis=1), np.stack(norms[1::2], axis=1)
+
+
+def _series(probe):
+    r = probe.result()
+    return [r.times, r.uv, r.phi, r.L, r.mart, r.qv]
+
+
 @pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
-    # 10 paths in blocks of 4, 4 and 2, stepped by 1, 2 and 3 processes:
-    # every split of the blocks gives the serial run's bits
+    # 10 paths in blocks of 4, 4 and 2, stepped by 1, 2 and 3 processes,
+    # each observing step k while step k + 1 runs: every split of the blocks
+    # gives the bits of the plain loop that observes between steps, in the
+    # energies and the probe series, and one path's saved states are the
+    # same at every CPU count
     model = SI if noise == "space-independent" else NoiseModel.q_wiener(2, beta=4.0)
     cfg = SimConfig(
-        n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5
+        n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5, save_every=2
     )
     _shrink_blocks(monkeypatch, cfg, 4)
-    runs = {}
+    probes = _probes(cfg.basis)
+    l2, h1 = _lockstep_run(cfg, probes)
+    want = [_series(p) for p in probes]
     for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
-        runs[cpus] = run_ensemble(cfg)
-        assert runs[cpus].processes == cpus
-    for cpus in (2, 3):
-        assert np.array_equal(runs[cpus].l2_sq, runs[1].l2_sq)
-        assert np.array_equal(runs[cpus].h1_sq, runs[1].h1_sq)
+        probes = _probes(cfg.basis)
+        ens = run_ensemble(cfg, observers=probes)
+        assert ens.processes == cpus
+        assert np.array_equal(ens.l2_sq, l2)
+        assert np.array_equal(ens.h1_sq, h1)
+        for got, series in zip(probes, want):
+            assert all(np.array_equal(a, b) for a, b in zip(_series(got), series))
+        path = run_path(cfg, 7)
+        assert np.array_equal(path.l2_sq, l2[7]) and np.array_equal(path.h1_sq, h1[7])
+        if cpus == 1:
+            states = [s.coeffs for s in path.states]
+            assert len(states) == 4
+        assert all(np.array_equal(s.coeffs, c) for s, c in zip(path.states, states))
     _assert_no_child_left()
+
+
+class _Times:
+    def start(self, t, u):
+        self.times = []
+
+    def after_step(self, t, u):
+        self.times.append(t)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_midpoint_failure_follows_the_states_before_it(monkeypatch, cpus):
+    # path 5 (rows 4-7, the helper's block at 2 CPUs) fails in the third
+    # step, step 2; the observers have seen the states after steps 0 and 1,
+    # as in the plain loop, although a state is observed while the next
+    # step runs; run_path observes the same
+    cfg = SimConfig(
+        n=3, dt=0.02, t_final=0.2, scheme="strat-midpoint",
+        noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=1,
+    )
+    _shrink_blocks(monkeypatch, cfg, 4)
+    _use_cpus(monkeypatch, cpus)
+    for run in (run_ensemble, lambda cfg, observers: run_path(cfg, 5, observers)):
+        seen = _Times()
+        with pytest.raises(MidpointConvergenceError) as exc:
+            run(cfg, observers=[seen])
+        assert exc.value.step_index == 2 and exc.value.paths == (5,)
+        assert seen.times == [1 * cfg.dt, 2 * cfg.dt]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("hook", ["start", "after_step"])
+def test_observer_that_writes_the_state_raises(monkeypatch, hook):
+    # an observer runs while this process's own blocks of the next step
+    # still read the state, so it gets a read-only view
+    class Writer:
+        def start(self, t, u):
+            if hook == "start":
+                u[0, 0, 0] = 1.0
+
+        def after_step(self, t, u):
+            u[0, 0, 0] = 1.0
+
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        run_ensemble(cfg, observers=[Writer()])
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_warm_partial_block_allocates_no_stage_array(scheme):
+    # 64 paths at qwiener:8 are blocks of 21, 21, 21 and 1: once warm, the
+    # last block's stage arrays are views of the full blocks' arrays, so a
+    # step takes none from the allocator; each one a step took would stay
+    # alive in its Workspace slot after the step
+    noise = NoiseModel.q_wiener(8)
+    cfg, u, w = _desk_batch(noise, paths=64)
+    kernel = StepKernel(cfg.basis, noise, scheme, cfg.dt)
+    assert kernel.block_paths == 21
+    kernel.step(u, w)
+    tracemalloc.start()
+    try:
+        kernel.step(u, w)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    lines, first = inspect.getsourcelines(Workspace.take)
+    taken = [
+        stat
+        for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename == basis_module.__file__
+        and first <= stat.traceback[0].lineno < first + len(lines)
+    ]
+    assert taken == []
 
 
 class _RaiseAtStep:
@@ -431,18 +569,21 @@ def test_no_helper_outlives_its_ensemble(monkeypatch, tmp_path, case):
 
 
 def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
-    # an observer kills the helper after step 1; step 2 reports it, no hang
+    # the observer of the state after step 0 runs while step 1 is under way
+    # and before this process claims a ticket, so the helper steps all 3
+    # tickets of step 1; once it has replied to each, the observer kills it
+    # and waits until it has exited.  Step 1 ends on those replies, and
+    # step 2 finds the helper's pipe at end of file before it hands out a
+    # ticket: it reports it, no hang
     _use_cpus(monkeypatch, 2)
-    forked = []
-    fork = os.fork
+    helpers = []
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
+    class Recorded(integrate._Helpers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            helpers.append(self)
 
-    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(integrate, "_Helpers", Recorded)
 
     class KillHelper:
         def start(self, t, u):
@@ -450,18 +591,28 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
 
         def after_step(self, t, u):
             self.steps += 1
-            if self.steps == 2:
-                os.kill(forked[0], signal.SIGKILL)
-                time.sleep(0.5)  # for the kernel to close the dead helper's pipes
+            if self.steps == 1:
+                [(self.pid, _, replies)] = helpers[0].procs
+                while _unread_bytes(replies) < 3 * integrate._REPLY.size:
+                    time.sleep(0.001)
+                os.kill(self.pid, signal.SIGKILL)
+                # exited, and left for the runner to reap
+                os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
 
     cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
+    killer = KillHelper()
     with _deadline(60), pytest.raises(integrate.HelperProcessError) as exc:
-        run_ensemble(cfg, observers=[KillHelper()])
+        run_ensemble(cfg, observers=[killer])
     assert str(exc.value) == (
-        f"path-block helper process {forked[0]} was killed by SIGKILL at step 2"
+        f"path-block helper process {killer.pid} was killed by SIGKILL at step 2"
     )
     _assert_no_child_left()
+
+
+def _unread_bytes(fd):
+    """The bytes waiting in pipe ``fd``."""
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
 
 
 def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
