@@ -3,13 +3,25 @@ run end to end at desk scale with pinned tolerances.
 
 A criterion is declared once, as a row of :data:`CRITERIA`: its key
 (``a1a`` .. ``a9``), its display name (whose first word is the key), its
-suite and its check.  A check takes the :class:`RunContext` of one
-:func:`run_suite` call and returns ``(passed, measured, bound)``;
-``run_suite`` times it and builds the :class:`CriterionResult`.  The CLI
-``verify`` command and the acceptance test module both drive ``run_suite``.
-The statistical criteria run at a fixed seed, so a given build either passes
-or fails reproducibly; tolerances follow the "3 standard errors plus stated
-discretization allowance" pattern throughout.
+suite and its check.  A check takes the :class:`RunContext` of its job and
+returns ``(passed, measured, bound)``; ``run_suite`` times it and builds the
+:class:`CriterionResult`.  The CLI ``verify`` command and the acceptance
+test module both drive ``run_suite``.  The statistical criteria run at a
+fixed seed, so a given build either passes or fails reproducibly; tolerances
+follow the "3 standard errors plus stated discretization allowance" pattern
+throughout.
+
+``run_suite`` runs the picked criteria as jobs, one criterion each except
+that A6 joins A2's job, because it reads A2's ensemble.  On a host with more
+than one usable CPU the jobs run side by side in lanes: the caller and
+forked processes, one per CPU, each pinned to its CPU, so that the
+ensembles inside a lane step serially.  Each lane starts with its own job
+of :data:`CLAIM_ORDER`; the caller's is A3, the job with the largest working
+set, so that its peak memory is the same on every run.  Every check
+computes the same in any lane; the results come back in table order and
+record which lane ran them (``CriterionResult.process``, 0 for the
+caller).  ``taskset -c 0`` runs
+every criterion in the one process, one after another.
 
 Per-criterion configurations (all with beta = 4 where noise is
 space-dependent):
@@ -49,7 +61,14 @@ space-dependent):
 
 from __future__ import annotations
 
+import os
+import pickle
+import selectors
+import signal
+import struct
+import threading
 import time
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,12 +95,18 @@ from .dynamics import (
 from .geometry import build_structure_tables, christoffel_contract, geodesic_drift
 from .integrate import (
     EnsembleDiagnostics,
+    HelperProcessError,
     SimConfig,
     StepKernel,
     _saved_indices,
+    fork_child,
     helper_processes,
     mean_se,
+    read_upto,
+    reap_child,
     run_ensemble,
+    usable_cpus,
+    write_all,
 )
 from .noise import NoiseModel, normalizer_cw, normalizer_cw_prime, path_stream, q_trace
 
@@ -93,6 +118,8 @@ class CriterionResult:
     measured: str
     bound: str
     seconds: float
+    #: the lane that ran the check: 0 for the caller of :func:`run_suite`
+    process: int = 0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -116,10 +143,10 @@ class Scale:
 
 
 class RunContext:
-    """What the criteria of one :func:`run_suite` call share.
+    """What the criteria of one job of :func:`run_suite` share.
 
     ``a2_ensemble`` is built on first use, by A2 or by A6 alone, and goes
-    with the context when the call returns.
+    with the context when the job ends.
     """
 
     def __init__(self, quick: bool, seed: int):
@@ -554,22 +581,200 @@ SUITES = {
 }
 
 
+#: a criterion that reads another's :class:`RunContext` state runs in that
+#: one's job when both are picked: A6 reads A2's ensemble
+JOINS = {"a6": "a2"}
+
+#: every key, in the order in which lanes take up the jobs they lead: lane i
+#: starts with job i, and the lanes claim the rest in order.  The caller is
+#: lane 0 and starts with A3, whose ensemble has the battery's largest working
+#: set, so the caller's peak memory does not depend on which jobs it claims
+#: later.  The rest go longest first at full scale, so that no long job
+#: starts last.
+CLAIM_ORDER = ("a3", "a1a", "a1b", "a2", "a6", "a9", "a7", "a4", "a5", "a8")
+
+
 def run_suite(
     suite: str = "all", quick: bool = False, seed: int = 0
 ) -> list[CriterionResult]:
-    """Run everything, one suite or one criterion by key, in table order.
+    """Run everything, one suite or one criterion by key; the results in table order.
 
-    The criteria of one call share one :class:`RunContext`, and nothing of
-    it outlives the call.
+    The picked criteria run in jobs, one criterion each except that a
+    criterion joins the job of the one it reads (:data:`JOINS`).  Each job
+    has its own :class:`RunContext`, and nothing of it outlives the job.
+    With more than one job and more than one usable CPU, the jobs run in
+    lanes (:func:`_run_in_lanes`): this process and forked ones, one per
+    usable CPU, each pinned to its CPU, taking up jobs in
+    :data:`CLAIM_ORDER`.  One usable CPU, one job, or other
+    threads running in this process give the serial loop, so
+    ``taskset -c 0`` runs serially.  Each check computes the same either
+    way; only the lane in ``CriterionResult.process`` and the timings differ.
     """
     picked = [c for c in CRITERIA if suite in ("all", c.suite, c.key)]
     if not picked:
         choices = ("all",) + tuple(SUITES) + tuple(c.key for c in CRITERIA)
         raise ValueError(f"unknown suite {suite!r}; choose from {choices}")
+    keys = {c.key for c in picked}
+    jobs: dict[str, list[Criterion]] = {}
+    for c in picked:
+        lead = JOINS.get(c.key)
+        jobs.setdefault(lead if lead in keys else c.key, []).append(c)
+    cpus = usable_cpus()[: len(jobs)]
+    if len(cpus) < 2 or threading.active_count() != 1:
+        results = [r for job in jobs.values() for r in _run_job(job, quick, seed, 0)]
+    else:
+        claimed = sorted(jobs, key=CLAIM_ORDER.index)
+        results = _run_in_lanes([jobs[k] for k in claimed], quick, seed, cpus)
+    order = [c.name for c in CRITERIA]
+    return sorted(results, key=lambda r: order.index(r.name))
+
+
+def _run_job(job: list[Criterion], quick: bool, seed: int, process: int) -> list[CriterionResult]:
     run = RunContext(quick, seed)
     out = []
-    for c in picked:
+    for c in job:
         t0 = time.perf_counter()
         passed, measured, bound = c.check(run)
-        out.append(CriterionResult(c.name, passed, measured, bound, time.perf_counter() - t0))
+        seconds = time.perf_counter() - t0
+        out.append(CriterionResult(c.name, passed, measured, bound, seconds, process))
     return out
+
+
+# ---------------------------------------------------------------------------
+# lanes
+# ---------------------------------------------------------------------------
+
+
+#: a lane's message to the caller: a job's index and the length of the pickle
+#: that follows, 0 when the lane has just claimed the job
+_MESSAGE = struct.Struct("<iI")
+
+
+class LaneTraceback(Exception):
+    """The traceback of a check that raised in a forked lane; the cause of
+    the exception that the caller re-raises."""
+
+
+@dataclass
+class _Lane:
+    """A forked lane, as the caller sees it."""
+
+    index: int
+    pid: int | None  # None once reaped
+    running: int | None = None  # the job it has claimed and not sent back
+
+
+def _run_in_lanes(
+    jobs: list[list[Criterion]], quick: bool, seed: int, cpus: list[int]
+) -> list[CriterionResult]:
+    """Run ``jobs`` in one lane per CPU of ``cpus``; their results, in no set order.
+
+    The caller is lane 0 and forks the others.  Every lane is pinned to its
+    CPU, so the ensembles of its checks see one usable CPU and step
+    serially.  Lane i runs job i, then claims whole jobs in order from one
+    pipe until it is empty.  A forked lane tells the caller when it takes
+    up a job, and sends back the job's results or what it raised.  The
+    caller takes its own jobs' results directly and reads its lanes'
+    between jobs and once it has run out.  A check that raises in a forked
+    lane is re-raised here, its traceback as a :class:`LaneTraceback`
+    naming the criteria; a lane
+    that ends otherwise than by running out of jobs is a
+    :class:`HelperProcessError` naming the criteria it was running.  On the
+    way out the caller kills its lanes if it raises, reaps every lane, and
+    gets back its own CPU affinity.
+    """
+    claims, claim_sink = os.pipe()
+    os.write(claim_sink, bytes(range(len(cpus), len(jobs))))
+    os.close(claim_sink)
+    lanes: dict[int, _Lane] = {}  # by the reader of its replies
+    affinity = os.sched_getaffinity(0)
+    try:
+        for index, cpu in enumerate(cpus[1:], 1):
+            replies, reply_sink = os.pipe()
+
+            def serve(index=index, cpu=cpu, reply_sink=reply_sink) -> int:
+                for reader in [*lanes, replies]:
+                    os.close(reader)
+                os.sched_setaffinity(0, {cpu})
+                job = bytes([index])
+                while job:
+                    write_all(reply_sink, _MESSAGE.pack(job[0], 0))
+                    try:
+                        payload = pickle.dumps(_run_job(jobs[job[0]], quick, seed, index))
+                    except Exception as e:
+                        payload = pickle.dumps(_portable(e))
+                    write_all(reply_sink, _MESSAGE.pack(job[0], len(payload)) + payload)
+                    job = os.read(claims, 1)
+                return 0
+
+            try:
+                pid = fork_child(serve)
+            except BaseException:
+                os.close(replies)
+                raise
+            finally:
+                os.close(reply_sink)
+            lanes[replies] = _Lane(index, pid)
+        os.sched_setaffinity(0, {cpus[0]})
+        done: dict[int, list[CriterionResult]] = {}
+        with selectors.DefaultSelector() as selector:
+            for reader in lanes:
+                selector.register(reader, selectors.EVENT_READ)
+            job = bytes(1)
+            while job:
+                done[job[0]] = _run_job(jobs[job[0]], quick, seed, 0)
+                for key, _ in selector.select(0):
+                    _receive(key.fd, lanes[key.fd], jobs, done, selector)
+                job = os.read(claims, 1)
+            while len(done) < len(jobs):
+                for key, _ in selector.select():
+                    _receive(key.fd, lanes[key.fd], jobs, done, selector)
+        return [r for results in done.values() for r in results]
+    except BaseException:
+        for lane in lanes.values():
+            if lane.pid is not None:
+                os.kill(lane.pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for reader, lane in lanes.items():
+            os.close(reader)
+            if lane.pid is not None:
+                os.waitpid(lane.pid, 0)
+        os.sched_setaffinity(0, affinity)
+
+
+def _portable(e: Exception) -> tuple[Exception, str]:
+    """``e`` and its traceback, with ``e`` replaced by a ``RuntimeError`` of
+    the same text if it does not survive pickling."""
+    text = traceback.format_exc()
+    try:
+        pickle.loads(pickle.dumps(e))
+    except Exception:
+        e = RuntimeError(f"{type(e).__name__}: {e}")
+    return e, text
+
+
+def _receive(reader: int, lane: _Lane, jobs: list, done: dict, selector) -> None:
+    """Read one message of ``lane``, or the end of its pipe."""
+    running = None if lane.running is None else ", ".join(c.key for c in jobs[lane.running])
+    header = read_upto(reader, _MESSAGE.size)
+    job, size = _MESSAGE.unpack(header) if len(header) == _MESSAGE.size else (None, -1)
+    payload = read_upto(reader, size)
+    if size == 0:
+        lane.running = job
+    elif len(payload) == size:
+        lane.running = None
+        sent = pickle.loads(payload)
+        if not isinstance(sent, list):
+            e, text = sent
+            where = f"criteria {running}, in lane {lane.index} (process {lane.pid})"
+            raise e from LaneTraceback(f"{where}:\n{text}")
+        done[job] = sent
+    else:
+        selector.unregister(reader)
+        pid, lane.pid = lane.pid, None
+        code, how = reap_child(pid)
+        if code or running is not None:
+            on = f" while running {running}" if running else ""
+            raise HelperProcessError(f"criterion lane process {pid} {how}{on}")

@@ -288,7 +288,9 @@ def cmd_verify(args) -> int:
     for r in results:
         print(r.line())
         failed += not r.passed
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    processes = len({r.process for r in results})
+    on = f"{processes} process{'es' if processes != 1 else ''}"
+    print(f"{len(results) - failed}/{len(results)} criteria passed on {on}")
     return 1 if failed else 0
 
 

@@ -145,26 +145,29 @@ class MartingaleProbe:
         self._int_L = np.zeros(p, dtype=np.complex128)
         self._int_drift = np.zeros(p)
         self._int_qv = np.zeros(p)
-        self._L = [np.exp(1j * uv) - self._int_L.copy()]
+        e = np.exp(1j * uv)
+        self._L = [e - self._int_L.copy()]
         self._mart = [np.zeros(p)]
         self._qv = [np.zeros(p)]
-        self._prev = (uv, phi, drift, qv, t)
+        # the step's exp(i <u, v>) is kept for the next step's trapezoid
+        self._prev = (e, phi, drift, qv, t)
 
     def after_step(self, t: float, u: np.ndarray) -> None:
         uv, drift, qv = self._pc.pairings(u)
         phi = 1j * drift - 0.5 * qv
-        uv0, phi0, drift0, qv0, t0 = self._prev
+        e = np.exp(1j * uv)
+        e0, phi0, drift0, qv0, t0 = self._prev
         dt = t - t0
-        self._int_L += 0.5 * dt * (np.exp(1j * uv0) * phi0 + np.exp(1j * uv) * phi)
+        self._int_L += 0.5 * dt * (e0 * phi0 + e * phi)
         self._int_drift += 0.5 * dt * (-(drift0 + drift))
         self._int_qv += 0.5 * dt * (qv0 + qv)
         self._t.append(t)
         self._uv.append(uv)
         self._phi.append(phi)
-        self._L.append(np.exp(1j * uv) - self._int_L.copy())
+        self._L.append(e - self._int_L.copy())
         self._mart.append(uv - self._uv[0] + self._int_drift)
         self._qv.append(self._int_qv.copy())
-        self._prev = (uv, phi, drift, qv, t)
+        self._prev = (e, phi, drift, qv, t)
 
     def result(self) -> ProbeSeries:
         return ProbeSeries(

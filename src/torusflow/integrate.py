@@ -57,7 +57,8 @@ host deschedules (steal time on a shared host) delays the step by about one
 block, not by as long as it is off its CPU.  A helper's midpoint failure
 comes back as ``(residual, iterations, rows)`` and merges with the runner's
 in row order.  One usable CPU, one block, or other threads running in the
-process give the serial loop, so ``taskset -c 0`` runs serially; the bits
+process give the serial loop, so ``taskset -c 0`` runs serially, and so
+does a lane of the acceptance battery, which is pinned to one CPU; the bits
 are the same either way.
 
 Draws, norms and observers stay in the runner, and run while the helpers
@@ -156,9 +157,14 @@ class MidpointConvergenceError(RuntimeError):
             f"residual {residual:.3e} after {iterations} iterations{on}"
         )
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which hold only the message
+        return type(self), (self.residual, self.iterations, self.step_index, self.paths)
+
 
 class HelperProcessError(RuntimeError):
-    """A helper process stepping path blocks ended before it replied."""
+    """A forked helper process ended before it replied: one stepping path
+    blocks, or a lane of the acceptance battery running criteria."""
 
 
 @dataclass(frozen=True)
@@ -459,8 +465,7 @@ def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
     that forked it.
     """
     blocks = -(-paths // kernel.block_paths)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    processes = min(cpus, blocks)
+    processes = min(len(usable_cpus()), blocks)
     if processes < 2 or threading.active_count() != 1:
         yield 1
         return
@@ -470,6 +475,63 @@ def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
     finally:
         kernel.helpers.close()
         kernel.helpers = None
+
+
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+
+
+def fork_child(serve: Callable[[], int]) -> int:
+    """Fork a child that runs ``serve()``; its pid.
+
+    The child ignores SIGINT, which its caller handles, prints the traceback
+    of an exception, and leaves only by ``os._exit``: with ``serve()``'s
+    value, or 1 if it raised.  So it runs no exit handler and flushes no
+    buffer that it shares with the caller.
+    """
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork once BLAS has started its thread pool.
+        # OpenBLAS quiesces that pool through pthread_atfork, and the child
+        # runs only numpy kernels of its own.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        code = serve()
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``, however many writes it takes."""
+    rest = memoryview(data)
+    while rest:
+        rest = rest[os.write(fd, rest) :]
+
+
+def read_upto(fd: int, size: int) -> bytes:
+    """``size`` bytes from pipe ``fd``, or fewer at its end."""
+    data = b""
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data
+
+
+def reap_child(pid: int) -> tuple[int, str]:
+    """Wait for child ``pid`` to end; its exit code (minus the signal that
+    killed it) and how it ended, as a phrase."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        return code, f"was killed by {signal.Signals(-code).name}"
+    return code, f"exited with status {code}"
 
 
 #: each process's row range goes out as at most this many tickets, so a
@@ -575,33 +637,21 @@ class _Helpers:
     def _fork(self, me: int) -> None:
         commands, command_sink = os.pipe()
         replies, reply_sink = os.pipe()
+
+        def serve() -> int:
+            for _, sink, reader in self.procs:
+                os.close(sink)
+                os.close(reader)
+            os.close(command_sink)
+            os.close(replies)
+            return self._serve(me, commands, reply_sink)
+
         try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on fork once BLAS has started its
-                # thread pool.  OpenBLAS quiesces that pool through
-                # pthread_atfork, and the child runs only the step kernel.
-                warnings.filterwarnings(
-                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-                )
-                pid = os.fork()
+            pid = fork_child(serve)
         except BaseException:
             for fd in (commands, command_sink, replies, reply_sink):
                 os.close(fd)
             raise
-        if pid == 0:
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles it
-                for _, sink, reader in self.procs:
-                    os.close(sink)
-                    os.close(reader)
-                os.close(command_sink)
-                os.close(replies)
-                code = self._serve(me, commands, reply_sink)
-            except Exception:
-                traceback.print_exc()
-            finally:
-                os._exit(code)
         os.close(commands)
         os.close(reply_sink)
         self.procs.append([pid, command_sink, replies])
@@ -616,10 +666,8 @@ class _Helpers:
                     self.u[slot], self.w[slot], self.out[slot], lo, hi
                 )
                 payload = pickle.dumps(failed) if failed else b""
-                message = memoryview(_REPLY.pack(slot, lo, len(payload)) + payload)
                 try:
-                    while message:
-                        message = message[os.write(replies, message) :]
+                    write_all(replies, _REPLY.pack(slot, lo, len(payload)) + payload)
                 except BrokenPipeError:  # the caller is closing
                     return 0
         return 0
@@ -697,23 +745,14 @@ class _Helpers:
             done[lo] = failed
 
     def _read(self, proc: list, size: int) -> bytes:
-        data = b""
-        while len(data) < size:
-            chunk = os.read(proc[2], size - len(data))
-            if not chunk:
-                raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}")
-            data += chunk
+        data = read_upto(proc[2], size)
+        if len(data) < size:
+            raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}")
         return data
 
     def _reap(self, proc: list) -> str:
-        pid = proc[0]
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        proc[0] = None
-        if code < 0:
-            how = f"was killed by {signal.Signals(-code).name}"
-        else:
-            how = f"exited with status {code}"
-        return f"path-block helper process {pid} {how}"
+        pid, proc[0] = proc[0], None
+        return f"path-block helper process {pid} {reap_child(pid)[1]}"
 
     def close(self) -> None:
         """End every helper and reap it: each reads end of file and exits."""

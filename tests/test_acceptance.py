@@ -8,14 +8,20 @@ total.  The configurations and tolerances live in ``torusflow.acceptance``.
 
 import ast
 import gc
+import os
 import re
+import signal
+import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from processes import assert_no_child_left, deadline
 
 from torusflow import acceptance
 from torusflow.cli import main
+from torusflow.integrate import HelperProcessError, MidpointConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,6 +101,7 @@ def test_a2_and_a6_share_one_ensemble_within_a_run(monkeypatch):
 def test_table_agrees_with_its_readers(capsys):
     keys = tuple(c.key for c in acceptance.CRITERIA)
     assert len(set(keys)) == len(keys)
+    assert sorted(acceptance.CLAIM_ORDER) == sorted(keys)
     for c in acceptance.CRITERIA:
         # perfbench keys each result by its name's first word
         assert c.name.split()[0].lower() == c.key
@@ -113,3 +120,160 @@ def test_table_agrees_with_its_readers(capsys):
         main(["verify", "--help"])
     words = set(re.findall(r"\w+", capsys.readouterr().out))
     assert set(keys) | set(acceptance.SUITES) | {"all"} <= words
+
+
+# ---------------------------------------------------------------------------
+# lanes: the criteria of one run_suite call side by side, one process per CPU
+# ---------------------------------------------------------------------------
+
+
+def _two_cpus(monkeypatch):
+    """Make run_suite see two usable CPUs, and a lane pinned to one see one."""
+    real = os.sched_getaffinity
+    if len(real(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(sorted(real(pid))[:2]))
+
+
+def _table(monkeypatch, in_lane, in_caller=lambda key: time.sleep(0.5)):
+    """Cut the table to A4 and A8, whose checks call ``in_lane(key)`` in a
+    forked lane and ``in_caller(key)`` in the caller, then pass.  The caller
+    runs A4, first in the claim order, and the lane A8, second; the caller's
+    default takes 0.5 s, so that the lane is running when the caller is done."""
+    caller = os.getpid()
+
+    def check_of(key):
+        def check(run):
+            (in_caller if os.getpid() == caller else in_lane)(key)
+            return True, key, "none"
+
+        return check
+
+    rows = tuple(
+        replace(c, check=check_of(c.key)) for c in acceptance.CRITERIA if c.key in ("a4", "a8")
+    )
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+
+
+def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
+    # the lanes are forked, so a recorder appending to a list here would not
+    # see their builds; it appends to a file instead
+    _two_cpus(monkeypatch)
+    log = tmp_path / "ensembles"
+    real = acceptance.run_ensemble
+
+    def recording(cfg, *args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{cfg.n} {cfg.scheme} {cfg.noise.is_constant_advection}\n")
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_ensemble", recording)
+    before = os.sched_getaffinity(0)
+    results = acceptance.run_suite("all", quick=True)
+    assert os.sched_getaffinity(0) == before
+    assert [r.name for r in results] == [c.name for c in acceptance.CRITERIA]
+    assert all(r.passed for r in results)
+    process = {r.name.split()[0].lower(): r.process for r in results}
+    assert set(process.values()) == {0, 1}
+    assert process["a2"] == process["a6"]
+    # the caller starts with the job with the largest working set
+    assert process["a3"] == 0
+    assert log.read_text().splitlines().count("8 ito-em True") == 1
+    assert_no_child_left()
+
+
+def test_no_lane_outlives_the_battery(monkeypatch):
+    _two_cpus(monkeypatch)
+    _table(monkeypatch, in_lane=lambda key: None)
+    before = os.sched_getaffinity(0)
+    results = acceptance.run_suite()
+    assert os.sched_getaffinity(0) == before
+    assert [r.measured for r in results] == ["a4", "a8"]
+    assert [r.process for r in results] == [0, 1]
+    assert_no_child_left()
+
+
+def test_check_raising_in_a_lane_is_reraised_naming_the_criterion(monkeypatch):
+    _two_cpus(monkeypatch)
+
+    def fail(key):
+        raise RuntimeError(f"no {key} today")
+
+    _table(monkeypatch, fail)
+    before = os.sched_getaffinity(0)
+    with pytest.raises(RuntimeError, match=r"^no a8 today$") as exc:
+        acceptance.run_suite()
+    cause = exc.value.__cause__
+    assert isinstance(cause, acceptance.LaneTraceback)
+    assert str(cause).startswith("criteria a8, in lane 1 (process ")
+    assert "RuntimeError: no a8 today" in str(cause)
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+def test_midpoint_failure_in_a_lane_keeps_its_message(monkeypatch, capsys):
+    _two_cpus(monkeypatch)
+    failure = MidpointConvergenceError(1.5e-3, 50, 7, [3, 4])
+
+    def fail(key):
+        raise failure
+
+    _table(monkeypatch, fail)
+    before = os.sched_getaffinity(0)
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == f"error: {failure}\n"
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+def test_killed_lane_is_an_error_naming_the_criterion(monkeypatch, capsys):
+    # the lane kills itself once it has claimed its job; the caller finds
+    # its pipe at end of file after its own job
+    _two_cpus(monkeypatch)
+    _table(monkeypatch, lambda key: os.kill(os.getpid(), signal.SIGKILL))
+    before = os.sched_getaffinity(0)
+    with deadline(60), pytest.raises(HelperProcessError) as exc:
+        acceptance.run_suite()
+    assert re.fullmatch(
+        r"criterion lane process \d+ was killed by SIGKILL while running a8", str(exc.value)
+    )
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+    with deadline(60):
+        assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: criterion lane process ") and "Traceback" not in err
+    assert_no_child_left()
+
+
+def test_raising_caller_ends_its_lanes_at_once(monkeypatch):
+    # an interrupt, or a check failing in the caller, must not wait for the
+    # job a lane is running; the lane is killed and reaped
+    _two_cpus(monkeypatch)
+
+    def interrupt(key):
+        time.sleep(0.5)
+        raise KeyboardInterrupt
+
+    _table(monkeypatch, in_lane=lambda key: time.sleep(60), in_caller=interrupt)
+    start = time.perf_counter()
+    with deadline(30), pytest.raises(KeyboardInterrupt):
+        acceptance.run_suite()
+    assert time.perf_counter() - start < 10
+    assert_no_child_left()
+
+
+def test_one_usable_cpu_runs_every_criterion_in_process(monkeypatch):
+    # A2's ensemble would fork helpers too; nothing may fork
+    real = os.sched_getaffinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(real(pid))})
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = tuple(c for c in acceptance.CRITERIA if c.key in ("a2", "a4", "a6"))
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+    results = acceptance.run_suite(quick=True)
+    assert [r.name for r in results] == [c.name for c in rows]
+    assert all(r.passed and r.process == 0 for r in results)

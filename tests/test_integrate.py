@@ -1,8 +1,8 @@
-import contextlib
 import fcntl
 import hashlib
 import inspect
 import os
+import pickle
 import signal
 import struct
 import subprocess
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
+from processes import assert_no_child_left, deadline
 from torusflow import basis as basis_module
 from torusflow import integrate
 from torusflow.basis import (
@@ -176,6 +177,18 @@ def test_midpoint_nonconvergence_reports_residual(monkeypatch):
         step("strat-midpoint", f, dw, SI)
     assert exc.value.residual > 0
     assert exc.value.iterations == 5
+
+
+def test_midpoint_failure_survives_pickling():
+    # a lane of the acceptance battery sends its checks' failures back pickled
+    for step_index, paths in ((7, [3, 4]), (None, [])):
+        e = MidpointConvergenceError(1.5e-3, 50, step_index, paths)
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is MidpointConvergenceError
+        assert (back.residual, back.iterations, back.step_index, back.paths) == (
+            1.5e-3, 50, step_index, tuple(paths)
+        )
+        assert str(back) == str(e)
 
 
 def test_diverging_midpoint_solve_raises():
@@ -352,27 +365,6 @@ def _use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise ``TimeoutError`` in the block, rather than hang, after ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _probes(basis):
     """The three martingale probes of the em-probes benchmark workload."""
     return [
@@ -438,7 +430,7 @@ def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
             states = [s.coeffs for s in path.states]
             assert len(states) == 4
         assert all(np.array_equal(s.coeffs, c) for s, c in zip(path.states, states))
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 class _Times:
@@ -467,7 +459,7 @@ def test_midpoint_failure_follows_the_states_before_it(monkeypatch, cpus):
             run(cfg, observers=[seen])
         assert exc.value.step_index == 2 and exc.value.paths == (5,)
         assert seen.times == [1 * cfg.dt, 2 * cfg.dt]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("hook", ["start", "after_step"])
@@ -487,7 +479,7 @@ def test_observer_that_writes_the_state_raises(monkeypatch, hook):
     _shrink_blocks(monkeypatch, cfg, 4)
     with pytest.raises(ValueError, match="read-only"):
         run_ensemble(cfg, observers=[Writer()])
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -565,7 +557,7 @@ def test_no_helper_outlives_its_ensemble(monkeypatch, tmp_path, case):
         else:
             with pytest.raises(RuntimeError, match="observer failed at step 3"):
                 run_ensemble(cfg, observers=[_RaiseAtStep()])
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
@@ -602,12 +594,12 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
     cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     killer = KillHelper()
-    with _deadline(60), pytest.raises(integrate.HelperProcessError) as exc:
+    with deadline(60), pytest.raises(integrate.HelperProcessError) as exc:
         run_ensemble(cfg, observers=[killer])
     assert str(exc.value) == (
         f"path-block helper process {killer.pid} was killed by SIGKILL at step 2"
     )
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _unread_bytes(fd):
@@ -643,13 +635,13 @@ def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
             self.times.append(time.perf_counter())
 
     stamps = Stamps()
-    with _deadline(60):
+    with deadline(60):
         sharded = run_ensemble(cfg, observers=[stamps])
     assert sharded.processes == 2
     assert stamps.times[-1] - stamps.times[0] < 1.0
     assert np.array_equal(sharded.l2_sq, serial.l2_sq)
     assert np.array_equal(sharded.h1_sq, serial.h1_sq)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
@@ -673,12 +665,12 @@ def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
         return step_rows(self, u, w_coeffs, out, lo, hi)
 
     monkeypatch.setattr(StepKernel, "_step_rows", sleepy_step_rows)
-    with _deadline(60):
+    with deadline(60):
         sharded = run_ensemble(cfg)
     assert sharded.processes == 3
     assert np.array_equal(sharded.l2_sq, serial.l2_sq)
     assert np.array_equal(sharded.h1_sq, serial.h1_sq)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_forking_ensemble_warns_nothing(monkeypatch):
