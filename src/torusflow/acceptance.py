@@ -16,11 +16,11 @@ that A6 joins A2's job, because it reads A2's ensemble.  On a host with more
 than one usable CPU the jobs run side by side in lanes: the caller and
 forked processes, one per CPU, each pinned to its CPU, so that the
 ensembles inside a lane step serially.  Each lane starts with its own job
-of :data:`CLAIM_ORDER`; the caller's is A3, the job with the largest working
-set, so that its peak memory is the same on every run.  Every check
-computes the same in any lane; the results come back in table order and
-record which lane ran them (``CriterionResult.process``, 0 for the
-caller).  ``taskset -c 0`` runs
+of :data:`CLAIM_ORDER`; the caller's is A2 with A6 and lane 1's is A5, the
+jobs with the largest working sets, so that the caller's peak memory is the
+same on every run.  Every check computes the same in any lane; the results
+come back in table order and record which lane ran them
+(``CriterionResult.process``, 0 for the caller).  ``taskset -c 0`` runs
 every criterion in the one process, one after another.
 
 Per-criterion configurations (all with beta = 4 where noise is
@@ -587,11 +587,13 @@ JOINS = {"a6": "a2"}
 
 #: every key, in the order in which lanes take up the jobs they lead: lane i
 #: starts with job i, and the lanes claim the rest in order.  The caller is
-#: lane 0 and starts with A3, whose ensemble has the battery's largest working
-#: set, so the caller's peak memory does not depend on which jobs it claims
-#: later.  The rest go longest first at full scale, so that no long job
-#: starts last.
-CLAIM_ORDER = ("a3", "a1a", "a1b", "a2", "a6", "a9", "a7", "a4", "a5", "a8")
+#: lane 0 and starts with A2 and A6, whose ensemble and probe series are the
+#: battery's largest working set at full scale and the second largest in
+#: quick mode; lane 1 starts with A5, whose structure tables are the largest
+#: in quick mode.  So the caller's peak memory does not depend on which jobs
+#: it claims later.  The rest go longest first at full scale, so that no
+#: long job starts last.
+CLAIM_ORDER = ("a2", "a6", "a5", "a1a", "a1b", "a3", "a9", "a7", "a4", "a8")
 
 
 def run_suite(

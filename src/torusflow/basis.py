@@ -36,15 +36,16 @@ with ``m >= 3n + 1``.  For transforms this short and this sparse, partial
 summation by dense matrix products beats an FFT (Boyd, *Chebyshev and
 Fourier Spectral Methods*, 2001, ch. 10), so every transform is two real
 matrix stages over the block.  ``place_halfspectrum`` writes the fields a
-pass needs (``u``, ``u_perp``, ``omega``, ``d1 u``, ``d2 u``) straight from
-the coefficients into the block, one gather and one multiply by per-cell
-weights; ``halfspectrum_to_grid`` applies the cos/sin rotation of
-``k2 theta2`` from the right, then the cos/sin of ``k1 theta1`` from the
-left; ``grid_to_halfspectrum`` applies the adjoint stages in the opposite
-order, computing only the output block; and ``gather_coeffs`` projects the
-block onto the basis.  The names keep the word "halfspectrum": a block cell
-pair ``(alpha, beta)`` at ``k`` is the rfft2 coefficient ``(alpha - i beta)
-/ 2`` at ``k`` together with its conjugate at ``-k``.
+pass needs (``u``, ``u_perp``, ``omega``) straight from the coefficients
+into the block, one gather and one multiply by per-cell weights;
+``halfspectrum_to_grid`` applies the cos/sin rotation of ``k2 theta2`` from
+the right, then the cos/sin of ``k1 theta1`` from the left;
+``grid_to_halfspectrum`` applies the adjoint stages in the opposite order,
+computing only the output block; and ``gather_coeffs`` projects a vector
+field's block onto the basis, ``gather_flux_coeffs`` the divergence of a
+flux given by three scalar blocks.  The names keep the word "halfspectrum":
+a block cell pair ``(alpha, beta)`` at ``k`` is the rfft2 coefficient
+``(alpha - i beta) / 2`` at ``k`` together with its conjugate at ``-k``.
 
 Each stage is a stacked ``@`` with one small product per path (fields may
 share a product, since their number is fixed by the pass).  Paths are never
@@ -237,6 +238,17 @@ class _GridMap:
         self.gather_w = np.stack([2.0 * basis.dvec.T] * 2, axis=1)
         self.gather_w[:, :, 0] = np.eye(2)
 
+        # flux gather: the curl of div(v (x) u) has the symbol -k1^2, k2^2
+        # and -k1 k2 on the blocks of (A, B, C) = (v1 u2, v2 u1, v2 u2 - v1
+        # u1), and mode k's pair (a, b) is (2 beta, -2 alpha) / |k| of the
+        # curl's cell pair; the mean of a divergence is 0, so it reads nothing
+        q1, q2 = basis.modes[:, 0].astype(np.float64), basis.modes[:, 1].astype(np.float64)
+        kabs = np.sqrt(np.where(basis.ksq > 0, basis.ksq, np.inf))
+        symbols = np.stack([-q1 * q1, q2 * q2, -q1 * q2]) * (2.0 / kabs)
+        rows = np.stack([self.cells + width, self.cells])  # a reads beta, b alpha
+        self.flux_idx = np.stack([f * size + rows for f in range(3)])  # (field, row, mode)
+        self.flux_w = np.stack([symbols, -symbols], axis=1)
+
         # trig tables from the root-of-unity table, indexed by k . j mod m
         root = np.exp(2j * np.pi * np.arange(m) / m)
         nodes = np.arange(m)
@@ -256,16 +268,13 @@ class _GridMap:
         mode ``(a, b)`` and multiplies it by a real weight ``w``.  A cell
         pair holds ``w (a, b)`` for each component ``d_c (a, b)`` of ``u``
         and of ``u_perp = (-u2, u1)``, and ``w (b, -a)`` for ``omega = |k|
-        (-b, a)`` and for each component ``(k_l beta, -k_l alpha)`` of
-        ``d_l u``.  ``d`` vanishes at the origin, whose ``alpha`` cell holds
+        (-b, a)``.  ``d`` vanishes at the origin, whose ``alpha`` cell holds
         the mean ``(a, b)`` of ``u`` and ``(-b, a)`` of ``u_perp``.
         """
         if fields not in self._placements:
             b = self.basis
             n_modes = b.n_modes
             d1, d2 = b.dvec[self.owner, 0], b.dvec[self.owner, 1]
-            q1 = b.modes[self.owner, 0].astype(np.float64)
-            q2 = b.modes[self.owner, 1].astype(np.float64)
             kabs = np.sqrt(b.ksq[self.owner])
             # per scalar field: weight, whether the cells read (b, -a), and
             # the mean's row and weight
@@ -273,8 +282,6 @@ class _GridMap:
                 "u": [(d1, False, 0, 1.0), (d2, False, 1, 1.0)],
                 "uperp": [(-d2, False, 1, -1.0), (d1, False, 0, 1.0)],
                 "omega": [(-kabs, True, 0, 0.0)],
-                "d1u": [(q1 * d1, True, 0, 0.0), (q1 * d2, True, 0, 0.0)],
-                "d2u": [(q2 * d1, True, 0, 0.0), (q2 * d2, True, 0, 0.0)],
             }
             index, weight = [], []
             origin = self.cells[0]
@@ -314,11 +321,10 @@ def place_halfspectrum(
 
     ``coeffs`` has shape ``(..., 2, N)``; the result has shape
     ``(..., F, n+1, 2(2n+1))``, one scalar field per entry of ``F``:
-    ``"u"`` gives ``(u1, u2)``, ``"uperp"`` gives ``(-u2, u1)``, ``"omega"``
-    the vorticity ``d1 u2 - d2 u1``, and ``"d1u"``/``"d2u"`` the two
-    components of ``d1 u``/``d2 u``.  ``halfspectrum_to_grid`` of the block
-    evaluates the fields on the ``m x m`` collocation grid exactly.  One
-    gather and one multiply by per-cell weights.
+    ``"u"`` gives ``(u1, u2)``, ``"uperp"`` gives ``(-u2, u1)`` and
+    ``"omega"`` the vorticity ``d1 u2 - d2 u1``.  ``halfspectrum_to_grid``
+    of the block evaluates the fields on the ``m x m`` collocation grid
+    exactly.  One gather and one multiply by per-cell weights.
     """
     index, weight = basis._grid_map(m).placement(tuple(fields))
     flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
@@ -382,6 +388,32 @@ def gather_coeffs(
     parts = np.take(flat, gm.gather_idx, axis=-1, out=parts, mode="clip")  # (..., 2, 2, N)
     np.multiply(parts, gm.gather_w, out=parts)
     return np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
+
+
+def gather_flux_coeffs(
+    basis: Basis, spec: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Project ``div(v (x) u)`` onto the canonical basis from its flux blocks.
+
+    ``spec`` holds the blocks ``(..., 3, n+1, 2(2n+1))`` of ``A = v1 u2``,
+    ``B = v2 u1`` and ``C = v2 u2 - v1 u1``.  The curl of the divergence,
+    ``d1^2 A - d2^2 B + d1 d2 C``, is the symbol ``-k1^2 A + k2^2 B - k1 k2
+    C`` on the cells, and the divergence-free part of a field is fixed by
+    its curl: mode ``k`` gets ``(a, b) = (2 beta, -2 alpha) / |k|`` of the
+    curl's cell pair ``(alpha, beta)``, and the mean gets 0, the mean of
+    every divergence.  For divergence-free ``v`` the result is ``P (v .
+    grad) u``.  One gather, a multiply and two sums over the three blocks.
+    Returns ``(..., 2, N)``.
+    """
+    gm = basis._grid_map(m)
+    flat = spec.reshape(spec.shape[:-3] + (-1,))
+    shape = flat.shape[:-1] + gm.flux_idx.shape
+    parts = None if out is None else _STAGES.take("flux_gather", shape)
+    parts = np.take(flat, gm.flux_idx, axis=-1, out=parts, mode="clip")  # (..., 3, 2, N)
+    np.multiply(parts, gm.flux_w, out=parts)
+    out = np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
+    out += parts[..., 2, :, :]
+    return out
 
 
 def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,7 @@ from .integrate import (
     SCHEMES,
     HelperProcessError,
     MidpointConvergenceError,
+    NonFiniteStateError,
     SimConfig,
     StepKernel,
     run_ensemble,
@@ -372,6 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         ConfigurationError,
         ValueError,
         MidpointConvergenceError,
+        NonFiniteStateError,
         HelperProcessError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,22 +18,31 @@ stepper, the drifts and ``transport_apply`` all use it.  A spatially
 constant advector needs no grid: its transport is the exact per-mode
 rotation ``basis.constant_advection``.
 
-``advect`` takes both terms in rotational form.  In 2D, with ``omega = d1
-u2 - d2 u1`` and ``u_perp = (-u2, u1)``,
+``advect`` takes the quadratic term alone in rotational form.  In 2D, with
+``omega = d1 u2 - d2 u1`` and ``u_perp = (-u2, u1)``,
 
     (u . grad) u = grad(|u|^2 / 2) + omega u_perp,
-    (w . grad) u = grad(u . w) + omega_u w_perp - (u . d1 w, u . d2 w),
 
-the second being the first polarised, and the projection removes the
-gradients exactly at every truncation (Canuto, Hussaini, Quarteroni & Zang,
-*Spectral Methods in Fluid Dynamics*, 1988, ch. 7; Orszag 1971).  So a state
-enters only through ``u_perp`` (``u = (u_perp2, -u_perp1)``) and ``omega``,
-3 fields, and an advecting field through ``w_perp``, ``d1 w`` and ``d2 w``,
-6 fields that a caller places once for every state it advects.  ``advect``
-sums ``scale P (u . grad) u + P (w . grad) u`` on the grid, so one forward
-call takes 2 fields per state.  Every stage of a pass writes into arrays
-kept for the next pass of the same shape (``_PASS``); the arrays are module
-state, so passes must not run concurrently.
+and the projection removes the gradient exactly at every truncation
+(Canuto, Hussaini, Quarteroni & Zang, *Spectral Methods in Fluid Dynamics*,
+1988, ch. 7; Orszag 1971), so a state enters only through ``u_perp`` and
+``omega``, 3 fields in, and ``omega u_perp`` goes forward, 2 fields out.
+With an advecting field ``w`` both terms are one transport, ``scale (u .
+grad) u + (w . grad) u = (v . grad) u`` for the divergence-free ``v = scale
+u + w``, taken in divergence form,
+
+    (v . grad) u = div(v (x) u),    curl div(v (x) u) = d1^2 A - d2^2 B + d1 d2 C,
+
+with the flux products ``A = v1 u2``, ``B = v2 u1`` and ``C = v2 u2 - v1
+u1``.  The divergence-free part of a field is fixed by its curl, so the
+three products' spectra give the projection (``basis.gather_flux_coeffs``):
+a state enters through ``u``, 2 fields in, the 3 products go forward, and a
+caller places the advecting field once for every state it advects, as its
+2 components (the symmetric-form saving of Basdevant, *J. Comput. Phys.*
+50, 1983; the rotational form of transport needs ``w_perp``, ``d1 w`` and
+``d2 w``, 6 fields).  Every stage of a pass writes into arrays kept for the
+next pass of the same shape (``_PASS``); the arrays are module state, so
+passes must not run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -62,6 +71,7 @@ from .basis import (
     block_shape,
     constant_advection,
     gather_coeffs,
+    gather_flux_coeffs,
     get_basis,
     grid_to_halfspectrum,
     halfspectrum_to_grid,
@@ -334,10 +344,6 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
 #: the arrays of one ``advect`` pass, reused by the next pass of the same shape
 _PASS = Workspace()
 
-#: the placement of an advecting field ``w`` for ``advect``: ``w_perp``,
-#: ``d1 w`` and ``d2 w``, 6 scalar fields
-ADVECTOR_FIELDS = ("uperp", "d1u", "d2u")
-
 
 def advect(
     basis: Basis,
@@ -350,38 +356,47 @@ def advect(
     """Galerkin projection ``scale P (u . grad) u + P (w . grad) u``.
 
     ``coeffs`` holds ``u`` with leading batch axes ``(..., 2, N)``;
-    ``advector`` is ``w`` on the ``m x m`` grid as its ``ADVECTOR_FIELDS``,
-    ``(..., 6, m, m)``, and ``None`` drops the transport term.  One placement
-    and one inverse transform give ``(u_perp, omega)``, 3 fields per state;
-    the products ``omega (scale u_perp + w_perp) - (u . d1 w, u . d2 w)`` are
-    summed on the grid, and one forward transform takes their 2 fields onto
-    the block of ``out_basis`` (module docstring).  Every stage writes into
+    ``advector`` is the divergence-free ``w`` on the ``m x m`` grid as its
+    components ``(w1, w2)`` (``place_halfspectrum``'s ``("u",)``),
+    ``(..., 2, m, m)``, and ``None`` drops the transport term.  Without an
+    advector one placement and one inverse transform give ``(u_perp,
+    omega)``, 3 fields per state, and one forward transform takes the 2
+    fields of ``omega u_perp`` (module docstring).  With one, both terms are
+    ``(v . grad) u`` for ``v = scale u + w``: the inverse transform gives
+    ``u``, 2 fields, and the 3 flux products ``(v1 u2, v2 u1, v2 u2 - v1
+    u1)`` go forward onto the block of ``out_basis``, where
+    ``gather_flux_coeffs`` takes their divergence.  Every stage writes into
     an array of ``_PASS``; only the result is fresh.  Returns ``(..., 2, N)``
     over ``out_basis`` (default: the basis of ``u``).
     """
     out_basis = out_basis or basis
     lead = coeffs.shape[:-2]
-    spec = _PASS.take("spec", lead + (3,) + block_shape(basis))
-    spec = place_halfspectrum(basis, coeffs, m, ("uperp", "omega"), out=spec)
-    grids = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (3, m, m)))
-    u_perp, omega = grids[..., 0:2, :, :], grids[..., 2:3, :, :]
-    prods = _PASS.take("prods", lead + (2, m, m))
     if advector is None:
-        np.multiply(omega, u_perp, out=prods)
+        spec = _PASS.take("spec", lead + (3,) + block_shape(basis))
+        spec = place_halfspectrum(basis, coeffs, m, ("uperp", "omega"), out=spec)
+        grids = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (3, m, m)))
+        prods = _PASS.take("prods", lead + (2, m, m))
+        np.multiply(grids[..., 2:3, :, :], grids[..., 0:2, :, :], out=prods)
         if scale != 1.0:
             prods *= scale
+        gather = gather_coeffs
     else:
-        np.multiply(u_perp, scale, out=prods)
-        prods += advector[..., 0:2, :, :]
-        prods *= omega
-        # u . d_l w = u_perp2 d_l w1 - u_perp1 d_l w2, for l = 1, 2 at once
-        term = _PASS.take("term", lead + (2, m, m))
-        prods -= np.multiply(u_perp[..., 1:2, :, :], advector[..., 2::2, :, :], out=term)
-        prods += np.multiply(u_perp[..., 0:1, :, :], advector[..., 3::2, :, :], out=term)
-    spec_out = grid_to_halfspectrum(
-        prods, out_basis, out=_PASS.take("spec_out", lead + (2,) + block_shape(out_basis))
-    )
-    return gather_coeffs(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))
+        spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
+        spec = place_halfspectrum(basis, coeffs, m, ("u",), out=spec)
+        u = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (2, m, m)))
+        v = np.multiply(u, scale, out=_PASS.take("v", lead + (2, m, m)))
+        v += advector
+        prods = _PASS.take("prods", lead + (3, m, m))
+        # numpy buffers every strided operand of a ufunc, so each product
+        # takes the whole batch in one call, and C is a reduction over the
+        # field axis, which needs no buffer
+        np.multiply(v, u[..., ::-1, :, :], out=prods[..., 0:2, :, :])
+        vu = np.multiply(v, u, out=v)
+        np.subtract.reduce(vu[..., ::-1, :, :], axis=-3, out=prods[..., 2, :, :])
+        gather = gather_flux_coeffs
+    spec_out = _PASS.take("spec_out", prods.shape[:-2] + block_shape(out_basis))
+    spec_out = grid_to_halfspectrum(prods, out_basis, out=spec_out)
+    return gather(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))
 
 
 def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -> SpectralField:
@@ -409,7 +424,7 @@ def transport_apply(
         res = SpectralField(f.basis, constant_advection(kappa, f.coeffs))
         return res if out_basis.n == f.basis.n else leray_project(res, out_basis)
     m = dealias_resolution(f.basis.n, w.basis.n, out_basis.n)
-    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m, ADVECTOR_FIELDS), m)
+    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m), m)
     return SpectralField(out_basis, advect(f.basis, f.coeffs, m, 0.0, w_grid, out_basis))
 
 

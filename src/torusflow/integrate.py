@@ -25,25 +25,28 @@ P (dW . grad) u``, ``B(u) = P (u . grad) u`` (``StepKernel._increment``).
     products precomputed once per step.
     The fixed point, and with it every conserved quantity, is unchanged.
 
-Paths own independent counter-based streams keyed by ``(seed, path_id)``;
-increments are drawn in fixed blocks of ``BLOCK_STEPS`` steps so a path's
-noise is identical whether it runs alone or inside any batch, in any order.
+Paths own independent counter-based streams keyed by ``(seed, path_id)``,
+and each path draws its increments from its own stream in step order, so its
+noise is identical whether it runs alone or inside any batch, in any order,
+and however many steps a draw takes.  The draws go into one buffer that the
+run reuses, holding as many whole steps of the batch as fit ``DRAW_BYTES``,
+so the noise costs memory in paths x components, not in the horizon.
 
 A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  The pass writes its stages into arrays that
 ``dynamics.advect`` keeps for the next pass of the same shape, so in a run
 they are allocated once, not faulted in afresh every pass.  The block size
 is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts
-what one pass touches per path: 3 transformed fields in and 2 out, each an
-``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an
-``(n+1) x 2(2n+1)`` cos/sin block, all real, plus under field noise the 6
-grids of the step's noise field, placed once per step.  At n=8 (m=25) that
-gives 32 paths with spatially constant noise and 21 with ``qwiener:8``; in
-the sweep in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest,
-and 128 or 256 faulted most.  Every operation, the midpoint convergence test and the
-transform stages included, acts on each path alone, so results do not
-depend on the blocks: a path is bit-identical alone, in any batch and in
-any block.
+what one pass touches per path: 5 transformed fields (3 in and 2 out, or
+under field noise 2 in and 3 out), each an ``m x m`` grid, an ``(n+1) x
+2m`` matrix-stage array and an ``(n+1) x 2(2n+1)`` cos/sin block, all real,
+plus under field noise the 2 grids of the step's noise field, placed once
+per step.  At n=8 (m=25) that gives 32 paths with spatially constant noise
+and 27 with ``qwiener:8``; in the sweep in ``BENCH_real_blocks.json`` 24-64
+paths per block ran fastest, and 128 or 256 faulted most.  Every operation,
+the midpoint convergence test and the transform stages included, acts on
+each path alone, so results do not depend on the blocks: a path is
+bit-identical alone, in any batch and in any block.
 
 The blocks of an ensemble's steps are shared between the runner and the
 helper processes it forks once per ensemble (:func:`helper_processes`),
@@ -66,12 +69,13 @@ step: once it has woken them for step ``k + 1``, and before it claims a
 block, the runner takes the norms of the state after step ``k``, passes it
 to the observers (read-only, since its own blocks of step ``k + 1`` still
 read it), keeps it if it is saved, and folds the increment field of step
-``k + 2``, drawing the next ``BLOCK_STEPS`` block first when one is due.
+``k + 2``, first refilling the draw buffer when it is used up.
 Every operation is the serial loop's, on the same arrays and in the same
 per-path draw order; only when it runs changes.  Observers see every state
 once, in step order, and a midpoint failure in a step is raised after they
-have seen the state it started from.  Serially the same work runs just
-before each step.
+have seen the state it started from.  A state with a non-finite norm is
+never observed: its norms raise :class:`NonFiniteStateError`.  Serially the
+same work runs just before each step.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ from .basis import (
     place_halfspectrum,
     random_field,
 )
-from .dynamics import ADVECTOR_FIELDS, ITO_VISCOSITY, advect, dealias_resolution
+from .dynamics import ITO_VISCOSITY, advect, dealias_resolution
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -117,8 +121,10 @@ from .noise import (
 
 SCHEMES = ("ito-em", "strat-heun", "strat-midpoint")
 
-#: increments are drawn per path in blocks of this many steps
-BLOCK_STEPS = 64
+#: increments are drawn per path into one reused buffer of as many whole
+#: steps as fit this many bytes (at least one): 64 steps of 256 paths under
+#: constant noise, one step of 64 paths under ``qwiener:8``
+DRAW_BYTES = 256 * 1024
 
 #: a batched step runs over contiguous blocks of paths whose grids, stage
 #: arrays and blocks in one operator pass take about this many bytes, so a
@@ -160,6 +166,26 @@ class MidpointConvergenceError(RuntimeError):
     def __reduce__(self):
         # the default rebuilds from ``args``, which hold only the message
         return type(self), (self.residual, self.iterations, self.step_index, self.paths)
+
+
+class NonFiniteStateError(RuntimeError):
+    """A state's norm is not finite: the scheme has blown up.
+
+    ``paths`` lists the ids of the paths whose state after ``step_index``
+    steps has an infinite or NaN norm.
+    """
+
+    def __init__(self, step_index: int, time: float, paths: Sequence[int]):
+        self.step_index = step_index
+        self.time = time
+        self.paths = tuple(int(i) for i in paths)
+        super().__init__(
+            f"state is not finite after step {step_index} (t = {time:g}) "
+            f"(paths {', '.join(map(str, self.paths))})"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self.time, self.paths)
 
 
 class HelperProcessError(RuntimeError):
@@ -282,12 +308,13 @@ class StepKernel:
         self.k2 = basis.modes[:, 1].astype(np.float64)
         self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
-        # one operator pass transforms 3 fields in and 2 out per path, each
-        # an m x m grid, an (n+1) x 2m stage array and an (n+1) x 2(2n+1)
-        # block, all real, and under field noise reads 6 noise grids
+        # one operator pass transforms 5 fields per path (3 in and 2 out, or
+        # under field noise 2 in and 3 out), each an m x m grid, an (n+1) x
+        # 2m stage array and an (n+1) x 2(2n+1) block, all real, and under
+        # field noise reads the 2 grids of the step's noise field
         n, m = basis.n, self.m
         self.path_bytes = 5 * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
-        self.path_bytes += 0 if self.constant_noise else 6 * 8 * m * m
+        self.path_bytes += 0 if self.constant_noise else 2 * 8 * m * m
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
         self._noise_arrays = Workspace()
         #: the processes that share a multi-block step, from :func:`helper_processes`
@@ -299,14 +326,14 @@ class StepKernel:
         """What every operator evaluation of one step needs of its noise field.
 
         Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
-        rotation.  Otherwise: the field as ``advect``'s advector, on the grid
-        in arrays the next step reuses.
+        rotation.  Otherwise: the field's 2 components on the grid, ``advect``'s
+        advector, in arrays the next step reuses.
         """
         if self.constant_noise:
             return w_coeffs[..., 0, 0:1] * self.k1 + w_coeffs[..., 1, 0:1] * self.k2
-        fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (6,)
+        fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (2,)
         spec = self._noise_arrays.take("spec", lead + block_shape(fb))
-        spec = place_halfspectrum(fb, w_coeffs, m, ADVECTOR_FIELDS, out=spec)
+        spec = place_halfspectrum(fb, w_coeffs, m, out=spec)
         return halfspectrum_to_grid(spec, m, out=self._noise_arrays.take("grids", lead + (m, m)))
 
     def _increment(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -861,8 +888,8 @@ def _run_batch(
 ):
     """Advance all requested paths in lockstep; the workhorse of both runners.
 
-    Increment draws are per-path and blocked, so results are independent of
-    the batch composition.  Helper processes, forked here and reaped on the
+    Increment draws are per path and in step order, so results are
+    independent of the batch composition.  Helper processes, forked here and reaped on the
     way out, step some of the path blocks; draws, norms and observers stay in
     this process, in two stages (module docstring): while step ``s`` runs,
     ``meanwhile`` observes the state it started from and folds the field of
@@ -891,21 +918,27 @@ def _run_batch(
         states.append(SpectralField(basis, u[keep_states_for].copy()))
 
     gens = [path_stream(config.seed, pid) for pid in path_ids]
-    draws = np.empty(0)
+    step_bytes = 8 * p * noise.n_components * 2
+    per_draw = min(steps, max(1, DRAW_BYTES // max(step_bytes, 1)))
+    draws = np.empty((p, per_draw, noise.n_components, 2))
 
     def field(i: int) -> np.ndarray:
-        """The increment field of step ``i``, drawing the block it opens."""
-        nonlocal draws
-        if i % BLOCK_STEPS == 0:
-            draws = np.empty((p, min(BLOCK_STEPS, steps - i), noise.n_components, 2))
+        """The increment field of step ``i``, refilling the draws from step ``i`` on
+        when they are used up."""
+        if i % per_draw == 0:
+            fill = draws[:, : steps - i]
             for j, g in enumerate(gens):
-                draws[j] = g.standard_normal(draws.shape[1:])
-            draws *= np.sqrt(config.dt)
-        return noise.increments_to_field(draws[:, i % BLOCK_STEPS])
+                g.standard_normal(out=fill[j])
+            fill *= np.sqrt(config.dt)
+        return noise.increments_to_field(draws[:, i % per_draw])
 
     def observe(i: int, u: np.ndarray) -> None:
-        """The norms of the state after ``i`` steps, its observers, and its save."""
+        """The norms of the state after ``i`` steps, its observers, and its save;
+        a non-finite norm raises :class:`NonFiniteStateError`."""
         l2[:, i], h1[:, i] = batch_norms_sq(basis, u, norms)
+        blown = np.flatnonzero(~(np.isfinite(l2[:, i]) & np.isfinite(h1[:, i])))
+        if len(blown):
+            raise NonFiniteStateError(i, i * config.dt, [path_ids[j] for j in blown])
         view = _read_only(u)
         for obs in observers:
             obs.after_step(i * config.dt, view)
@@ -921,7 +954,11 @@ def _run_batch(
         if s + 1 < steps:
             w = field(s + 1)
 
-    with helper_processes(kernel, p) as processes:
+    # a path that blows up overflows on the grid and in its norms before its
+    # state turns non-finite; its norms then raise NonFiniteStateError, so
+    # the overflow warnings would add nothing (the helpers, forked here, keep
+    # the setting)
+    with np.errstate(over="ignore", invalid="ignore"), helper_processes(kernel, p) as processes:
         for obs in observers:
             obs.start(0.0, _read_only(u))
         w = field(0)

@@ -173,18 +173,25 @@ class NoiseModel:
     def _fold_plan(self) -> tuple[np.ndarray, ...]:
         """How raw increments fold into field coefficients.
 
-        ``k`` and ``-k`` fold onto one row of ``field_basis``.  Returns the
-        component order that groups components by row, the start of each
-        group in that order, the rows, and the ordered cosine and sine
-        weights.
+        Component ``j`` adds its increments times ``weights[j]`` and its
+        cosine and sine fold signs to one row of ``field_basis``, where ``k``
+        and ``-k`` meet.  Returns those factors ``(K, 2)``, the rows that two
+        components share with the two components in mode order, and the rows
+        of one component with that component.
         """
         ids = [self.field_basis.mode_id(k) for k in self.active_modes]
-        target = np.array([i for i, _, _ in ids], dtype=np.int64)
-        order = np.argsort(target, kind="stable")
-        rows, starts = np.unique(target[order], return_index=True)
-        wc = np.array([cs for _, cs, _ in ids]) * self.weights
-        ws = np.array([ss for _, _, ss in ids]) * self.weights
-        return order, starts, rows, wc[order], ws[order]
+        factors = np.array([(cs, ss) for _, cs, ss in ids], dtype=np.float64).reshape(-1, 2)
+        factors *= self.weights[:, None]
+        alone: dict[int, int] = {}
+        pairs = []
+        for j, (row, _, _) in enumerate(ids):
+            if row in alone:
+                pairs.append((row, alone.pop(row), j))
+            else:
+                alone[row] = j
+        rows, first, second = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+        alone_rows, alone_js = np.array(list(alone.items()), dtype=np.int64).reshape(-1, 2).T
+        return factors, rows, first, second, alone_rows, alone_js
 
     def transport_pairs(self) -> list[tuple[float, BasisMode, tuple[int, int]]]:
         """Enumerate ``(coefficient, advecting mode, (lattice index, component))``.
@@ -205,15 +212,16 @@ class NoiseModel:
         The result represents ``dW = sum_j w_j [c_{k_j} dB_j^1 + s_{k_j} dB_j^2]``
         over ``field_basis``; linearity of transport in the advector makes
         applying ``(dW . grad)`` equivalent to summing the per-mode transports.
-        Each path is folded on its own, in a fixed order, so its field does
-        not depend on the batch it comes in; a matrix product rounds a row
-        differently for different batch sizes.
+        Each path is folded on its own: a row that ``k`` and ``-k`` share is
+        the sum of the two members' products, and a row of one member is its
+        product, so the field does not depend on the batch it comes in; a
+        matrix product rounds a row differently for different batch sizes.
         """
-        order, starts, rows, wc, ws = self._fold
-        v = values[..., order, :]
+        factors, rows, first, second, alone_rows, alone = self._fold
+        prods = values * factors
         out = np.zeros(values.shape[:-2] + (2, self.field_basis.n_modes))
-        out[..., 0, rows] = np.add.reduceat(v[..., 0] * wc, starts, axis=-1)
-        out[..., 1, rows] = np.add.reduceat(v[..., 1] * ws, starts, axis=-1)
+        out[..., rows] = np.swapaxes(prods[..., first, :] + prods[..., second, :], -1, -2)
+        out[..., alone_rows] = np.swapaxes(prods[..., alone, :], -1, -2)
         return out
 
     def discarded_trace(self) -> float:

@@ -10,7 +10,8 @@ before the transforms became dense DFT-matrix products: the full rfft2
 half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps, plus
 the conversions between the package's real cos/sin block and the complex
 half-spectrum cells.  The
-probe section keeps the first form of the martingale probe's pairings.
+probe section keeps the first form of the martingale probe's pairings, and
+the noise section the first increment fold and draw schedule.
 """
 
 import mpmath as mp
@@ -349,3 +350,41 @@ def probe_pairings(v: SpectralField, u: np.ndarray):
     t1 = -np.einsum("...cn,cn->...", u, b.norm_sq * d1v.coeffs)
     t2 = -np.einsum("...cn,cn->...", u, b.norm_sq * d2v.coeffs)
     return uv, -0.5 * a_pair + b_quad, t1 * t1 + t2 * t2
+
+
+# ---------------------------------------------------------------------------
+# the increments in their first form
+# ---------------------------------------------------------------------------
+
+#: the runners first drew each path's increments in blocks of this many steps
+DRAW_BLOCK_STEPS = 64
+
+
+def fold_increments(model, values: np.ndarray) -> np.ndarray:
+    """``model.increments_to_field`` as first written: the components put in
+    row order by a stable sort, then one ``np.add.reduceat`` per row of the
+    cosine and of the sine coefficients."""
+    fb = model.field_basis
+    ids = [fb.mode_id(k) for k in model.active_modes]
+    target = np.array([i for i, _, _ in ids], dtype=np.int64)
+    order = np.argsort(target, kind="stable")
+    rows, starts = np.unique(target[order], return_index=True)
+    wc = (np.array([cs for _, cs, _ in ids]) * model.weights)[order]
+    ws = (np.array([ss for _, _, ss in ids]) * model.weights)[order]
+    v = values[..., order, :]
+    out = np.zeros(values.shape[:-2] + (2, fb.n_modes))
+    out[..., 0, rows] = np.add.reduceat(v[..., 0] * wc, starts, axis=-1)
+    out[..., 1, rows] = np.add.reduceat(v[..., 1] * ws, starts, axis=-1)
+    return out
+
+
+def block_increments(model, gens, steps: int, dt: float):
+    """Each step's raw increments ``(paths, K, 2)``, drawn from the path
+    streams ``gens`` in blocks of ``DRAW_BLOCK_STEPS`` steps."""
+    shape = (model.n_components, 2)
+    for s in range(steps):
+        if s % DRAW_BLOCK_STEPS == 0:
+            block = min(DRAW_BLOCK_STEPS, steps - s)
+            draws = np.stack([g.standard_normal((block,) + shape) for g in gens])
+            draws *= np.sqrt(dt)
+        yield draws[:, s % DRAW_BLOCK_STEPS]

@@ -21,7 +21,11 @@ from processes import assert_no_child_left, deadline
 
 from torusflow import acceptance
 from torusflow.cli import main
-from torusflow.integrate import HelperProcessError, MidpointConvergenceError
+from torusflow.integrate import (
+    HelperProcessError,
+    MidpointConvergenceError,
+    NonFiniteStateError,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,8 +180,9 @@ def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
     process = {r.name.split()[0].lower(): r.process for r in results}
     assert set(process.values()) == {0, 1}
     assert process["a2"] == process["a6"]
-    # the caller starts with the job with the largest working set
-    assert process["a3"] == 0
+    # the caller starts with A2's job and lane 1 with A5, the two largest
+    # working sets
+    assert process["a2"] == 0 and process["a5"] == 1
     assert log.read_text().splitlines().count("8 ito-em True") == 1
     assert_no_child_left()
 
@@ -223,6 +228,19 @@ def test_midpoint_failure_in_a_lane_keeps_its_message(monkeypatch, capsys):
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == f"error: {failure}\n"
     assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+def test_blown_up_state_in_a_lane_keeps_its_message(monkeypatch, capsys):
+    _two_cpus(monkeypatch)
+    failure = NonFiniteStateError(16, 1.6, [4, 7])
+
+    def fail(key):
+        raise failure
+
+    _table(monkeypatch, fail)
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == f"error: {failure}\n"
     assert_no_child_left()
 
 

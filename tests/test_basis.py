@@ -143,7 +143,7 @@ def test_block_transforms_against_rfft2_oracle(n):
     want = oracles.block_to_grid(oracles.block_to_halfspectrum(spec), m)
     assert np.abs(halfspectrum_to_grid(spec, m) - want).max() <= 1e-14 * np.abs(want).max()
     coeffs = rng.standard_normal((3, 2, b.n_modes))
-    placed = place_halfspectrum(b, coeffs, m, ("u", "uperp", "omega", "d1u", "d2u"))
+    placed = place_halfspectrum(b, coeffs, m, ("u", "uperp", "omega"))
     want = oracles.block_to_grid(oracles.block_to_halfspectrum(placed), m)
     assert np.abs(halfspectrum_to_grid(placed, m) - want).max() <= 1e-14 * np.abs(want).max()
     for n_out, m_out in ((n, m), ((m - 1) // 2, m), (n + 3, dealias_resolution(n, n, n + 3))):
@@ -156,19 +156,18 @@ def test_block_transforms_against_rfft2_oracle(n):
 
 def test_placement_fields_against_pointwise_derivatives():
     # every field a placement writes, against the mode-wise oracle: u,
-    # u_perp = (-u2, u1), the two gradient components and the vorticity
-    # d1 u2 - d2 u1
+    # u_perp = (-u2, u1) and the vorticity d1 u2 - d2 u1
     rng = np.random.default_rng(8)
     b = get_basis(4)
     m = 15
     f = random_field(b, rng, include_mean=True)
-    spec = place_halfspectrum(b, f.coeffs, m, ("u", "uperp", "d1u", "d2u", "omega"))
+    spec = place_halfspectrum(b, f.coeffs, m, ("u", "uperp", "omega"))
     grids = halfspectrum_to_grid(spec, m)
     u = oracles.field_on_grid(f, m)
     d1 = oracles.advect_grid(np.broadcast_to([1.0, 0.0], (m, m, 2)), f, m)
     d2 = oracles.advect_grid(np.broadcast_to([0.0, 1.0], (m, m, 2)), f, m)
     u_perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    want = np.concatenate([u, u_perp, d1, d2, d1[..., 1:] - d2[..., :1]], axis=-1)
+    want = np.concatenate([u, u_perp, d1[..., 1:] - d2[..., :1]], axis=-1)
     np.testing.assert_allclose(np.moveaxis(grids, 0, -1), want, rtol=0, atol=1e-13)
 
 

@@ -90,6 +90,22 @@ def test_diverging_solve_exits_2_without_ledger(tmp_path, capsys):
     assert "residual nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_blown_up_state_exits_2_without_outputs(tmp_path, capsys, command):
+    # Heun at dt = 0.1 blows up: the state that turned non-finite is named,
+    # and nothing is written
+    out = tmp_path / "o"
+    code = run_cli(
+        command, "--scheme", "strat-heun", "--n", "4", "--dt", "0.1", "--T", "5",
+        "--paths", "8", "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state is not finite after step ")
+    assert "(paths " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["finite:1,0;2", "qwiener:x", "finite:a,b"])
 def test_malformed_noise_spec_is_quoted(tmp_path, capsys, spec):
     code = run_cli("run", "--noise", spec, "--out", str(tmp_path / "o"))

@@ -21,7 +21,6 @@ from torusflow.basis import (
     random_field,
 )
 from torusflow.dynamics import (
-    ADVECTOR_FIELDS,
     ITO_VISCOSITY,
     TruncationMismatch,
     advect,
@@ -277,7 +276,8 @@ def test_middle_slice_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# the batched core: one rotational pass for the quadratic term and transport
+# the batched core: a rotational pass for the quadratic term, a flux pass
+# for the quadratic term with transport
 # ---------------------------------------------------------------------------
 
 #: the weight of the quadratic term in the fused checks, like a step's -dt
@@ -294,7 +294,7 @@ def _on_grid(basis, coeffs, m, fields=("u",)):
 
 
 def _advector(basis, coeffs, m):
-    return _on_grid(basis, coeffs, m, ADVECTOR_FIELDS)
+    return _on_grid(basis, coeffs, m)
 
 
 def _tensor_transport(w: SpectralField, f: SpectralField, out) -> np.ndarray:
@@ -381,9 +381,10 @@ def test_advect_into_a_larger_output_basis():
 
 @pytest.mark.parametrize("kind", ["self", "fused", "transport"])
 def test_advect_transform_counts(monkeypatch, kind):
-    # fields per state through each transform: every pass places (u_perp,
-    # omega) and sends the 2 summed products forward, with or without a
-    # field advector, whose grids come in ready-made
+    # fields per state through each transform: the quadratic term alone
+    # places (u_perp, omega) and sends the 2 products forward; with a field
+    # advector, whose 2 grids come in ready-made, the pass places u and
+    # sends the 3 flux products forward
     paths = 3
     seen = {"inverse": 0, "forward": 0}
 
@@ -403,7 +404,8 @@ def test_advect_transform_counts(monkeypatch, kind):
         monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
     calls = {"self": (1.0, None), "fused": (SCALE, w_grid), "transport": (0.0, w_grid)}
     advect(b, U, m, *calls[kind])
-    assert seen == {"inverse": 3 * paths, "forward": 2 * paths}
+    fields_in, fields_out = (3, 2) if kind == "self" else (2, 3)
+    assert seen == {"inverse": fields_in * paths, "forward": fields_out * paths}
 
 
 def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):

@@ -40,6 +40,7 @@ from torusflow.noise import (
 from torusflow.integrate import (
     SCHEMES,
     MidpointConvergenceError,
+    NonFiniteStateError,
     SimConfig,
     StepKernel,
     run_ensemble,
@@ -189,6 +190,35 @@ def test_midpoint_failure_survives_pickling():
             1.5e-3, 50, step_index, tuple(paths)
         )
         assert str(back) == str(e)
+
+
+def test_non_finite_state_error_survives_pickling():
+    e = NonFiniteStateError(16, 1.6, [4, 7])
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is NonFiniteStateError
+    assert (back.step_index, back.time, back.paths) == (16, 1.6, (4, 7))
+    assert str(back) == str(e)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blown_up_state_names_its_step_and_paths(monkeypatch, cpus):
+    # Heun at dt = 0.1 blows up in paths 4 and 7 of seed 1, whose norms turn
+    # non-finite after step 16; in blocks of 3, stepped by 1 and 2
+    # processes, with the ids shuffled, the error names the same step and
+    # paths by id, without a numpy warning, and no helper is left
+    cfg = SimConfig(n=4, dt=0.1, t_final=5.0, scheme="strat-heun", paths=8, seed=1)
+    _shrink_blocks(monkeypatch, cfg, 3)
+    _use_cpus(monkeypatch, cpus)
+    seen = _Times()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as exc:
+            run_ensemble(cfg, path_ids=[7, 1, 2, 3, 4, 5, 6, 0], observers=[seen])
+    assert exc.value.step_index == 16
+    assert exc.value.paths == (7, 4)
+    assert str(exc.value) == "state is not finite after step 16 (t = 1.6) (paths 7, 4)"
+    assert seen.times == [i * cfg.dt for i in range(1, 16)]
+    assert_no_child_left()
 
 
 def test_diverging_midpoint_solve_raises():
@@ -374,20 +404,17 @@ def _probes(basis):
 
 
 def _lockstep_run(cfg, observers):
-    """Energies of an ensemble stepped by the plain loop: draw, fold, step, observe."""
+    """Energies of an ensemble stepped by the plain loop: draw, fold, step,
+    observe, with the first draw schedule and fold."""
     kernel = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt)
     u = np.broadcast_to(cfg.initial_field().coeffs, (cfg.paths, 2, cfg.basis.n_modes)).copy()
     norms = [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
     for obs in observers:
         obs.start(0.0, u)
     gens = [path_stream(cfg.seed, pid) for pid in range(cfg.paths)]
-    shape = (cfg.noise.n_components, 2)
-    for s in range(cfg.n_steps):
-        if s % integrate.BLOCK_STEPS == 0:
-            block = min(integrate.BLOCK_STEPS, cfg.n_steps - s)
-            draws = np.stack([g.standard_normal((block,) + shape) for g in gens])
-            draws *= np.sqrt(cfg.dt)
-        u = kernel.step(u, cfg.noise.increments_to_field(draws[:, s % integrate.BLOCK_STEPS]))
+    draws = oracles.block_increments(cfg.noise, gens, cfg.n_steps, cfg.dt)
+    for s, dw in enumerate(draws):
+        u = kernel.step(u, oracles.fold_increments(cfg.noise, dw))
         norms += [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
         for obs in observers:
             obs.after_step((s + 1) * cfg.dt, u)
@@ -484,14 +511,14 @@ def test_observer_that_writes_the_state_raises(monkeypatch, hook):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_warm_partial_block_allocates_no_stage_array(scheme):
-    # 64 paths at qwiener:8 are blocks of 21, 21, 21 and 1: once warm, the
+    # 64 paths at qwiener:8 are blocks of 27, 27 and 10: once warm, the
     # last block's stage arrays are views of the full blocks' arrays, so a
     # step takes none from the allocator; each one a step took would stay
     # alive in its Workspace slot after the step
     noise = NoiseModel.q_wiener(8)
     cfg, u, w = _desk_batch(noise, paths=64)
     kernel = StepKernel(cfg.basis, noise, scheme, cfg.dt)
-    assert kernel.block_paths == 21
+    assert kernel.block_paths == 27
     kernel.step(u, w)
     tracemalloc.start()
     try:
@@ -813,6 +840,46 @@ def test_em_step_matches_manual_assembly_qwiener():
     incr0 = increment(f, strat_drift)
     heun = f + 0.5 * (incr0 + increment(f + incr0, strat_drift))
     np.testing.assert_allclose(step("strat-heun", f, dw, model).coeffs, heun.coeffs, atol=1e-13)
+
+
+def test_streamed_draws_replay_the_block_schedule():
+    # 3 paths at qwiener:8 draw 18 steps at a time; over 70 steps the
+    # ensemble is bit-equal to the plain loop that draws blocks of 64 steps
+    # and folds them as first written
+    cfg = SimConfig(
+        n=4, dt=1e-3, t_final=0.07, scheme="ito-em",
+        noise=NoiseModel.q_wiener(8), paths=3, seed=4,
+    )
+    per_draw = integrate.DRAW_BYTES // (8 * cfg.paths * cfg.noise.n_components * 2)
+    assert per_draw == 18
+    # 256 paths under constant noise still draw 64 steps at a time
+    assert integrate.DRAW_BYTES // (8 * 256 * 1 * 2) == 64
+    ens = run_ensemble(cfg)
+    l2, h1 = _lockstep_run(cfg, [])
+    assert np.array_equal(ens.l2_sq, l2)
+    assert np.array_equal(ens.h1_sq, h1)
+
+
+def test_draws_take_no_more_memory_over_a_longer_horizon(monkeypatch):
+    # 16 paths at qwiener:8 over 20 and over 200 steps: the traced peak
+    # grows by the longer energy series alone, not by the draws of the
+    # extra steps (a 64-step block of them is 4.7 MB)
+    _use_cpus(monkeypatch, 1)
+    peaks = {}
+    for t_final in (0.02, 0.2):
+        cfg = SimConfig(
+            n=4, dt=1e-3, t_final=t_final, scheme="ito-em",
+            noise=NoiseModel.q_wiener(8), paths=16, seed=2,
+        )
+        run_ensemble(cfg)
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            _, peaks[t_final] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    series = 2 * 16 * 180 * 8
+    assert peaks[0.2] - peaks[0.02] <= series + 16_384, peaks
 
 
 def test_qwiener_em_runs_and_is_deterministic():

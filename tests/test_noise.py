@@ -2,6 +2,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
+
 from torusflow.acceptance import _lattice_ladder, _tail_bound
 from torusflow.basis import SpectralField
 from torusflow.noise import (
@@ -157,6 +159,30 @@ def test_increment_assembly_matches_modewise_sum():
         )
     np.testing.assert_allclose(assembled.coeffs, ref.coeffs, atol=1e-15)
     assert assembled.divergence_max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        NoiseModel.q_wiener(8),
+        # (1, 0) and (0, 1) meet their -k; (2, 1), (0, 0) and (-1, 3) are alone
+        NoiseModel.finite_modes([(1, 0), (2, 1), (0, -1), (0, 0), (-1, 0), (-1, 3), (0, 1)]),
+    ],
+    ids=["qwiener:8", "finite"],
+)
+def test_fold_is_bit_equal_to_its_first_form(model):
+    # a batch, one path and a single draw, with zeros of both signs: every
+    # row holds the first fold's bits, the sign of a zero in a row of one
+    # member included
+    values = path_stream(5, 2).standard_normal((6, model.n_components, 2))
+    values[0, :, 0] = -0.0
+    values[1, :, 1] = 0.0
+    for batch in (values, values[3], values[4:5]):
+        got = model.increments_to_field(batch)
+        want = oracles.fold_increments(model, batch)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(model.increments_to_field(values)[0, 0]).any()
 
 
 def test_increment_moments():
