@@ -382,12 +382,7 @@ def gather_coeffs(
     two components.  Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
-    flat = spec.reshape(spec.shape[:-3] + (-1,))
-    shape = flat.shape[:-1] + gm.gather_idx.shape
-    parts = None if out is None else _STAGES.take("gather", shape)
-    parts = np.take(flat, gm.gather_idx, axis=-1, out=parts, mode="clip")  # (..., 2, 2, N)
-    np.multiply(parts, gm.gather_w, out=parts)
-    return np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
+    return _weighted_sum(spec, gm.gather_idx, gm.gather_w, out)
 
 
 def gather_flux_coeffs(
@@ -406,22 +401,29 @@ def gather_flux_coeffs(
     Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
+    return _weighted_sum(spec, gm.flux_idx, gm.flux_w, out)
+
+
+def _weighted_sum(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, out) -> np.ndarray:
+    """Gather ``index`` ``(F, 2, N)`` from the flattened blocks of ``spec``,
+    multiply by ``weight`` and sum over ``F``, in order; with ``out=``, the
+    gathered parts go into a stage array."""
     flat = spec.reshape(spec.shape[:-3] + (-1,))
-    shape = flat.shape[:-1] + gm.flux_idx.shape
-    parts = None if out is None else _STAGES.take("flux_gather", shape)
-    parts = np.take(flat, gm.flux_idx, axis=-1, out=parts, mode="clip")  # (..., 3, 2, N)
-    np.multiply(parts, gm.flux_w, out=parts)
+    shape = flat.shape[:-1] + index.shape
+    parts = None if out is None else _STAGES.take("gather", shape)
+    parts = np.take(flat, index, axis=-1, out=parts, mode="clip")
+    np.multiply(parts, weight, out=parts)
     out = np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
-    out += parts[..., 2, :, :]
+    for f in range(2, len(index)):
+        out += parts[..., f, :, :]
     return out
 
 
 def derivative_spectra(basis: Basis, spec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of ``d/d theta1`` and ``d/d theta2`` of a placed block ``(..., n+1, 2(2n+1))``.
 
-    Each cell pair maps ``(alpha, beta) -> (k_l beta, -k_l alpha)``.  A pass
-    needs no call: ``place_halfspectrum`` writes ``d1 u`` and ``d2 u``
-    directly.
+    Each cell pair maps ``(alpha, beta) -> (k_l beta, -k_l alpha)``; no
+    operator pass needs it.
     """
     n = basis.n
     width = 2 * n + 1
