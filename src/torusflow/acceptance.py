@@ -13,15 +13,15 @@ throughout.
 
 ``run_suite`` runs the picked criteria as jobs, one criterion each except
 that A6 joins A2's job, because it reads A2's ensemble.  On a host with more
-than one usable CPU the jobs run side by side in lanes: the caller and
-forked processes, one per CPU, each pinned to its CPU, so that the
-ensembles inside a lane step serially.  Each lane starts with its own job
-of :data:`CLAIM_ORDER`; the caller's is A2 with A6 and lane 1's is A5, the
-jobs with the largest working sets, so that the caller's peak memory is the
-same on every run.  Every check computes the same in any lane; the results
-come back in table order and record which lane ran them
-(``CriterionResult.process``, 0 for the caller).  ``taskset -c 0`` runs
-every criterion in the one process, one after another.
+than one usable CPU the jobs run side by side in lanes, on the layer of
+:mod:`torusflow.workers`: the caller and forked processes, one per CPU, each
+pinned to its CPU, so that the ensembles inside a lane step serially.  Each
+lane starts with its own job of :data:`CLAIM_ORDER`; the caller's is A2 with
+A6 and lane 1's is A5, the jobs with the largest working sets, so that the
+caller's peak memory is the same on every run.  Every check computes the
+same in any lane; the results come back in table order and record which
+lane ran them (``CriterionResult.process``, 0 for the caller).  ``taskset -c
+0`` runs every criterion in the one process, one after another.
 
 Per-criterion configurations (all with beta = 4 where noise is
 space-dependent):
@@ -62,19 +62,14 @@ space-dependent):
 from __future__ import annotations
 
 import os
-import pickle
-import selectors
-import signal
-import struct
-import threading
 import time
-import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import workers
 from .basis import (
     BasisMode,
     SpectralField,
@@ -95,18 +90,12 @@ from .dynamics import (
 from .geometry import build_structure_tables, christoffel_contract, geodesic_drift
 from .integrate import (
     EnsembleDiagnostics,
-    HelperProcessError,
     SimConfig,
     StepKernel,
     _saved_indices,
-    fork_child,
     helper_processes,
     mean_se,
-    read_upto,
-    reap_child,
     run_ensemble,
-    usable_cpus,
-    write_all,
 )
 from .noise import NoiseModel, normalizer_cw, normalizer_cw_prime, path_stream, q_trace
 
@@ -604,13 +593,10 @@ def run_suite(
     The picked criteria run in jobs, one criterion each except that a
     criterion joins the job of the one it reads (:data:`JOINS`).  Each job
     has its own :class:`RunContext`, and nothing of it outlives the job.
-    With more than one job and more than one usable CPU, the jobs run in
-    lanes (:func:`_run_in_lanes`): this process and forked ones, one per
-    usable CPU, each pinned to its CPU, taking up jobs in
-    :data:`CLAIM_ORDER`.  One usable CPU, one job, or other
-    threads running in this process give the serial loop, so
-    ``taskset -c 0`` runs serially.  Each check computes the same either
-    way; only the lane in ``CriterionResult.process`` and the timings differ.
+    The jobs run in lanes (:func:`_run_in_lanes`) on the CPUs of
+    ``workers.plan(jobs)``, or in this process when that is one CPU.  Each
+    check computes the same either way; only the lane in
+    ``CriterionResult.process`` and the timings differ.
     """
     picked = [c for c in CRITERIA if suite in ("all", c.suite, c.key)]
     if not picked:
@@ -621,8 +607,8 @@ def run_suite(
     for c in picked:
         lead = JOINS.get(c.key)
         jobs.setdefault(lead if lead in keys else c.key, []).append(c)
-    cpus = usable_cpus()[: len(jobs)]
-    if len(cpus) < 2 or threading.active_count() != 1:
+    cpus = workers.plan(len(jobs))
+    if len(cpus) < 2:
         results = [r for job in jobs.values() for r in _run_job(job, quick, seed, 0)]
     else:
         claimed = sorted(jobs, key=CLAIM_ORDER.index)
@@ -642,141 +628,37 @@ def _run_job(job: list[Criterion], quick: bool, seed: int, process: int) -> list
     return out
 
 
-# ---------------------------------------------------------------------------
-# lanes
-# ---------------------------------------------------------------------------
-
-
-#: a lane's message to the caller: a job's index and the length of the pickle
-#: that follows, 0 when the lane has just claimed the job
-_MESSAGE = struct.Struct("<iI")
-
-
-class LaneTraceback(Exception):
-    """The traceback of a check that raised in a forked lane; the cause of
-    the exception that the caller re-raises."""
-
-
-@dataclass
-class _Lane:
-    """A forked lane, as the caller sees it."""
-
-    index: int
-    pid: int | None  # None once reaped
-    running: int | None = None  # the job it has claimed and not sent back
-
-
 def _run_in_lanes(
     jobs: list[list[Criterion]], quick: bool, seed: int, cpus: list[int]
 ) -> list[CriterionResult]:
     """Run ``jobs`` in one lane per CPU of ``cpus``; their results, in no set order.
 
-    The caller is lane 0 and forks the others.  Every lane is pinned to its
-    CPU, so the ensembles of its checks see one usable CPU and step
-    serially.  Lane i runs job i, then claims whole jobs in order from one
-    pipe until it is empty.  A forked lane tells the caller when it takes
-    up a job, and sends back the job's results or what it raised.  The
-    caller takes its own jobs' results directly and reads its lanes'
-    between jobs and once it has run out.  A check that raises in a forked
-    lane is re-raised here, its traceback as a :class:`LaneTraceback`
-    naming the criteria; a lane
-    that ends otherwise than by running out of jobs is a
-    :class:`HelperProcessError` naming the criteria it was running.  On the
-    way out the caller kills its lanes if it raises, reaps every lane, and
-    gets back its own CPU affinity.
+    The caller is lane 0 and forks the others, each pinned to its CPU, and
+    pins itself to the first, so the ensembles of every check step serially.
+    Lane i owns job i and the caller also the rest, which the lanes claim in
+    order once through their own.  The caller reads its lanes' results
+    between its jobs and once it has run out, and gets back its own CPU
+    affinity on the way out.
     """
-    claims, claim_sink = os.pipe()
-    os.write(claim_sink, bytes(range(len(cpus), len(jobs))))
-    os.close(claim_sink)
-    lanes: dict[int, _Lane] = {}  # by the reader of its replies
+
+    def where(job: int | None) -> str:
+        return "" if job is None else f" while running {', '.join(c.key for c in jobs[job])}"
+
+    def run(lane: int, job: int) -> list[CriterionResult]:
+        return _run_job(jobs[job], quick, seed, lane)
+
     affinity = os.sched_getaffinity(0)
+    lanes = workers.Workers(run, len(cpus), "criterion lane", where, cpus)
     try:
-        for index, cpu in enumerate(cpus[1:], 1):
-            replies, reply_sink = os.pipe()
-
-            def serve(index=index, cpu=cpu, reply_sink=reply_sink) -> int:
-                for reader in [*lanes, replies]:
-                    os.close(reader)
-                os.sched_setaffinity(0, {cpu})
-                job = bytes([index])
-                while job:
-                    write_all(reply_sink, _MESSAGE.pack(job[0], 0))
-                    try:
-                        payload = pickle.dumps(_run_job(jobs[job[0]], quick, seed, index))
-                    except Exception as e:
-                        payload = pickle.dumps(_portable(e))
-                    write_all(reply_sink, _MESSAGE.pack(job[0], len(payload)) + payload)
-                    job = os.read(claims, 1)
-                return 0
-
-            try:
-                pid = fork_child(serve)
-            except BaseException:
-                os.close(replies)
-                raise
-            finally:
-                os.close(reply_sink)
-            lanes[replies] = _Lane(index, pid)
+        lanes.put([[0, *range(len(cpus), len(jobs))]] + [[i] for i in range(1, len(cpus))])
         os.sched_setaffinity(0, {cpus[0]})
         done: dict[int, list[CriterionResult]] = {}
-        with selectors.DefaultSelector() as selector:
-            for reader in lanes:
-                selector.register(reader, selectors.EVENT_READ)
-            job = bytes(1)
-            while job:
-                done[job[0]] = _run_job(jobs[job[0]], quick, seed, 0)
-                for key, _ in selector.select(0):
-                    _receive(key.fd, lanes[key.fd], jobs, done, selector)
-                job = os.read(claims, 1)
-            while len(done) < len(jobs):
-                for key, _ in selector.select():
-                    _receive(key.fd, lanes[key.fd], jobs, done, selector)
+        while (job := lanes.claim()) is not None:
+            done[job] = run(0, job)
+            done.update(lanes.receive(0) or ())
+        while lanes.pending:
+            done.update(lanes.receive())
         return [r for results in done.values() for r in results]
-    except BaseException:
-        for lane in lanes.values():
-            if lane.pid is not None:
-                os.kill(lane.pid, signal.SIGKILL)
-        raise
     finally:
-        os.close(claims)
-        for reader, lane in lanes.items():
-            os.close(reader)
-            if lane.pid is not None:
-                os.waitpid(lane.pid, 0)
+        lanes.close()
         os.sched_setaffinity(0, affinity)
-
-
-def _portable(e: Exception) -> tuple[Exception, str]:
-    """``e`` and its traceback, with ``e`` replaced by a ``RuntimeError`` of
-    the same text if it does not survive pickling."""
-    text = traceback.format_exc()
-    try:
-        pickle.loads(pickle.dumps(e))
-    except Exception:
-        e = RuntimeError(f"{type(e).__name__}: {e}")
-    return e, text
-
-
-def _receive(reader: int, lane: _Lane, jobs: list, done: dict, selector) -> None:
-    """Read one message of ``lane``, or the end of its pipe."""
-    running = None if lane.running is None else ", ".join(c.key for c in jobs[lane.running])
-    header = read_upto(reader, _MESSAGE.size)
-    job, size = _MESSAGE.unpack(header) if len(header) == _MESSAGE.size else (None, -1)
-    payload = read_upto(reader, size)
-    if size == 0:
-        lane.running = job
-    elif len(payload) == size:
-        lane.running = None
-        sent = pickle.loads(payload)
-        if not isinstance(sent, list):
-            e, text = sent
-            where = f"criteria {running}, in lane {lane.index} (process {lane.pid})"
-            raise e from LaneTraceback(f"{where}:\n{text}")
-        done[job] = sent
-    else:
-        selector.unregister(reader)
-        pid, lane.pid = lane.pid, None
-        code, how = reap_child(pid)
-        if code or running is not None:
-            on = f" while running {running}" if running else ""
-            raise HelperProcessError(f"criterion lane process {pid} {how}{on}")

@@ -45,7 +45,6 @@ from .diagnostics import (
 )
 from .integrate import (
     SCHEMES,
-    HelperProcessError,
     MidpointConvergenceError,
     NonFiniteStateError,
     SimConfig,
@@ -54,6 +53,7 @@ from .integrate import (
     run_path,
 )
 from .noise import ConfigurationError, NoiseModel
+from .workers import HelperProcessError
 
 OUT_ENV_VAR = "TORUSFLOW_OUT"
 

@@ -186,10 +186,6 @@ class AdvectionTensor:
     j_idx: np.ndarray
     vals: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
     @cached_property
     def coalesced(self) -> SortedCOO:
         size = 2 * get_basis(self.n).n_modes

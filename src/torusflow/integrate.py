@@ -48,21 +48,23 @@ the midpoint convergence test and the transform stages included, acts on
 each path alone, so results do not depend on the blocks: a path is
 bit-identical alone, in any batch and in any block.
 
-The blocks of an ensemble's steps are shared between the runner and the
-helper processes it forks once per ensemble (:func:`helper_processes`),
-``min(usable CPUs, blocks)`` processes in all, each owning a contiguous
-range of blocks, the runner the first.  Each step the runner hands over the
-state and the increment field through one anonymous shared mapping; every
-process steps the blocks of its own range and then claims what is left of
-the others'.  Once a helper has held a block half as long again as the
-runner takes to step one, the runner steps it itself, so a helper that the
-host deschedules (steal time on a shared host) delays the step by about one
-block, not by as long as it is off its CPU.  A helper's midpoint failure
-comes back as ``(residual, iterations, rows)`` and merges with the runner's
-in row order.  One usable CPU, one block, or other threads running in the
-process give the serial loop, so ``taskset -c 0`` runs serially, and so
-does a lane of the acceptance battery, which is pinned to one CPU; the bits
-are the same either way.
+The blocks of an ensemble's steps are shared between the runner and helper
+processes forked for the ensemble on the layer of :mod:`torusflow.workers`,
+one per CPU of ``workers.plan(blocks)`` (:func:`helper_processes`).  Each
+process owns a contiguous range of blocks as tickets, the runner the first.
+Each step the runner copies the state and the increment field into one of
+two slots of one anonymous shared mapping, the slots taking turns, and
+hands out the slot's tickets; a helper steps a ticket into the slot's
+shared output.  Once a helper has held a ticket ``PATIENCE`` times as long
+as the runner took for its own last one, the runner steps it itself, so a
+helper that the host deschedules (steal time on a shared host) delays the
+step by about one ticket, not by as long as it is off its CPU.  A slot is
+rewritten only once every ticket of it is answered, and until then the
+runner steps serially.  A helper's midpoint failure comes back as
+``(residual, iterations, rows)`` and merges with the runner's in row order;
+anything else it raises is re-raised in the runner.  One usable CPU (so
+``taskset -c 0`` and a lane of the acceptance battery), one block, or other
+threads running in the process give the serial loop, with the same bits.
 
 Draws, norms and observers stay in the runner, and run while the helpers
 step: once it has woken them for step ``k + 1``, and before it claims a
@@ -81,14 +83,6 @@ same work runs just before each step.
 from __future__ import annotations
 
 import mmap
-import os
-import pickle
-import selectors
-import signal
-import struct
-import threading
-import traceback
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
@@ -97,6 +91,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
+from . import workers
 from .basis import (
     Basis,
     BasisMode,
@@ -186,11 +181,6 @@ class NonFiniteStateError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.step_index, self.time, self.paths)
-
-
-class HelperProcessError(RuntimeError):
-    """A forked helper process ended before it replied: one stepping path
-    blocks, or a lane of the acceptance battery running criteria."""
 
 
 @dataclass(frozen=True)
@@ -484,317 +474,117 @@ def step(
 
 @contextmanager
 def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
-    """Share ``kernel``'s steps of ``paths``-path batches with forked helpers.
-
-    One process per usable CPU, at most one per path block.  Yields the
-    number of processes, and reaps the helpers on the way out.  A process
-    with threads running steps serially: a forked child gets only the thread
-    that forked it.
-    """
-    blocks = -(-paths // kernel.block_paths)
-    processes = min(len(usable_cpus()), blocks)
-    if processes < 2 or threading.active_count() != 1:
-        yield 1
-        return
-    kernel.helpers = _Helpers(kernel, paths, processes)
+    """Share ``kernel``'s steps of ``paths``-path batches with forked helpers,
+    one process per CPU of ``workers.plan(blocks)``.  Yields the number of
+    processes, and kills and reaps the helpers on the way out."""
+    processes = len(workers.plan(-(-paths // kernel.block_paths)))
+    kernel.helpers = _Helpers(kernel, paths, processes) if processes > 1 else None
     try:
         yield processes
     finally:
-        kernel.helpers.close()
-        kernel.helpers = None
-
-
-def usable_cpus() -> list[int]:
-    """The CPUs this process may run on, in ascending order."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-
-
-def fork_child(serve: Callable[[], int]) -> int:
-    """Fork a child that runs ``serve()``; its pid.
-
-    The child ignores SIGINT, which its caller handles, prints the traceback
-    of an exception, and leaves only by ``os._exit``: with ``serve()``'s
-    value, or 1 if it raised.  So it runs no exit handler and flushes no
-    buffer that it shares with the caller.
-    """
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on fork once BLAS has started its thread pool.
-        # OpenBLAS quiesces that pool through pthread_atfork, and the child
-        # runs only numpy kernels of its own.
-        warnings.filterwarnings(
-            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-        )
-        pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        code = serve()
-    except Exception:
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def write_all(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to ``fd``, however many writes it takes."""
-    rest = memoryview(data)
-    while rest:
-        rest = rest[os.write(fd, rest) :]
-
-
-def read_upto(fd: int, size: int) -> bytes:
-    """``size`` bytes from pipe ``fd``, or fewer at its end."""
-    data = b""
-    while len(data) < size and (chunk := os.read(fd, size - len(data))):
-        data += chunk
-    return data
-
-
-def reap_child(pid: int) -> tuple[int, str]:
-    """Wait for child ``pid`` to end; its exit code (minus the signal that
-    killed it) and how it ended, as a phrase."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        return code, f"was killed by {signal.Signals(-code).name}"
-    return code, f"exited with status {code}"
+        if kernel.helpers is not None:
+            kernel.helpers.workers.close()
+            # the workers hold the helpers' callbacks: without this link the
+            # shared mapping goes now, not at the next garbage collection
+            kernel.helpers.workers = kernel.helpers = None
 
 
 #: each process's row range goes out as at most this many tickets, so a
 #: step's tickets fit in a pipe without a reader
 _MAX_TICKETS = 128
-#: a claim ticket: the rows ``lo:hi`` of one or more whole path blocks, whose
-#: inputs and outputs are in shared slot ``slot``
-_TICKET = struct.Struct("<iii")
-#: a helper's reply to one ticket: its slot, its first row, and the length of
-#: the pickled midpoint failures that follow (0 for none)
-_REPLY = struct.Struct("<iiI")
 #: a helper is late with a ticket once it has held it this many times as long
 #: as the runner's own last ticket took; the runner then steps it itself
 PATIENCE = 1.5
 
 
 class _Helpers:
-    """Forked processes that step path blocks in lockstep with the caller.
-
-    Every process, the caller first, owns a contiguous range of path blocks.
-    Each step the caller copies the state and the increment field into one
-    of two slots of arrays on one anonymous shared mapping, the slots taking
-    turns, writes each process's range as tickets to that process's claims
-    pipe, and wakes every helper with a byte on its command pipe.  A process
-    steps the tickets it claims from its own pipe, then claims what is left
-    in the others'.  A helper replies after each ticket; its outputs are in
-    the slot's shared arrays, and it notes in them when it claimed each
-    ticket.  Once a helper has held a ticket ``PATIENCE`` times as long as
-    the caller's own last ticket took, the caller steps that ticket itself,
-    so a helper that the host deschedules (steal time on a shared host)
-    delays the step by about one ticket, not by as long as it is off its
-    CPU; whichever finishes first gives the rows, with the same bits.  The
-    caller rewrites a slot only once every ticket claimed from it has been
-    replied to, and steps serially while one is still out, so no helper's
-    inputs change under it.  Between the wake-up and its first claim the
-    caller runs the step's ``meanwhile``.  A helper leaves only by
-    ``os._exit``, once its command pipe reaches end of file, so also when
-    the caller dies.
-    """
+    """The step policy of the helpers (module docstring): ticket ``slot *
+    count + j`` steps the rows ``ranges[j]`` of shared slot ``slot``."""
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
         self.kernel = kernel
         rows = kernel.block_paths
         blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
-        # each process's tickets as (lo, hi), its range cut into at most
-        # _MAX_TICKETS runs of whole blocks
+        # each process's blocks, as at most _MAX_TICKETS runs of whole blocks
+        self.ranges: list[tuple[int, int]] = []
         owned = []
         for i in range(processes):
             own = blocks[len(blocks) * i // processes : len(blocks) * (i + 1) // processes]
             per = -(-len(own) // _MAX_TICKETS)
-            owned.append(
-                [(own[j][0], own[min(j + per, len(own)) - 1][1]) for j in range(0, len(own), per)]
-            )
-        self.ends = {lo: hi for own in owned for lo, hi in own}
-        self.index = {lo: i for i, lo in enumerate(self.ends)}
-        self.tickets = [
-            [b"".join(_TICKET.pack(slot, lo, hi) for lo, hi in own) for own in owned]
-            for slot in (0, 1)
-        ]
+            first = len(self.ranges)
+            self.ranges += [
+                (own[j][0], own[min(j + per, len(own)) - 1][1]) for j in range(0, len(own), per)
+            ]
+            owned.append(range(first, len(self.ranges)))
+        self.count = len(self.ranges)
+        #: each process's tickets, for each slot
+        self.tickets = [[[slot * self.count + j for j in own] for own in owned] for slot in (0, 1)]
         self.steps = 0
-        #: the first rows of the tickets claimed from each slot by a helper
-        #: and not yet replied to
-        self.out_of_hand: list[set] = [set(), set()]
         #: the caller's time for its last ticket, in seconds
         self.ticket_s: float | None = None
-        # [pid, command writer, reply reader]; pid is None once reaped
-        self.procs: list[list] = []
-        self.replies: selectors.BaseSelector | None = None
         state = (2, paths, 2, kernel.basis.n_modes)
         noise = (2, paths, 2, kernel.noise.field_basis.n_modes)
-        shapes = (state, noise, state, (2, len(self.ends)))
-        sizes = [8 * prod(s) for s in shapes]
-        mem = mmap.mmap(-1, sum(sizes))
-        offsets = np.cumsum([0] + sizes[:-1])
-        #: ``claimed[slot, index[lo]]``: when a helper claimed the ticket, by
-        #: ``perf_counter`` (one clock for every process), or 0
-        self.u, self.w, self.out, self.claimed = (
-            np.frombuffer(mem, np.float64, prod(s), int(o)).reshape(s)
-            for s, o in zip(shapes, offsets)
+        mem = np.frombuffer(mmap.mmap(-1, 8 * (2 * prod(state) + prod(noise))), np.float64)
+        self.u, self.out = mem[: 2 * prod(state)].reshape((2, *state))
+        self.w = mem[2 * prod(state) :].reshape(noise)
+        self.workers = workers.Workers(
+            self._serve, processes, "path-block helper", lambda ticket: f" at step {self.steps}"
         )
-        self.claims = [os.pipe() for _ in range(processes)]
-        for reader, _ in self.claims:
-            os.set_blocking(reader, False)
-        try:
-            for me in range(1, processes):
-                self._fork(me)
-            self.replies = selectors.DefaultSelector()
-            for proc in self.procs:
-                self.replies.register(proc[2], selectors.EVENT_READ, proc)
-        except BaseException:
-            self.close()
-            raise
 
-    def _claim(self, me: int) -> tuple[int, int, int] | None:
-        """The next ticket in process ``me``'s pipe, else in the others', else None."""
-        for reader, _ in self.claims[me:] + self.claims[:me]:
-            try:
-                return _TICKET.unpack(os.read(reader, _TICKET.size))
-            except BlockingIOError:
-                continue
-        return None
-
-    def _fork(self, me: int) -> None:
-        commands, command_sink = os.pipe()
-        replies, reply_sink = os.pipe()
-
-        def serve() -> int:
-            for _, sink, reader in self.procs:
-                os.close(sink)
-                os.close(reader)
-            os.close(command_sink)
-            os.close(replies)
-            return self._serve(me, commands, reply_sink)
-
-        try:
-            pid = fork_child(serve)
-        except BaseException:
-            for fd in (commands, command_sink, replies, reply_sink):
-                os.close(fd)
-            raise
-        os.close(commands)
-        os.close(reply_sink)
-        self.procs.append([pid, command_sink, replies])
-
-    def _serve(self, me: int, commands: int, replies: int) -> int:
-        # one claim round serves every wake-up already sent; b"" is end of file
-        while os.read(commands, 64):
-            while (ticket := self._claim(me)) is not None:
-                slot, lo, hi = ticket
-                self.claimed[slot, self.index[lo]] = perf_counter()
-                failed = self.kernel._step_rows(
-                    self.u[slot], self.w[slot], self.out[slot], lo, hi
-                )
-                payload = pickle.dumps(failed) if failed else b""
-                try:
-                    write_all(replies, _REPLY.pack(slot, lo, len(payload)) + payload)
-                except BrokenPipeError:  # the caller is closing
-                    return 0
-        return 0
+    def _serve(self, me: int, ticket: int) -> list:
+        slot, j = divmod(ticket, self.count)
+        return self.kernel._step_rows(self.u[slot], self.w[slot], self.out[slot], *self.ranges[j])
 
     def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile) -> list:
-        """Step the whole batch into ``out``; the failures of every block in row order.
-
-        ``meanwhile()`` runs once the helpers are woken, before this process
-        claims a ticket, or before a serial step.
-        """
-        while ready := self.replies.select(0):
-            for key, _ in ready:
-                self._receive(key.data)
+        """Step the whole batch into ``out``; the failures of every block in row
+        order.  ``meanwhile()`` runs once the tickets are out, before this
+        process claims one, or before a serial step."""
+        while self.workers.receive(0) is not None:
+            pass
         slot = self.steps % 2
-        if self.out_of_hand[slot]:
+        mine = range(slot * self.count, (slot + 1) * self.count)
+        if not self.workers.pending.isdisjoint(mine):
             # a helper still steps a ticket of two steps ago from this slot
             meanwhile()
             failed = self.kernel._step_rows(u, w_coeffs, out, 0, len(u))
         else:
-            failed = self._share(slot, u, w_coeffs, out, meanwhile)
+            failed = self._share(slot, mine, u, w_coeffs, out, meanwhile)
         self.steps += 1
         return failed
 
-    def _share(self, slot: int, u, w_coeffs, out, meanwhile) -> list:
+    def _share(self, slot: int, mine: range, u, w_coeffs, out, meanwhile) -> list:
         self.u[slot] = u
         self.w[slot] = w_coeffs
-        self.claimed[slot] = 0.0
-        for (_, sink), tickets in zip(self.claims, self.tickets[slot]):
-            os.write(sink, tickets)
-        for _, sink, _ in self.procs:
-            try:
-                os.write(sink, b"\0")
-            except BrokenPipeError:  # a dead helper; its reply pipe says how
-                pass
+        self.workers.put(self.tickets[slot])
         meanwhile()
         done: dict[int, list] = {}
-        while (ticket := self._claim(0)) is not None:
-            _, lo, hi = ticket
-            done[lo] = self._step_own(u, w_coeffs, out, lo, hi)
-        self.out_of_hand[slot] = set(self.ends) - set(done)
+        while (ticket := self.workers.claim()) is not None:
+            done[ticket] = self._step_own(u, w_coeffs, out, ticket)
         waiting = perf_counter()
-        while len(done) < len(self.ends):
+        while len(done) < self.count:
             timeout = None
             if self.ticket_s is not None:
-                # the ticket held longest; one whose claim time is not yet
-                # written counts from when the wait began
-                held = {
-                    lo: float(self.claimed[slot, self.index[lo]]) or waiting
-                    for lo in self.ends
-                    if lo not in done
-                }
-                lo = min(held, key=held.get)
-                timeout = max(0.0, held[lo] + PATIENCE * self.ticket_s - perf_counter())
-            ready = self.replies.select(timeout)
-            for key, _ in ready:
-                self._receive(key.data, slot, out, done)
-            if not ready:
-                # the helper is late with ticket lo: step it here as well
-                done[lo] = self._step_own(u, w_coeffs, out, lo, self.ends[lo])
+                # the ticket held longest; one whose claim notice is not yet
+                # read counts from when the wait began
+                held = {t: self.workers.claimed.get(t, waiting) for t in mine if t not in done}
+                ticket = min(held, key=held.get)
+                timeout = max(0.0, held[ticket] + PATIENCE * self.ticket_s - perf_counter())
+            replies = self.workers.receive(timeout)
+            if replies is None:
+                # the helper is late with the ticket: step it here as well
+                done[ticket] = self._step_own(u, w_coeffs, out, ticket)
+            for ticket, failed in replies or ():
+                if ticket in mine and ticket not in done:
+                    lo, hi = self.ranges[ticket - mine.start]
+                    out[lo:hi] = self.out[slot, lo:hi]
+                    done[ticket] = failed
         return sorted((f for failed in done.values() for f in failed), key=lambda f: f[2][0])
 
-    def _step_own(self, u, w_coeffs, out, lo: int, hi: int) -> list:
+    def _step_own(self, u, w_coeffs, out, ticket: int) -> list:
         start = perf_counter()
-        failed = self.kernel._step_rows(u, w_coeffs, out, lo, hi)
+        failed = self.kernel._step_rows(u, w_coeffs, out, *self.ranges[ticket % self.count])
         self.ticket_s = perf_counter() - start
         return failed
-
-    def _receive(self, proc: list, slot: int = -1, out=None, done=None) -> None:
-        """Read one reply of ``proc``; take its rows if they are of this step's ``slot``."""
-        theirs, lo, size = _REPLY.unpack(self._read(proc, _REPLY.size))
-        failed = pickle.loads(self._read(proc, size)) if size else []
-        self.out_of_hand[theirs].discard(lo)
-        if theirs == slot and lo not in done:
-            out[lo : self.ends[lo]] = self.out[slot, lo : self.ends[lo]]
-            done[lo] = failed
-
-    def _read(self, proc: list, size: int) -> bytes:
-        data = read_upto(proc[2], size)
-        if len(data) < size:
-            raise HelperProcessError(f"{self._reap(proc)} at step {self.steps}")
-        return data
-
-    def _reap(self, proc: list) -> str:
-        pid, proc[0] = proc[0], None
-        return f"path-block helper process {pid} {reap_child(pid)[1]}"
-
-    def close(self) -> None:
-        """End every helper and reap it: each reads end of file and exits."""
-        if self.replies is not None:
-            self.replies.close()
-        for _, sink, reader in self.procs:
-            os.close(sink)
-            os.close(reader)
-        for pid, _, _ in self.procs:
-            if pid is not None:
-                os.waitpid(pid, 0)
-        self.procs = []
-        for reader, sink in self.claims:
-            os.close(reader)
-            os.close(sink)
 
 
 # ---------------------------------------------------------------------------

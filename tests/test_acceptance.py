@@ -19,13 +19,10 @@ from pathlib import Path
 import pytest
 from processes import assert_no_child_left, deadline
 
-from torusflow import acceptance
+from torusflow import acceptance, workers
 from torusflow.cli import main
-from torusflow.integrate import (
-    HelperProcessError,
-    MidpointConvergenceError,
-    NonFiniteStateError,
-)
+from torusflow.integrate import MidpointConvergenceError, NonFiniteStateError
+from torusflow.workers import HelperProcessError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,8 +206,8 @@ def test_check_raising_in_a_lane_is_reraised_naming_the_criterion(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^no a8 today$") as exc:
         acceptance.run_suite()
     cause = exc.value.__cause__
-    assert isinstance(cause, acceptance.LaneTraceback)
-    assert str(cause).startswith("criteria a8, in lane 1 (process ")
+    assert isinstance(cause, workers.ChildTraceback)
+    assert re.match(r"criterion lane 1 \(process \d+\) while running a8:\n", str(cause))
     assert "RuntimeError: no a8 today" in str(cause)
     assert os.sched_getaffinity(0) == before
     assert_no_child_left()

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import os
 import pickle
+import re
 import signal
 import struct
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 import oracles
 from processes import assert_no_child_left, deadline
 from torusflow import basis as basis_module
-from torusflow import integrate
+from torusflow import integrate, workers
 from torusflow.basis import (
     BasisMode,
     SpectralField,
@@ -590,19 +591,21 @@ def test_no_helper_outlives_its_ensemble(monkeypatch, tmp_path, case):
 def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
     # the observer of the state after step 0 runs while step 1 is under way
     # and before this process claims a ticket, so the helper steps all 3
-    # tickets of step 1; once it has replied to each, the observer kills it
-    # and waits until it has exited.  Step 1 ends on those replies, and
-    # step 2 finds the helper's pipe at end of file before it hands out a
+    # tickets of step 1; once it has sent both frames of each, the observer
+    # kills it and waits until it has exited.  Step 1 ends on those replies,
+    # and step 2 finds the helper's pipe at end of file before it hands out a
     # ticket: it reports it, no hang
     _use_cpus(monkeypatch, 2)
-    helpers = []
+    forked = []
 
-    class Recorded(integrate._Helpers):
-        def __init__(self, *args):
-            super().__init__(*args)
-            helpers.append(self)
+    class Recorded(workers.Workers):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            forked.append(self)
 
-    monkeypatch.setattr(integrate, "_Helpers", Recorded)
+    monkeypatch.setattr(workers, "Workers", Recorded)
+    # a ticket's claim notice, then its result: no midpoint failure
+    frames = 2 * workers.FRAME.size + len(pickle.dumps(([], None)))
 
     class KillHelper:
         def start(self, t, u):
@@ -611,8 +614,9 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
         def after_step(self, t, u):
             self.steps += 1
             if self.steps == 1:
-                [(self.pid, _, replies)] = helpers[0].procs
-                while _unread_bytes(replies) < 3 * integrate._REPLY.size:
+                [helper] = forked[0].children
+                self.pid = helper.pid
+                while _unread_bytes(helper.replies) < 3 * frames:
                     time.sleep(0.001)
                 os.kill(self.pid, signal.SIGKILL)
                 # exited, and left for the runner to reap
@@ -621,7 +625,7 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
     cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     killer = KillHelper()
-    with deadline(60), pytest.raises(integrate.HelperProcessError) as exc:
+    with deadline(60), pytest.raises(workers.HelperProcessError) as exc:
         run_ensemble(cfg, observers=[killer])
     assert str(exc.value) == (
         f"path-block helper process {killer.pid} was killed by SIGKILL at step 2"
@@ -638,7 +642,8 @@ def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
     # the helper sleeps 2 s in the first block it claims, as if its CPU were
     # taken away; the runner steps that block itself, steps serially while
     # the sleeping block's inputs must stay, and ends all 5 steps long before
-    # the helper wakes, with the serial run's bits
+    # the helper wakes, with the serial run's bits; nor does the run wait for
+    # the helper on its way out
     cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="strat-midpoint", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     _use_cpus(monkeypatch, 1)
@@ -664,10 +669,65 @@ def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
     stamps = Stamps()
     with deadline(60):
         sharded = run_ensemble(cfg, observers=[stamps])
+    returned = time.perf_counter()
     assert sharded.processes == 2
     assert stamps.times[-1] - stamps.times[0] < 1.0
+    assert returned - stamps.times[0] < 1.0
     assert np.array_equal(sharded.l2_sq, serial.l2_sq)
     assert np.array_equal(sharded.h1_sq, serial.h1_sq)
+    assert_no_child_left()
+
+
+def test_raising_runner_ends_its_helpers_at_once(monkeypatch):
+    # an observer that raises while a helper sleeps 5 s in a ticket must not
+    # wait for that ticket; the helper is killed and reaped
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=3, dt=1e-3, t_final=0.02, scheme="strat-midpoint", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    caller, step_rows = os.getpid(), StepKernel._step_rows
+
+    def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
+        if os.getpid() != caller:
+            time.sleep(5.0)
+        return step_rows(self, u, w_coeffs, out, lo, hi)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", sleepy_step_rows)
+    start = time.perf_counter()
+    with deadline(30), pytest.raises(RuntimeError, match="observer failed at step 3"):
+        run_ensemble(cfg, observers=[_RaiseAtStep()])
+    assert time.perf_counter() - start < 1.0
+    assert_no_child_left()
+
+
+def test_helper_exception_keeps_its_type(monkeypatch):
+    # the helper raises in the first block it claims, after the runner has
+    # stepped that block itself and gone on; the runner re-raises the
+    # helper's exception at a later step, the helper's traceback its cause
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=3, dt=1e-3, t_final=0.1, scheme="ito-em", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    caller, step_rows = os.getpid(), StepKernel._step_rows
+
+    def failing_step_rows(self, u, w_coeffs, out, lo, hi):
+        if os.getpid() != caller:
+            time.sleep(0.2)
+            raise ValueError(f"rows {lo}:{hi} failed")
+        return step_rows(self, u, w_coeffs, out, lo, hi)
+
+    class Slow(_Times):
+        def after_step(self, t, u):
+            super().after_step(t, u)
+            time.sleep(0.01)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", failing_step_rows)
+    seen = Slow()
+    with deadline(60), pytest.raises(ValueError, match=r"^rows \d+:\d+ failed$") as exc:
+        run_ensemble(cfg, observers=[seen])
+    assert len(seen.times) > 2
+    cause = exc.value.__cause__
+    assert isinstance(cause, workers.ChildTraceback)
+    assert re.match(r"path-block helper 1 \(process \d+\) at step \d+:\n", str(cause))
+    assert "ValueError: rows" in str(cause)
     assert_no_child_left()
 
 

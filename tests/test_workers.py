@@ -1,0 +1,84 @@
+"""The contract of the forked-worker layer, held by both of its users: the
+path-block helpers of an ensemble and the criterion lanes of the battery."""
+
+import os
+import re
+import signal
+import time
+from dataclasses import replace
+
+import pytest
+from processes import assert_no_child_left, deadline
+
+from torusflow import acceptance, integrate, workers
+from torusflow.integrate import SimConfig, StepKernel
+
+
+def _in_helper(monkeypatch, act):
+    """An ensemble whose helper calls ``act()`` in each block it steps.  Every
+    block takes 0.05 s, so the helper claims one while the caller steps its
+    own."""
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", paths=10, seed=5)
+    kernel = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt)
+    monkeypatch.setattr(integrate, "BLOCK_BYTES", 4 * kernel.path_bytes)
+    caller, step_rows = os.getpid(), StepKernel._step_rows
+
+    def acting_step_rows(self, u, w_coeffs, out, lo, hi):
+        if os.getpid() != caller:
+            act()
+        time.sleep(0.05)
+        return step_rows(self, u, w_coeffs, out, lo, hi)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", acting_step_rows)
+    return lambda: integrate.run_ensemble(cfg), r"path-block helper process \d+ {how} at step \d+"
+
+
+def _in_lane(monkeypatch, act):
+    """A battery of A4 and A8, whose check calls ``act()`` in the lane that
+    runs A8; the caller runs A4 for 0.5 s."""
+    caller = os.getpid()
+
+    def check(run):
+        if os.getpid() == caller:
+            time.sleep(0.5)
+        else:
+            act()
+        return True, "", ""
+
+    rows = tuple(replace(c, check=check) for c in acceptance.CRITERIA if c.key in ("a4", "a8"))
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+    return acceptance.run_suite, r"criterion lane process \d+ {how} while running a8"
+
+
+def _fail():
+    raise KeyError("no such path")
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("act", [_fail, _die], ids=["raises", "killed"])
+@pytest.mark.parametrize("work", [_in_helper, _in_lane], ids=["helpers", "lanes"])
+def test_a_child_failure_reaches_the_caller(monkeypatch, work, act):
+    # what a child raises comes back with its type and message, the child's
+    # traceback its cause; a child that is killed is named, with how and
+    # the work it held; either way no child is left and the caller keeps
+    # its CPU affinity
+    real = os.sched_getaffinity
+    if len(real(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(sorted(real(pid))[:2]))
+    before = os.sched_getaffinity(0)
+    run, message = work(monkeypatch, act)
+    if act is _fail:
+        with deadline(60), pytest.raises(KeyError, match="no such path") as exc:
+            run()
+        assert isinstance(exc.value.__cause__, workers.ChildTraceback)
+        assert "KeyError: 'no such path'" in str(exc.value.__cause__)
+    else:
+        with deadline(60), pytest.raises(workers.HelperProcessError) as exc:
+            run()
+        assert re.fullmatch(message.format(how="was killed by SIGKILL"), str(exc.value))
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
