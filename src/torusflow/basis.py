@@ -35,15 +35,15 @@ block of real cos/sin coefficients, while the dealiased grid is ``m x m``
 with ``m >= 3n + 1``.  For transforms this short and this sparse, partial
 summation by dense matrix products beats an FFT (Boyd, *Chebyshev and
 Fourier Spectral Methods*, 2001, ch. 10), so every transform is two real
-matrix stages over the block.  ``place_halfspectrum`` writes the fields a
-pass needs (``u``, ``u_perp``, ``omega``) straight from the coefficients
-into the block, one gather and one multiply by per-cell weights;
+matrix stages over the block.  ``place_halfspectrum`` writes the two
+components of ``u`` straight from the coefficients into the block, one
+gather and one multiply by per-cell weights;
 ``halfspectrum_to_grid`` applies the cos/sin rotation of ``k2 theta2`` from
 the right, then the cos/sin of ``k1 theta1`` from the left;
 ``grid_to_halfspectrum`` applies the adjoint stages in the opposite order,
 computing only the output block; and ``gather_coeffs`` projects a vector
 field's block onto the basis, ``gather_flux_coeffs`` the divergence of a
-flux given by three scalar blocks.  The names keep the word "halfspectrum":
+flux given by its scalar blocks.  The names keep the word "halfspectrum":
 a block cell pair ``(alpha, beta)`` at ``k`` is the rfft2 coefficient
 ``(alpha - i beta) / 2`` at ``k`` together with its conjugate at ``-k``.
 
@@ -214,23 +214,33 @@ class _GridMap:
             raise ResolutionError(
                 f"grid m={m} cannot carry truncation n={n} (need m >= {2 * n + 1})"
             )
-        self.basis = basis
         width = 2 * n + 1
         self.shape = block_shape(basis)
         k1, k2 = basis.modes[:, 0], basis.modes[:, 1]
         self.cells = k1 * self.shape[1] + k2 + n
         # the mode each cell reads; a cell no mode owns reads the mean, whose
-        # d, k and |k| are 0
+        # d and k are 0
         self.owner = np.zeros(self.shape, dtype=np.int64)
         for half in (0, width):
             self.owner.ravel()[self.cells + half] = np.arange(basis.n_modes)
-        self.is_beta = np.arange(2 * width) >= width
-        self._placements: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        is_beta = np.arange(2 * width) >= width
+
+        # placement of component c of u: a cell pair holds d_c (a, b) of its
+        # mode, each cell one flattened coefficient ``row * N + mode`` times
+        # a weight; d vanishes at the origin, whose alpha cell holds the
+        # mean's component c
+        size = self.owner.size
+        origin = self.cells[0]
+        index = np.stack([is_beta * basis.n_modes + self.owner] * 2)
+        weight = np.moveaxis(basis.dvec[self.owner], -1, 0).copy()
+        for c in (0, 1):
+            index[c].ravel()[origin] = c * basis.n_modes
+            weight[c].ravel()[origin] = 1.0
+        self.placement = index, weight
 
         # gather: one index into the two flattened components per output
         # coefficient (row r of mode i reads the alpha cell for r = 0 and the
         # beta cell for r = 1, the mean both rows from the alpha cell)
-        size = self.owner.size
         beta_cells = self.cells + width
         beta_cells[0] = self.cells[0]
         rows = np.stack([self.cells, beta_cells])
@@ -238,16 +248,19 @@ class _GridMap:
         self.gather_w = np.stack([2.0 * basis.dvec.T] * 2, axis=1)
         self.gather_w[:, :, 0] = np.eye(2)
 
-        # flux gather: the curl of div(v (x) u) has the symbol -k1^2, k2^2
-        # and -k1 k2 on the blocks of (A, B, C) = (v1 u2, v2 u1, v2 u2 - v1
-        # u1), and mode k's pair (a, b) is (2 beta, -2 alpha) / |k| of the
-        # curl's cell pair; the mean of a divergence is 0, so it reads nothing
+        # flux gathers by block count: the curl of div(v (x) u) has the
+        # symbol -k1^2, k2^2 and -k1 k2 on the blocks of (A, B, C) = (v1 u2,
+        # v2 u1, v2 u2 - v1 u1), and k2^2 - k1^2 on A when A = B (v = u);
+        # mode k's pair (a, b) is (2 beta, -2 alpha) / |k| of the curl's
+        # cell pair, and the mean of a divergence is 0, so it reads nothing
         q1, q2 = basis.modes[:, 0].astype(np.float64), basis.modes[:, 1].astype(np.float64)
         kabs = np.sqrt(np.where(basis.ksq > 0, basis.ksq, np.inf))
-        symbols = np.stack([-q1 * q1, q2 * q2, -q1 * q2]) * (2.0 / kabs)
         rows = np.stack([self.cells + width, self.cells])  # a reads beta, b alpha
-        self.flux_idx = np.stack([f * size + rows for f in range(3)])  # (field, row, mode)
-        self.flux_w = np.stack([symbols, -symbols], axis=1)
+        self.flux = {}
+        for symbols in ([-q1 * q1, q2 * q2, -q1 * q2], [q2 * q2 - q1 * q1, -q1 * q2]):
+            symbols = np.stack(symbols) * (2.0 / kabs)
+            index = np.stack([f * size + rows for f in range(len(symbols))])  # (field, row, mode)
+            self.flux[len(symbols)] = index, np.stack([symbols, -symbols], axis=1)
 
         # trig tables from the root-of-unity table, indexed by k . j mod m
         root = np.exp(2j * np.pi * np.arange(m) / m)
@@ -260,42 +273,6 @@ class _GridMap:
         self.inv_k1[:, 1::2] = e1.imag
         self.fwd_k1 = np.ascontiguousarray(self.inv_k1.T) / (m * m)
         self.fwd_k2 = np.ascontiguousarray(self.inv_k2.T)
-
-    def placement(self, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Gather index and weight ``(F, n+1, 2(2n+1))`` of a placement of ``fields``.
-
-        Every cell reads one flattened coefficient ``row * N + mode`` of its
-        mode ``(a, b)`` and multiplies it by a real weight ``w``.  A cell
-        pair holds ``w (a, b)`` for each component ``d_c (a, b)`` of ``u``
-        and of ``u_perp = (-u2, u1)``, and ``w (b, -a)`` for ``omega = |k|
-        (-b, a)``.  ``d`` vanishes at the origin, whose ``alpha`` cell holds
-        the mean ``(a, b)`` of ``u`` and ``(-b, a)`` of ``u_perp``.
-        """
-        if fields not in self._placements:
-            b = self.basis
-            n_modes = b.n_modes
-            d1, d2 = b.dvec[self.owner, 0], b.dvec[self.owner, 1]
-            kabs = np.sqrt(b.ksq[self.owner])
-            # per scalar field: weight, whether the cells read (b, -a), and
-            # the mean's row and weight
-            table = {
-                "u": [(d1, False, 0, 1.0), (d2, False, 1, 1.0)],
-                "uperp": [(-d2, False, 1, -1.0), (d1, False, 0, 1.0)],
-                "omega": [(-kabs, True, 0, 0.0)],
-            }
-            index, weight = [], []
-            origin = self.cells[0]
-            for name in fields:
-                for w, swap, mean_row, mean_w in table[name]:
-                    row = self.is_beta != swap
-                    idx = row * n_modes + self.owner
-                    w = np.where(self.is_beta & swap, -w, w)
-                    idx.ravel()[origin] = mean_row * n_modes
-                    w.ravel()[origin] = mean_w
-                    index.append(idx)
-                    weight.append(w)
-            self._placements[fields] = (np.stack(index), np.stack(weight))
-        return self._placements[fields]
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +288,16 @@ class _GridMap:
 # between is reused as well.
 
 def place_halfspectrum(
-    basis: Basis,
-    coeffs: np.ndarray,
-    m: int,
-    fields: tuple[str, ...] = ("u",),
-    out: np.ndarray | None = None,
+    basis: Basis, coeffs: np.ndarray, m: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Write ``fields`` of a coefficient array into the real cos/sin block.
+    """Write the components ``(u1, u2)`` of a coefficient array into the real cos/sin block.
 
-    ``coeffs`` has shape ``(..., 2, N)``; the result has shape
-    ``(..., F, n+1, 2(2n+1))``, one scalar field per entry of ``F``:
-    ``"u"`` gives ``(u1, u2)``, ``"uperp"`` gives ``(-u2, u1)`` and
-    ``"omega"`` the vorticity ``d1 u2 - d2 u1``.  ``halfspectrum_to_grid``
-    of the block evaluates the fields on the ``m x m`` collocation grid
-    exactly.  One gather and one multiply by per-cell weights.
+    ``coeffs`` has shape ``(..., 2, N)``; the result has shape ``(..., 2,
+    n+1, 2(2n+1))``, and ``halfspectrum_to_grid`` of it evaluates ``u`` on
+    the ``m x m`` collocation grid exactly.  One gather and one multiply by
+    per-cell weights.
     """
-    index, weight = basis._grid_map(m).placement(tuple(fields))
+    index, weight = basis._grid_map(m).placement
     flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
     out = np.take(flat, index, axis=-1, out=out, mode="clip")
     np.multiply(out, weight, out=out)
@@ -391,17 +362,18 @@ def gather_flux_coeffs(
     """Project ``div(v (x) u)`` onto the canonical basis from its flux blocks.
 
     ``spec`` holds the blocks ``(..., 3, n+1, 2(2n+1))`` of ``A = v1 u2``,
-    ``B = v2 u1`` and ``C = v2 u2 - v1 u1``.  The curl of the divergence,
+    ``B = v2 u1`` and ``C = v2 u2 - v1 u1``, or ``(..., 2, ...)`` of ``A``
+    and ``C`` when ``A = B``, as for ``v = u``.  The curl of the divergence,
     ``d1^2 A - d2^2 B + d1 d2 C``, is the symbol ``-k1^2 A + k2^2 B - k1 k2
-    C`` on the cells, and the divergence-free part of a field is fixed by
-    its curl: mode ``k`` gets ``(a, b) = (2 beta, -2 alpha) / |k|`` of the
-    curl's cell pair ``(alpha, beta)``, and the mean gets 0, the mean of
-    every divergence.  For divergence-free ``v`` the result is ``P (v .
-    grad) u``.  One gather, a multiply and two sums over the three blocks.
-    Returns ``(..., 2, N)``.
+    C`` on the cells (``(k2^2 - k1^2) A - k1 k2 C`` for two blocks), and the
+    divergence-free part of a field is fixed by its curl: mode ``k`` gets
+    ``(a, b) = (2 beta, -2 alpha) / |k|`` of the curl's cell pair ``(alpha,
+    beta)``, and the mean gets 0, the mean of every divergence.  For
+    divergence-free ``v`` the result is ``P (v . grad) u``.  One gather, a
+    multiply and a sum over the blocks.  Returns ``(..., 2, N)``.
     """
-    gm = basis._grid_map(m)
-    return _weighted_sum(spec, gm.flux_idx, gm.flux_w, out)
+    index, weight = basis._grid_map(m).flux[spec.shape[-3]]
+    return _weighted_sum(spec, index, weight, out)
 
 
 def _weighted_sum(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, out) -> np.ndarray:
@@ -540,6 +512,14 @@ def constant_advection(kappa: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     pair, ``(a, b) -> (kappa b, -kappa a)``, and never leaves the mode set.
     """
     return np.stack([kappa * coeffs[..., 1, :], -kappa * coeffs[..., 0, :]], axis=-2)
+
+
+def constant_symbol(basis: Basis, a1, a2) -> np.ndarray:
+    """The per-mode symbol ``kappa = a . k = a1 k1 + a2 k2`` of constant advectors.
+
+    ``a1`` and ``a2`` broadcast against the ``N`` modes of ``basis``.
+    """
+    return a1 * basis.modes[:, 0].astype(np.float64) + a2 * basis.modes[:, 1].astype(np.float64)
 
 
 def gradient(f: SpectralField) -> tuple[SpectralField, SpectralField]:

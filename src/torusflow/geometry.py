@@ -31,10 +31,11 @@ guessing.
 
 Both tables are :class:`~torusflow.dynamics.SortedCOO` arrays built from the
 advection tensor over the doubled square (the same closed-form integrals as
-A4's oracle): ``c`` from its interior couplings in both orientations, and
-``Gamma`` by the formula above over every triple where one of its three terms
-is nonzero.  Each entry is a term-by-term sum in a fixed order, and every
-contraction is one ``np.bincount``.
+A4's oracle): ``c`` is the part of the all-slot structure constants whose
+first two slots are interior, and ``Gamma`` comes by the formula above over
+every triple where one of its three terms is nonzero.  Each entry is a
+term-by-term sum in a fixed order, and every contraction is one
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -135,24 +136,19 @@ def build_structure_tables(n: int) -> StructureTables:
     raw = build_advection_tensor(2 * n).coalesced
     i, k, j = raw.slots
 
-    # both orientations of every interior coupling, so antisymmetry holds
-    # entrywise even when only one of t(k,l,m), t(l,k,m) is nonzero
-    sel = interior[i] & interior[k]
-    ii, kk, jj = i[sel], k[sel], j[sel]
-    w = raw.vals[sel] / (nu[ii] * nu[kk] * nu[jj])
-    c = SortedCOO.coalesce(
-        raw.size, np.r_[ii, kk], np.r_[kk, ii], np.r_[jj, jj], np.r_[w, -w]
-    ).nonzero()
-
-    # c_all: the structure constants for arbitrary slots, from the raw couplings
+    # c_all: the structure constants for arbitrary slots, from the raw
+    # couplings in both orientations, so antisymmetry holds entrywise even
+    # when only one of t(k,l,m), t(l,k,m) is nonzero; c is its interior part
     shape = (raw.size,) * 3
     keys = _union(raw.keys, raw.key(k, i, j))
     a, b, m = np.unravel_index(keys, shape)
     v = (raw.lookup(a, b, m) - raw.lookup(b, a, m)) / (nu[a] * nu[b] * nu[m])
     c_all = SortedCOO(raw.size, keys, v).nonzero()
+    a, b, m = c_all.slots
+    sel = interior[a] & interior[b]
+    c = SortedCOO(raw.size, c_all.keys[sel], c_all.vals[sel])
 
     # Gamma_{k,l}^m is nonzero only where one of its three terms is
-    a, b, m = c_all.slots
     keys = _union(c_all.keys, c_all.key(m, a, b), c_all.key(b, m, a))
     k, l, m = np.unravel_index(keys, shape)
     sel = interior[k] & interior[l]

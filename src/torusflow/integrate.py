@@ -36,14 +36,15 @@ A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  The pass writes its stages into arrays that
 ``dynamics.advect`` keeps for the next pass of the same shape, so in a run
 they are allocated once, not faulted in afresh every pass.  The block size
-is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` counts
-what one pass touches per path: 5 transformed fields (3 in and 2 out, or
-under field noise 2 in and 3 out), each an ``m x m`` grid, an ``(n+1) x
-2m`` matrix-stage array and an ``(n+1) x 2(2n+1)`` cos/sin block, all real,
-plus under field noise the 2 grids of the step's noise field, placed once
-per step.  At n=8 (m=25) that gives 32 paths with spatially constant noise
-and 27 with ``qwiener:8``; in the sweep in ``BENCH_real_blocks.json`` 24-64
-paths per block ran fastest, and 128 or 256 faulted most.  Every operation,
+is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` budgets
+what one pass touches per path: 5 transformed fields (a field-noise pass's
+2 in and 3 out; the quadratic term alone moves 2 in and 2 out), each an
+``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an ``(n+1) x
+2(2n+1)`` cos/sin block, all real, plus under field noise the 2 grids of
+the step's noise field, placed once per step.  At n=8 (m=25) that gives 32
+paths with spatially constant noise and 27 with ``qwiener:8``; in the sweep
+in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and 128 or
+256 faulted most.  Every operation,
 the midpoint convergence test and the transform stages included, acts on
 each path alone, so results do not depend on the blocks: a path is
 bit-identical alone, in any batch and in any block.
@@ -100,6 +101,7 @@ from .basis import (
     batch_norms_sq,
     block_shape,
     constant_advection,
+    constant_symbol,
     get_basis,
     halfspectrum_to_grid,
     place_halfspectrum,
@@ -294,14 +296,13 @@ class StepKernel:
         self.scheme = scheme
         self.dt = float(dt)
         self.m = dealias_resolution(basis.n, max(noise.field_basis.n, basis.n), basis.n)
-        self.k1 = basis.modes[:, 0].astype(np.float64)
-        self.k2 = basis.modes[:, 1].astype(np.float64)
         self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
-        # one operator pass transforms 5 fields per path (3 in and 2 out, or
-        # under field noise 2 in and 3 out), each an m x m grid, an (n+1) x
-        # 2m stage array and an (n+1) x 2(2n+1) block, all real, and under
-        # field noise reads the 2 grids of the step's noise field
+        # the budget of a 5-field pass per path (under field noise 2 fields
+        # in and 3 out, and the quadratic term alone within it at 2 and 2),
+        # each an m x m grid, an (n+1) x 2m stage array and an (n+1) x
+        # 2(2n+1) block, all real, and under field noise the 2 grids of the
+        # step's noise field
         n, m = basis.n, self.m
         self.path_bytes = 5 * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
         self.path_bytes += 0 if self.constant_noise else 2 * 8 * m * m
@@ -320,7 +321,7 @@ class StepKernel:
         advector, in arrays the next step reuses.
         """
         if self.constant_noise:
-            return w_coeffs[..., 0, 0:1] * self.k1 + w_coeffs[..., 1, 0:1] * self.k2
+            return constant_symbol(self.basis, w_coeffs[..., 0, 0:1], w_coeffs[..., 1, 0:1])
         fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (2,)
         spec = self._noise_arrays.take("spec", lead + block_shape(fb))
         spec = place_halfspectrum(fb, w_coeffs, m, out=spec)

@@ -63,6 +63,21 @@ def test_manifest_replay_keeps_path_id(tmp_path):
     assert (a / "state_final.csv").read_bytes() != (c / "state_final.csv").read_bytes()
 
 
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+def test_ensemble_manifest_replay_bit_identical(tmp_path, noise):
+    # the martingale probe's columns under constant noise, nan columns under
+    # field noise; a replay takes every setting from the manifest alone
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(
+        "ensemble", "--n", "3", "--dt", "1e-2", "--T", "0.1", "--paths", "4",
+        "--seed", "11", "--noise", noise, "--scheme", "ito-em", "--out", str(a),
+    ) == 0
+    assert run_cli("ensemble", "--config", str(a / "manifest.json"), "--out", str(b)) == 0
+    first, replay = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
+    assert first["config"] == replay["config"]
+    assert (a / "ensemble.csv").read_bytes() == (b / "ensemble.csv").read_bytes()
+
+
 def test_solver_failure_is_an_error_not_a_traceback(tmp_path, capsys):
     code = run_cli(
         "run", "--n", "8", "--dt", "2e-2", "--T", "0.2", "--noise", "qwiener:8",

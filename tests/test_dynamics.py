@@ -289,8 +289,8 @@ def _batch(basis, rng, paths, include_mean=False):
     return np.stack([f.coeffs for f in draws])
 
 
-def _on_grid(basis, coeffs, m, fields=("u",)):
-    return halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m, fields), m)
+def _on_grid(basis, coeffs, m):
+    return halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m), m)
 
 
 def _advector(basis, coeffs, m):
@@ -381,10 +381,9 @@ def test_advect_into_a_larger_output_basis():
 
 @pytest.mark.parametrize("kind", ["self", "fused", "transport"])
 def test_advect_transform_counts(monkeypatch, kind):
-    # fields per state through each transform: the quadratic term alone
-    # places (u_perp, omega) and sends the 2 products forward; with a field
-    # advector, whose 2 grids come in ready-made, the pass places u and
-    # sends the 3 flux products forward
+    # fields per state through each transform: every pass places u; the
+    # quadratic term alone sends its 2 flux products forward, and with a
+    # field advector, whose 2 grids come in ready-made, the pass sends 3
     paths = 3
     seen = {"inverse": 0, "forward": 0}
 
@@ -404,7 +403,7 @@ def test_advect_transform_counts(monkeypatch, kind):
         monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
     calls = {"self": (1.0, None), "fused": (SCALE, w_grid), "transport": (0.0, w_grid)}
     advect(b, U, m, *calls[kind])
-    fields_in, fields_out = (3, 2) if kind == "self" else (2, 3)
+    fields_in, fields_out = (2, 2) if kind == "self" else (2, 3)
     assert seen == {"inverse": fields_in * paths, "forward": fields_out * paths}
 
 

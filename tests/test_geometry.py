@@ -239,6 +239,6 @@ def test_tables_csv_digests_pinned(tmp_path):
     write_tables_csv(build_structure_tables(2), tmp_path / "c.csv", tmp_path / "g.csv")
     digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digest == {
-        "c.csv": "155c1ff433228b159978c9acf7dd272b14830b3861d0df923ef775884fe60b42",
+        "c.csv": "370ffa5ae9fc1878555f1cd204a33aa72f99a077997ff6d178ca8c84ec1f33d4",
         "g.csv": "374268fe5165abbb8f3ebd2a3fe7db4f7bfc155022854a45fee0e90838715b00",
     }
