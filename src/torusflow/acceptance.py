@@ -242,7 +242,8 @@ CHECK_EVERY = 10
 
 def _a2_h1_flat(run: RunContext):
     diag = run.a2_ensemble
-    mean, se = diag.h1_stats()
+    rep = energy_report(diag)
+    mean, se = rep.mean_h1, rep.se_h1
     idx = _saved_indices(len(diag.times) - 1, CHECK_EVERY)
     dev = np.abs(mean[idx] - mean[0])
     worst = float((dev / np.maximum(3 * se[idx], 1e-300)).max())
@@ -377,8 +378,8 @@ def _a6_martingale(run: RunContext):
     diag = run.a2_ensemble
     wl = 0.0
     for name in ("v1", "v2", "v3"):
-        s = diag.observers[name]
-        dl = s.L[:, -1] - s.L[:, 0]
+        L = diag.observers[name].L
+        dl = L[:, -1] - L[:, 0]
         for part in (dl.real, dl.imag):
             mean, se = mean_se(part)
             wl = max(wl, abs(mean) / max(3 * se, 1e-300))
@@ -420,12 +421,10 @@ def _a7_ito_strat(run: RunContext):
         seed=run.seed,
         initial="mode:1,0",
     )
-    em = run_ensemble(SimConfig(scheme="ito-em", **common))
-    heun = run_ensemble(SimConfig(scheme="strat-heun", **common))
-    m1, s1 = em.l2_stats()
-    m2, s2 = heun.l2_stats()
-    diff = abs(float(m1[-1] - m2[-1]))
-    allow = 3 * float(np.hypot(s1[-1], s2[-1])) + 5 * em.config.dt
+    em = energy_report(run_ensemble(SimConfig(scheme="ito-em", **common)))
+    heun = energy_report(run_ensemble(SimConfig(scheme="strat-heun", **common)))
+    diff = abs(float(em.mean_l2[-1] - heun.mean_l2[-1]))
+    allow = 3 * float(np.hypot(em.se_l2[-1], heun.se_l2[-1])) + 5 * common["dt"]
     return (
         diff <= allow,
         f"|mean L2(T) gap| = {diff:.2e}",

@@ -13,7 +13,9 @@ and ``M_t = <u(t), v> - <u(0), v> + int_0^t <(1/2) A u + B(u), v> ds`` are
 against ``int_0^t sum_l <d_l u, v>^2 ds``.  All pairings reduce to exact
 coefficient contractions: ``<B(u), v> = -<(u . grad) v, u>`` is a sparse
 quadratic form and ``<d_l u, v> = -<u, d_l v>``, so observing every step
-costs no transforms.
+costs no transforms.  A probe records only the three pairings per path and
+step, ``<u, v>``, the drift pairing and the QV density; ``L``, ``M`` and the
+QV ledger are integrated by the trapezoid rule when they are read.
 """
 
 from __future__ import annotations
@@ -54,11 +56,56 @@ ENSEMBLE_CSV_COLUMNS = (
 _QUADRATIC_FORM = Workspace()
 
 
-class _ProbeContractions:
-    """Precomputed contraction tables for one test function."""
+def _running_trapezoid(times: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``int_0^t f ds`` at every step time, by the trapezoid rule along the
+    last axis; ``np.cumsum`` adds the steps in order, as a running sum would."""
+    out = np.zeros_like(f)
+    np.cumsum(0.5 * np.diff(times) * (f[..., :-1] + f[..., 1:]), axis=-1, out=out[..., 1:])
+    return out
 
-    def __init__(self, v: SpectralField):
-        self.v = v
+
+@dataclass
+class ProbeSeries:
+    """Per-path series a martingale probe recorded along an ensemble; the
+    functionals are integrated when they are read, so read each once."""
+
+    name: str
+    times: np.ndarray       # (S,)
+    uv: np.ndarray          # (P, S)   <u(t), v>
+    drift: np.ndarray       # (P, S)   < -(1/2) A u - B(u), v >
+    qv_density: np.ndarray  # (P, S)   sum_l <d_l u, v>^2
+
+    @property
+    def phi(self) -> np.ndarray:
+        """(P, S) complex ``phi_v(u(t))``."""
+        return 1j * self.drift - 0.5 * self.qv_density
+
+    @property
+    def L(self) -> np.ndarray:
+        """(P, S) complex ``L_t``."""
+        e = np.exp(1j * self.uv)
+        return e - _running_trapezoid(self.times, e * self.phi)
+
+    @property
+    def mart(self) -> np.ndarray:
+        """(P, S) ``M_t``."""
+        return self.uv - self.uv[:, :1] - _running_trapezoid(self.times, self.drift)
+
+    @property
+    def qv(self) -> np.ndarray:
+        """(P, S) ``int_0^t sum_l <d_l u, v>^2 ds``."""
+        return _running_trapezoid(self.times, self.qv_density)
+
+
+class MartingaleProbe:
+    """Step observer recording the three pairings of one test function ``v``.
+
+    Attach to :func:`torusflow.integrate.run_ensemble`; the result is a
+    :class:`ProbeSeries` at full step resolution.
+    """
+
+    def __init__(self, v: SpectralField, name: str = "probe"):
+        self.name = name
         b = v.basis
         d1v, d2v = gradient(v)
         # one column per linear pairing: <u, v>_0, <u, A v>_0 and
@@ -84,9 +131,9 @@ class _ProbeContractions:
         self.q_v = vals[keep]
 
     def pairings(self, u: np.ndarray):
-        """Return ``(uv, drift_pair, qv_density)`` for batched coefficients.
+        """Return ``(uv, drift, qv_density)`` for batched coefficients.
 
-        ``drift_pair = < -(1/2) A u - B(u), v >`` and ``qv_density`` is the
+        ``drift = < -(1/2) A u - B(u), v >`` and ``qv_density`` is the
         summed square of the transport pairings.
         """
         flat = u.reshape(u.shape[:-2] + (-1,))
@@ -108,78 +155,16 @@ class _ProbeContractions:
         # all four columns alive
         return pairs[..., 0].copy(), -0.5 * pairs[..., 1] + b_quad, t1 * t1 + t2 * t2
 
-
-@dataclass
-class ProbeSeries:
-    """Per-path series a martingale probe accumulated along an ensemble."""
-
-    name: str
-    v: SpectralField
-    times: np.ndarray      # (S,)
-    uv: np.ndarray         # (P, S)   <u(t), v>
-    phi: np.ndarray        # (P, S)   complex phi_v(u(t))
-    L: np.ndarray          # (P, S)   complex L_t
-    mart: np.ndarray       # (P, S)   M_t
-    qv: np.ndarray         # (P, S)   int_0^t sum_l <d_l u, v>^2 ds
-
-
-class MartingaleProbe:
-    """Step observer accumulating the functionals by running trapezoids.
-
-    Attach to :func:`torusflow.integrate.run_ensemble`; the result is a
-    :class:`ProbeSeries` at full step resolution.
-    """
-
-    def __init__(self, v: SpectralField, name: str = "probe"):
-        self.name = name
-        self._pc = _ProbeContractions(v)
-        self._v = v
-
     def start(self, t: float, u: np.ndarray) -> None:
-        p = u.shape[0]
-        uv, drift, qv = self._pc.pairings(u)
-        phi = 1j * drift - 0.5 * qv
-        self._t = [t]
-        self._uv = [uv]
-        self._phi = [phi]
-        self._int_L = np.zeros(p, dtype=np.complex128)
-        self._int_drift = np.zeros(p)
-        self._int_qv = np.zeros(p)
-        e = np.exp(1j * uv)
-        self._L = [e - self._int_L.copy()]
-        self._mart = [np.zeros(p)]
-        self._qv = [np.zeros(p)]
-        # the step's exp(i <u, v>) is kept for the next step's trapezoid
-        self._prev = (e, phi, drift, qv, t)
+        self._t, self._record = [t], [self.pairings(u)]
 
     def after_step(self, t: float, u: np.ndarray) -> None:
-        uv, drift, qv = self._pc.pairings(u)
-        phi = 1j * drift - 0.5 * qv
-        e = np.exp(1j * uv)
-        e0, phi0, drift0, qv0, t0 = self._prev
-        dt = t - t0
-        self._int_L += 0.5 * dt * (e0 * phi0 + e * phi)
-        self._int_drift += 0.5 * dt * (-(drift0 + drift))
-        self._int_qv += 0.5 * dt * (qv0 + qv)
         self._t.append(t)
-        self._uv.append(uv)
-        self._phi.append(phi)
-        self._L.append(e - self._int_L.copy())
-        self._mart.append(uv - self._uv[0] + self._int_drift)
-        self._qv.append(self._int_qv.copy())
-        self._prev = (e, phi, drift, qv, t)
+        self._record.append(self.pairings(u))
 
     def result(self) -> ProbeSeries:
-        return ProbeSeries(
-            name=self.name,
-            v=self._v,
-            times=np.array(self._t),
-            uv=np.stack(self._uv, axis=1),
-            phi=np.stack(self._phi, axis=1),
-            L=np.stack(self._L, axis=1),
-            mart=np.stack(self._mart, axis=1),
-            qv=np.stack(self._qv, axis=1),
-        )
+        uv, drift, qv_density = (np.stack(s, axis=1) for s in zip(*self._record))
+        return ProbeSeries(self.name, np.array(self._t), uv, drift, qv_density)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +210,12 @@ def _probe_series(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> ProbeS
 def qv_check(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> QvReport:
     """Compare the martingale estimate and its quadratic-variation ledger."""
     series = _probe_series(diag, probe)
-    p = series.mart.shape[0]
+    p = series.uv.shape[0]
     if p < 64:
         raise ConfigurationError(f"qv_check needs >= 64 paths (got {p})")
-    mean_m, se_m = mean_se(series.mart)
-    gap, se_gap = mean_se(series.mart**2 - series.qv)
+    mart = series.mart
+    mean_m, se_m = mean_se(mart)
+    gap, se_gap = mean_se(mart**2 - series.qv)
     return QvReport(series.times, mean_m, se_m, gap, se_gap, p)
 
 
@@ -289,14 +275,15 @@ def write_ensemble_csv(
     report = energy_report(diag)
     series = None if probe is None else _probe_series(diag, probe)
     qv = qv_check(diag, series) if series is not None and diag.n_paths >= 64 else None
+    mart = None if series is None else series.mart
 
     keep = _saved_indices(len(diag.times) - 1, diag.config.save_every)
     with csv_writer(out) as w:
         w.writerow(ENSEMBLE_CSV_COLUMNS)
         for i in keep:
-            if series is not None:
+            if mart is not None:
                 # per column: a reduction over the whole table sums in another order
-                mean_m, se_m = mean_se(series.mart[:, i])
+                mean_m, se_m = mean_se(mart[:, i])
             else:
                 mean_m, se_m = np.nan, np.nan
             if qv is not None:

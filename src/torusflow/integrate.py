@@ -645,12 +645,6 @@ class EnsembleDiagnostics:
     def n_paths(self) -> int:
         return len(self.path_ids)
 
-    def l2_stats(self):
-        return mean_se(self.l2_sq)
-
-    def h1_stats(self):
-        return mean_se(self.h1_sq)
-
 
 def mean_se(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and standard error over the leading (path) axis.

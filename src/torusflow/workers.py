@@ -10,11 +10,13 @@ thread that forked it.  One CPU means the caller runs the work serially.
 :class:`Workers` forks the other processes, each optionally pinned to its
 CPU.  Every process, the caller first, has a claims pipe, and
 :meth:`Workers.put` writes each one's tickets to its pipe.  A process claims
-the tickets in its own pipe first, then what is left in the others'.  The
-children wait on those pipes, which only the caller writes, so they end with
-it.  A child serves a ticket through the callable that it inherited at the
-fork, so what that callable reads (a shared mapping, monkeypatched code)
-must exist before the fork.  For each ticket a child sends two frames: a claim notice
+the tickets in its own pipe first, then what is left in the others'.  A
+child waits on its own pipe alone: ``put`` writes the caller's pipe first,
+and a child that woke to it would claim the caller's first ticket.  Only the
+caller writes the pipes, so the children end with it.  A child serves a
+ticket through the callable that it inherited at the fork, so what that
+callable reads (a shared mapping, monkeypatched code) must exist before the
+fork.  For each ticket a child sends two frames: a claim notice
 with the time of the claim, then the pickled result, or the pickled
 ``(exception, traceback)`` of what it raised.  The caller re-raises such an
 exception, with the child's traceback as a :class:`ChildTraceback` for its
@@ -180,10 +182,10 @@ class Workers:
             os.close(fd)
         if cpu is not None:
             os.sched_setaffinity(0, {cpu})
-        readers = [r for r, _ in self.claims]
+        own = [self.claims[me][0]]
         try:
             while True:
-                select.select(readers, [], [])
+                select.select(own, [], [])
                 while (ticket := self.claim(me)) is not None:
                     write_all(replies, FRAME.pack(ticket, perf_counter(), 0))
                     try:
@@ -195,7 +197,9 @@ class Workers:
             return 0
 
     def put(self, owned: list) -> None:
-        """Hand out tickets, ``owned[i]`` to process ``i``."""
+        """Hand out tickets, ``owned[i]`` to process ``i``.  A child wakes only
+        to its own pipe, so every ``owned[i]`` of a child must hold a ticket;
+        the helpers and the lanes give each process at least one."""
         self.claimed = {}
         for (_, sink), tickets in zip(self.claims, owned):
             os.write(sink, array(_TICKET.format, tickets).tobytes())

@@ -10,8 +10,9 @@ before the transforms became dense DFT-matrix products: the full rfft2
 half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps, plus
 the conversions between the package's real cos/sin block and the complex
 half-spectrum cells.  The
-probe section keeps the first form of the martingale probe's pairings, and
-the noise section the first increment fold and draw schedule.
+probe section keeps the first form of the martingale probe's pairings and
+the running trapezoids that first integrated its series, and the noise
+section the first increment fold and draw schedule.
 """
 
 import mpmath as mp
@@ -350,6 +351,53 @@ def probe_pairings(v: SpectralField, u: np.ndarray):
     t1 = -np.einsum("...cn,cn->...", u, b.norm_sq * d1v.coeffs)
     t2 = -np.einsum("...cn,cn->...", u, b.norm_sq * d2v.coeffs)
     return uv, -0.5 * a_pair + b_quad, t1 * t1 + t2 * t2
+
+
+class RunningTrapezoids:
+    """The martingale probe's series as first accumulated: a step observer
+    that integrates ``L``, ``M`` and the QV ledger by running trapezoids over
+    the pairings of ``probe``, and keeps every step's values."""
+
+    def __init__(self, probe):
+        self.pairings = probe.pairings
+
+    def start(self, t, u):
+        p = u.shape[0]
+        uv, drift, qv = self.pairings(u)
+        phi = 1j * drift - 0.5 * qv
+        self._t, self._uv, self._phi = [t], [uv], [phi]
+        self._int_L = np.zeros(p, dtype=np.complex128)
+        self._int_drift = np.zeros(p)
+        self._int_qv = np.zeros(p)
+        e = np.exp(1j * uv)
+        self._L = [e - self._int_L.copy()]
+        self._mart = [np.zeros(p)]
+        self._qv = [np.zeros(p)]
+        self._prev = (e, phi, drift, qv, t)
+
+    def after_step(self, t, u):
+        uv, drift, qv = self.pairings(u)
+        phi = 1j * drift - 0.5 * qv
+        e = np.exp(1j * uv)
+        e0, phi0, drift0, qv0, t0 = self._prev
+        dt = t - t0
+        self._int_L += 0.5 * dt * (e0 * phi0 + e * phi)
+        self._int_drift += 0.5 * dt * (-(drift0 + drift))
+        self._int_qv += 0.5 * dt * (qv0 + qv)
+        self._t.append(t)
+        self._uv.append(uv)
+        self._phi.append(phi)
+        self._L.append(e - self._int_L.copy())
+        self._mart.append(uv - self._uv[0] + self._int_drift)
+        self._qv.append(self._int_qv.copy())
+        self._prev = (e, phi, drift, qv, t)
+
+    def series(self) -> dict:
+        """``times``, then each ``(P, S)`` series by its ``ProbeSeries`` name."""
+        out = {"times": np.array(self._t)}
+        for name in ("uv", "phi", "L", "mart", "qv"):
+            out[name] = np.stack(getattr(self, "_" + name), axis=1)
+        return out
 
 
 # ---------------------------------------------------------------------------

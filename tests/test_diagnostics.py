@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -62,7 +63,7 @@ def test_probe_pairings_match_their_first_form(v):
     u = np.stack([random_field(b, rng, include_mean=True).coeffs for _ in range(64)])
     probe = MartingaleProbe(v)
     probe.start(0.0, u)
-    got = probe._pc.pairings(u)
+    got = probe.pairings(u)
     for g, w in zip(got, oracles.probe_pairings(v, u)):
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
@@ -77,12 +78,34 @@ def test_probe_quadratic_form_keeps_its_bits(mode, paths):
     # larger batch came first and the arrays are views of larger ones
     rng = np.random.default_rng(paths)
     b = get_basis(8)
-    pc = MartingaleProbe(SpectralField.from_modes(b, [(mode, 1.0)]))._pc
-    pc.pairings(rng.standard_normal((300, 2, b.n_modes)))
+    probe = MartingaleProbe(SpectralField.from_modes(b, [(mode, 1.0)]))
+    probe.pairings(rng.standard_normal((300, 2, b.n_modes)))
     u = np.stack([random_field(b, rng, include_mean=True).coeffs for _ in range(paths)])
     flat = u.reshape(paths, -1)
-    want = -0.5 * (flat @ pc.w)[:, 1] + (flat[..., pc.q_i] * flat[..., pc.q_j]) @ pc.q_v
-    assert np.array_equal(pc.pairings(u)[1], want)
+    quad = (flat[..., probe.q_i] * flat[..., probe.q_j]) @ probe.q_v
+    want = -0.5 * (flat @ probe.w)[:, 1] + quad
+    assert np.array_equal(probe.pairings(u)[1], want)
+
+
+def test_probe_keeps_three_numbers_per_path_and_step():
+    # after_step records uv, the drift pairing and the QV density, and no
+    # more: 3 float64 per path and step where running trapezoids kept 7
+    rng = np.random.default_rng(2)
+    b = get_basis(8)
+    u = np.stack([random_field(b, rng).coeffs for _ in range(256)])
+    probe = MartingaleProbe(SpectralField.from_modes(b, [(BasisMode("c", (1, 1)), 1.0)]))
+    probe.start(0.0, u)
+    probe.after_step(1e-3, u)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in range(100):
+            probe.after_step((s + 2) * 1e-3, u)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per = kept / (100 * 256 * 8)
+    assert 3.0 <= per <= 3.5, per
 
 
 def _exact_decay_path(dt: float, t_final: float) -> PathResult:

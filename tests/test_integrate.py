@@ -31,7 +31,7 @@ from torusflow.basis import (
     get_basis,
     random_field,
 )
-from torusflow.diagnostics import MartingaleProbe
+from torusflow.diagnostics import MartingaleProbe, energy_report
 from torusflow.noise import (
     ConfigurationError,
     NoiseModel,
@@ -305,7 +305,7 @@ def test_ensemble_order_invariance_and_degenerate_hook():
 
     dup = run_ensemble(cfg, path_ids=[3, 3])
     assert np.array_equal(dup.l2_sq[0], dup.l2_sq[1])
-    _, se = dup.l2_stats()
+    se = energy_report(dup).se_l2
     assert np.all(se == 0.0)
 
 
@@ -458,6 +458,29 @@ def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
             states = [s.coeffs for s in path.states]
             assert len(states) == 4
         assert all(np.array_equal(s.coeffs, c) for s, c in zip(path.states, states))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_probe_series_equal_the_running_trapezoids(monkeypatch, cpus):
+    # a probe records the pairings and integrates L, M and the QV ledger
+    # when they are read: every series has the bits of the running
+    # trapezoids that first accumulated them step by step, also while
+    # helpers step the paths
+    cfg = SimConfig(
+        n=8, dt=1e-3, t_final=0.05, scheme="ito-em", noise=SI, paths=64, seed=8,
+        initial="random:3",
+    )
+    _shrink_blocks(monkeypatch, cfg, 16)
+    _use_cpus(monkeypatch, cpus)
+    probes = _probes(cfg.basis)
+    running = [oracles.RunningTrapezoids(p) for p in probes]
+    ens = run_ensemble(cfg, observers=probes + running)
+    assert ens.processes == cpus
+    for probe, oracle in zip(probes, running):
+        got = ens.observers[probe.name]
+        for name, want in oracle.series().items():
+            assert np.array_equal(getattr(got, name), want), name
     assert_no_child_left()
 
 

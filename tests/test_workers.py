@@ -82,3 +82,36 @@ def test_a_child_failure_reaches_the_caller(monkeypatch, work, act):
         assert re.fullmatch(message.format(how="was killed by SIGKILL"), str(exc.value))
     assert os.sched_getaffinity(0) == before
     assert_no_child_left()
+
+
+def test_each_child_wakes_to_its_own_first_ticket(monkeypatch):
+    # put writes the caller's pipe first; with 50 ms after each write, a
+    # child that woke to any pipe would claim the caller's ticket before
+    # its own was written and hold it for the 0.2 s it serves
+    def serve(me, ticket):
+        time.sleep(0.2)
+        return me
+
+    pool = workers.Workers(serve, 3, "test worker", lambda ticket: "")
+    sinks = {sink for _, sink in pool.claims}
+    write = os.write
+
+    def slow_write(fd, data):
+        n = write(fd, data)
+        if fd in sinks:
+            time.sleep(0.05)
+        return n
+
+    try:
+        with deadline(10):
+            with monkeypatch.context() as m:
+                m.setattr(os, "write", slow_write)
+                pool.put([[0], [1], [2]])
+            assert pool.claim() == 0
+            served = {}
+            while pool.pending:
+                served.update(pool.receive())
+        assert served == {1: 1, 2: 2}
+    finally:
+        pool.close()
+    assert_no_child_left()
