@@ -12,13 +12,15 @@ follow the "3 standard errors plus stated discretization allowance" pattern
 throughout.
 
 ``run_suite`` runs the picked criteria as jobs, one criterion each except
-that A6 joins A2's job, because it reads A2's ensemble.  On a host with more
-than one usable CPU the jobs run side by side in lanes, on the layer of
+that A6 joins A2's job, because it reads A2's ensemble, and A4 joins A5's,
+because both read the coupling tensor at n=8.  On a host with more than one
+usable CPU the jobs run side by side in lanes, on the layer of
 :mod:`torusflow.workers`: the caller and forked processes, one per CPU, each
 pinned to its CPU, so that the ensembles inside a lane step serially.  Each
 lane starts with its own job of :data:`CLAIM_ORDER`; the caller's is A2 with
-A6 and lane 1's is A5, the jobs with the largest working sets, so that the
-caller's peak memory is the same on every run.  Every check computes the
+A6 and lane 1's is A5 with A4, the jobs with the largest working sets.  No
+other job builds a coupling tensor (A6's probes take their couplings from
+the closed form), so the caller's peak memory is the same on every run.  Every check computes the
 same in any lane; the results come back in table order and record which
 lane ran them (``CriterionResult.process``, 0 for the caller).  ``taskset -c
 0`` runs every criterion in the one process, one after another.
@@ -569,18 +571,19 @@ SUITES = {
 }
 
 
-#: a criterion that reads another's :class:`RunContext` state runs in that
-#: one's job when both are picked: A6 reads A2's ensemble
-JOINS = {"a6": "a2"}
+#: a criterion that reads another's state runs in that one's job when both
+#: are picked: A6 reads A2's ensemble, and A4 the cached n=8 coupling tensor
+#: that A5's structure tables build, so no job of the caller builds a tensor
+JOINS = {"a6": "a2", "a4": "a5"}
 
 #: every key, in the order in which lanes take up the jobs they lead: lane i
 #: starts with job i, and the lanes claim the rest in order.  The caller is
 #: lane 0 and starts with A2 and A6, whose ensemble and probe series are the
 #: battery's largest working set at full scale and the second largest in
-#: quick mode; lane 1 starts with A5, whose structure tables are the largest
-#: in quick mode.  So the caller's peak memory does not depend on which jobs
-#: it claims later.  The rest go longest first at full scale, so that no
-#: long job starts last.
+#: quick mode; lane 1 starts with A5 and A4, whose structure tables and
+#: coupling tensors are the largest in quick mode.  So the caller's peak
+#: memory does not depend on which jobs it claims later.  The rest go
+#: longest first at full scale, so that no long job starts last.
 CLAIM_ORDER = ("a2", "a6", "a5", "a1a", "a1b", "a3", "a9", "a7", "a4", "a8")
 
 

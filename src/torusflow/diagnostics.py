@@ -210,10 +210,14 @@ def _probe_series(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> ProbeS
 def qv_check(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> QvReport:
     """Compare the martingale estimate and its quadratic-variation ledger."""
     series = _probe_series(diag, probe)
+    return _qv_report(series, series.mart)
+
+
+def _qv_report(series: ProbeSeries, mart: np.ndarray) -> QvReport:
+    """:func:`qv_check` on the series' ``M_t``, integrated once by the caller."""
     p = series.uv.shape[0]
     if p < 64:
         raise ConfigurationError(f"qv_check needs >= 64 paths (got {p})")
-    mart = series.mart
     mean_m, se_m = mean_se(mart)
     gap, se_gap = mean_se(mart**2 - series.qv)
     return QvReport(series.times, mean_m, se_m, gap, se_gap, p)
@@ -274,8 +278,10 @@ def write_ensemble_csv(
     """
     report = energy_report(diag)
     series = None if probe is None else _probe_series(diag, probe)
-    qv = qv_check(diag, series) if series is not None and diag.n_paths >= 64 else None
+    # M_t is a fresh (P, S) integral on each read: read it once for the
+    # QV columns and the rows alike
     mart = None if series is None else series.mart
+    qv = _qv_report(series, mart) if mart is not None and diag.n_paths >= 64 else None
 
     keep = _saved_indices(len(diag.times) - 1, diag.config.save_every)
     with csv_writer(out) as w:

@@ -8,15 +8,19 @@ the precomputed coupling coefficients
     b_{ikj} = < (e_i . grad) e_k , e_j >_0
 
 over the enumerated basis (closed-form trigonometric integrals, O(n^4) per
-apply); ``build_advection_tensor`` is the correctness oracle, and the probe
-tables of ``middle_slice`` are slices of it.  The pseudo-spectral route,
-``advect``, forms the products on a dealiased ``M x M`` collocation grid
-(dense real matrix stages over the cos/sin block of each field, O(M^2 n)
-per field; see ``basis``) for batched states, with or without an advecting
-field, and must agree with the tensor route to full precision; the time
-stepper, the drifts and ``transport_apply`` all use it.  A spatially
-constant advector needs no grid: its transport is the exact per-mode
-rotation ``basis.constant_advection``.
+apply); ``build_advection_tensor`` is the correctness oracle.  One routine,
+``_couplings``, evaluates the closed form for any advectors and targets: the
+tensor takes every pairing from it, and the probe tables of ``middle_slice``
+only the pairings whose target is a component of one test function, the
+tensor's slice in its order at O(n^2) per component, with no tensor built.
+
+The pseudo-spectral route, ``advect``, forms the products on a dealiased
+``M x M`` collocation grid (dense real matrix stages over the cos/sin block
+of each field, O(M^2 n) per field; see ``basis``) for batched states, with
+or without an advecting field, and must agree with the tensor route to full
+precision; the time stepper, the drifts and ``transport_apply`` all use it.
+A spatially constant advector needs no grid: its transport is the exact
+per-mode rotation ``basis.constant_advection``.
 
 ``advect`` takes both terms in one divergence form.  For a divergence-free
 ``v``,
@@ -116,14 +120,6 @@ def _fold_table(n: int):
     return idx
 
 
-def _advector_descriptor(basis: Basis, kind: str, i: int):
-    """(direction vector, wavevector, effective trig kind) of one advector."""
-    if i == 0:
-        d = np.array([1.0, 0.0]) if kind == "c" else np.array([0.0, 1.0])
-        return d, np.array([0, 0]), "c"
-    return basis.dvec[i], basis.modes[i], kind
-
-
 @dataclass
 class SortedCOO:
     """A sparse tensor of three slots, one entry per index triple.
@@ -194,94 +190,94 @@ class AdvectionTensor:
         return sign * float(self.coalesced.lookup(*key))
 
 
-def _mode_expansion(basis: Basis, kind: str, i: int, out_n: int):
-    """Vectorized closed-form expansion of ``(e . grad) e_k`` for one advector.
+def _couplings(basis: Basis, adv: np.ndarray, tgt: np.ndarray, out_n: int):
+    """Closed-form couplings ``b_{ikj}`` of the advectors ``adv`` on the
+    targets ``tgt``, vectorized over both (flat indices, ``tgt`` ascending).
 
-    Returns COO pieces (k_flat, j_flat, value) over targets ``k`` of both
-    kinds and outputs inside truncation ``out_n``.  Values are the raw inner
-    products against the unnormalized output modes.
+    Returns COO ``(i, k, j, value)`` over outputs ``j`` inside truncation
+    ``out_n``, ordered by advector, then target kind, shift (``p + q`` before
+    ``p - q``), slot (a nonconstant output before the two components of a
+    constant one) and target.  Values are the raw inner products against the
+    unnormalized output modes; constant targets are annihilated and give none.
     """
     from .basis import CONST_NORMSQ, MODE_NORMSQ
 
-    d_adv, p, eff_kind = _advector_descriptor(basis, kind, i)
-    fold_idx = _fold_table(out_n)
+    n_in = basis.n_modes
     out_basis = get_basis(out_n)
     n_out = out_basis.n_modes
+    # the advectors' descriptors: a constant advector acts as the partial
+    # derivative along its axis and expands like a cosine
+    mode = adv % n_in
+    const = mode == 0
+    adv_sine = (adv >= n_in) & ~const
+    p = basis.modes[mode]
+    d_adv = basis.dvec[mode]
+    d_adv[const] = np.where(adv[const, None] >= n_in, [0.0, 1.0], [1.0, 0.0])
 
-    q = basis.modes[1:]  # targets with nonzero wavevector
-    nq = len(q)
-    alpha = d_adv[0] * q[:, 0] + d_adv[1] * q[:, 1]
-    dq = basis.dvec[1:]
+    tgt = tgt[tgt % n_in != 0]
+    tgt_sine = tgt >= n_in
+    q = basis.modes[tgt % n_in]
+    dq = basis.dvec[tgt % n_in]
+    alpha = d_adv[:, :1] * q[:, 0] + d_adv[:, 1:] * q[:, 1]  # (A, T)
+    # each pairing's row of _SHIFT_SIGNS: its output trig (A, T) and its
+    # amplitude at each shift (A, shift, T)
+    pair = adv_sine[:, None].astype(int), tgt_sine.astype(int)
+    rows = [[_SHIFT_SIGNS[(e, t)] for t in "cs"] for e in "cs"]
+    trig_sine = np.array([[row[0] == "s" for row in r] for r in rows])[pair]
+    signs = np.array([[row[1:] for row in r] for r in rows])[pair]
+    amp = np.moveaxis(signs, -1, 1) * alpha[:, None, :]
+    r = p[:, None, None, :] + np.array([1, -1])[:, None, None] * q  # (A, shift, T, 2)
+    inside = (np.abs(r) <= out_n).all(axis=-1)
+    ridx = _fold_table(out_n)[tuple(np.where(inside, r[..., c] + out_n, 0) for c in (0, 1))]
+    nz = inside & (amp != 0.0)
+    origin = ridx == 0
+    const_out = nz & origin & ~trig_sine[:, None, :]
+    slots = np.stack([nz & ~origin, const_out, const_out], axis=2)  # (A, shift, slot, T)
+    by_kind = np.stack([~tgt_sine, tgt_sine])  # (kind, T)
+    ia, _, sh, sl, it = np.nonzero(slots[:, None] & by_kind[:, None, None, :])
 
-    pieces = []
-    for tgt_kind in ("c", "s"):
-        trig, s_plus, s_minus = _SHIFT_SIGNS[(eff_kind, tgt_kind)]
-        tgt_flat = (np.arange(1, nq + 1)
-                    if tgt_kind == "c" else basis.n_modes + np.arange(1, nq + 1))
-        for shift_sign, amp_sign in ((+1, s_plus), (-1, s_minus)):
-            r = p[None, :] + shift_sign * q  # (nq, 2)
-            amp = amp_sign * alpha
-            inside = (np.abs(r[:, 0]) <= out_n) & (np.abs(r[:, 1]) <= out_n)
-            nz = inside & (amp != 0.0)
-            if not np.any(nz):
-                continue
-            rr = r[nz]
-            a = amp[nz]
-            dqv = dq[nz]
-            tgt_f = tgt_flat[nz]
-            ridx = fold_idx[rr[:, 0] + out_n, rr[:, 1] + out_n]
-            origin = ridx == 0
-            # nonzero output wavevectors: project amp * d_q * trig(r.t)
-            if np.any(~origin):
-                sel = ~origin
-                rj = ridx[sel]
-                dm = out_basis.dvec[rj]
-                proj = dqv[sel, 0] * dm[:, 0] + dqv[sel, 1] * dm[:, 1]
-                if trig == "s":
-                    # the scalar sine is odd: sin(r.t) = -sin(rc.t) when r
-                    # folds onto rc = -r
-                    parity = np.where(
-                        (rr[sel, 0] > 0) | ((rr[sel, 0] == 0) & (rr[sel, 1] > 0)), 1.0, -1.0
-                    )
-                    val = a[sel] * parity * proj * MODE_NORMSQ
-                    jf = out_basis.n_modes + rj
-                else:
-                    val = a[sel] * proj * MODE_NORMSQ
-                    jf = rj
-                pieces.append((tgt_f[sel], jf, val))
-            # r = 0 with cosine trig: a constant vector amp * d_q
-            if np.any(origin) and trig == "c":
-                sel = origin
-                for comp, off in ((0, 0), (1, n_out)):
-                    val = a[sel] * dqv[sel, comp] * CONST_NORMSQ
-                    jf = np.full(val.shape, off, dtype=np.int64)
-                    pieces.append((tgt_f[sel], jf, val))
-    return pieces
+    a = amp[ia, sh, it]
+    rr = r[ia, sh, it]
+    rj = ridx[ia, sh, it]
+    dqv = dq[it]
+    trig = trig_sine[ia, it]
+    dm = out_basis.dvec[rj]
+    proj = dqv[:, 0] * dm[:, 0] + dqv[:, 1] * dm[:, 1]
+    # the scalar sine is odd: sin(r.t) = -sin(rc.t) when r folds onto rc = -r
+    positive = (rr[:, 0] > 0) | ((rr[:, 0] == 0) & (rr[:, 1] > 0))
+    parity = np.where(trig & ~positive, -1.0, 1.0)
+    # slot 0 projects amp d_q trig(r.t) onto its output mode; at r = 0 a
+    # cosine leaves the constant vector amp d_q, one component per slot
+    comp = np.maximum(sl - 1, 0)
+    val = np.where(
+        sl == 0,
+        a * parity * proj * MODE_NORMSQ,
+        a * dqv[np.arange(len(comp)), comp] * CONST_NORMSQ,
+    )
+    j = np.where(sl == 0, rj + n_out * trig, comp * n_out)
+    return adv[ia], tgt[it], j, val
 
 
 @lru_cache(maxsize=16)
 def build_advection_tensor(n: int) -> AdvectionTensor:
     """All couplings ``b_{ikj}`` over truncation ``n`` (closed-form integrals)."""
     basis = get_basis(n)
-    ii, kk, jj, vv = [], [], [], []
-    for kind, off in (("c", 0), ("s", basis.n_modes)):
-        for i in range(basis.n_modes):
-            for k_f, j_f, val in _mode_expansion(basis, kind, i, n):
-                ii.append(np.full(val.shape, off + i, dtype=np.int64))
-                kk.append(k_f)
-                jj.append(j_f)
-                vv.append(val)
-    # 32-bit indices: the cached tensor stays resident beside every probe's
-    # ensemble, and 2 N is far below 2^31
-    if ii:
-        return AdvectionTensor(
-            n,
-            np.concatenate(ii, dtype=np.int32),
-            np.concatenate(kk, dtype=np.int32),
-            np.concatenate(jj, dtype=np.int32),
-            np.concatenate(vv),
-        )
-    return AdvectionTensor(n, *(np.zeros(0, dtype=np.int32),) * 3, np.zeros(0))
+    flat = np.arange(2 * basis.n_modes)
+    # one call per advector kind and ring floor|p|: the enumeration runs by
+    # |p|, so each ring is a contiguous run and the pieces concatenate in
+    # advector order, while a call holds O(n N) pairings, not O(N^2)
+    ring = np.sqrt(basis.ksq).astype(np.int64)
+    runs = np.split(flat, np.flatnonzero(np.diff(np.concatenate([ring, ring + 2 * n + 1]))) + 1)
+    ii, kk, jj, vv = zip(*(_couplings(basis, adv, flat, n) for adv in runs))
+    # 32-bit indices: the cached tensor stays resident beside the oracle
+    # checks that read it, and 2 N is far below 2^31
+    return AdvectionTensor(
+        n,
+        np.concatenate(ii, dtype=np.int32),
+        np.concatenate(kk, dtype=np.int32),
+        np.concatenate(jj, dtype=np.int32),
+        np.concatenate(vv),
+    )
 
 
 def nonlinear_direct(f: SpectralField, tensor: AdvectionTensor | None = None) -> SpectralField:
@@ -305,13 +301,14 @@ def middle_slice(basis: Basis, v: SpectralField) -> tuple[np.ndarray, np.ndarray
 
     Contracting ``sum_ij Q_ij u_i u_j`` evaluates ``< (u . grad) v, u >_0``
     exactly without grids, which the probe diagnostics use per step.  The
-    entries are the couplings of the cached tensor whose target ``k`` is a
-    nonzero component of ``v``, weighted by that component.
+    entries are the couplings ``b_{ikj}`` whose target ``k`` is a nonzero
+    component of ``v``, weighted by that component: the entries of the
+    tensor's slice, in its order, from the closed form over every advector
+    and only those targets, so that no tensor is built.
     """
-    t = build_advection_tensor(basis.n)
-    w = v.coeffs.reshape(-1)[t.k_idx]
-    nz = w != 0.0
-    return t.i_idx[nz], t.j_idx[nz], t.vals[nz] * w[nz]
+    w = v.coeffs.reshape(-1)
+    i, k, j, val = _couplings(basis, np.arange(2 * basis.n_modes), np.flatnonzero(w), basis.n)
+    return i, j, val * w[k]
 
 
 # ---------------------------------------------------------------------------

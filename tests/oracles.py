@@ -10,9 +10,10 @@ before the transforms became dense DFT-matrix products: the full rfft2
 half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps, plus
 the conversions between the package's real cos/sin block and the complex
 half-spectrum cells.  The
-probe section keeps the first form of the martingale probe's pairings and
-the running trapezoids that first integrated its series, and the noise
-section the first increment fold and draw schedule.
+probe section keeps the probe's quadratic form as first sliced from the
+whole coupling tensor, the first form of its pairings and the running
+trapezoids that first integrated its series, and the noise section the
+first increment fold and draw schedule.
 """
 
 import mpmath as mp
@@ -23,8 +24,8 @@ from torusflow.basis import Basis, BasisMode, SpectralField, gradient
 from torusflow.dynamics import (
     ITO_VISCOSITY,
     advect,
+    build_advection_tensor,
     dealias_resolution,
-    middle_slice,
     nonlinear_pseudospectral,
 )
 
@@ -339,11 +340,21 @@ def _rot(omega: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def middle_slice_from_tensor(basis: Basis, v: SpectralField):
+    """``dynamics.middle_slice`` as first taken: the entries of the whole cached
+    coupling tensor whose target is a nonzero component of ``v``, weighted by it."""
+    t = build_advection_tensor(basis.n)
+    w = v.coeffs.reshape(-1)[t.k_idx]
+    nz = w != 0.0
+    return t.i_idx[nz], t.j_idx[nz], t.vals[nz] * w[nz]
+
+
 def probe_pairings(v: SpectralField, u: np.ndarray):
-    """``(uv, drift_pair, qv_density)`` by four einsums and the unmerged quadratic form."""
+    """``(uv, drift_pair, qv_density)`` by four einsums and the unmerged
+    quadratic form, sliced from the coupling tensor."""
     b = v.basis
     d1v, d2v = gradient(v)
-    q_i, q_j, q_v = middle_slice(b, v)
+    q_i, q_j, q_v = middle_slice_from_tensor(b, v)
     uv = np.einsum("...cn,cn->...", u, b.norm_sq * v.coeffs)
     a_pair = np.einsum("...cn,cn->...", u, b.norm_sq * b.ksq * v.coeffs)
     flat = u.reshape(u.shape[:-2] + (-1,))

@@ -180,6 +180,9 @@ def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
     # the caller starts with A2's job and lane 1 with A5, the two largest
     # working sets
     assert process["a2"] == 0 and process["a5"] == 1
+    # A4 runs in A5's job, beside the n=8 tensor that A5's structure tables
+    # build, so the caller builds no coupling tensor
+    assert process["a4"] == process["a5"] == 1
     assert log.read_text().splitlines().count("8 ito-em True") == 1
     assert_no_child_left()
 

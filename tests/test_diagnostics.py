@@ -16,6 +16,7 @@ from torusflow.diagnostics import (
     write_path_csv,
     write_state_csv,
 )
+from torusflow.dynamics import build_advection_tensor
 from torusflow.integrate import PathResult, SimConfig, run_ensemble, run_path
 from torusflow.noise import ConfigurationError, NoiseModel
 
@@ -106,6 +107,22 @@ def test_probe_keeps_three_numbers_per_path_and_step():
         tracemalloc.stop()
     per = kept / (100 * 256 * 8)
     assert 3.0 <= per <= 3.5, per
+
+
+def test_probe_at_n16_builds_no_tensor():
+    # the probe's couplings come from the closed form over its targets: the
+    # whole tensor has 1.32M entries at n=16 and would be built and cached
+    b = get_basis(16)
+    v = SpectralField.from_modes(b, [(BasisMode("c", (1, 1)), 1.0)])
+    before = build_advection_tensor.cache_info()
+    tracemalloc.start()
+    try:
+        MartingaleProbe(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_advection_tensor.cache_info() == before
+    assert peak < 4e6, peak
 
 
 def _exact_decay_path(dt: float, t_final: float) -> PathResult:

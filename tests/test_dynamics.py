@@ -275,6 +275,34 @@ def test_middle_slice_quadratic_form():
         assert got == pytest.approx(ref, abs=1e-11)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_middle_slice_is_the_tensor_slice_bit_for_bit(n):
+    # the closed form over the targets of v alone gives the tensor slice's
+    # entries in the tensor's order, so the probe's merge keeps its bits;
+    # the constant modes give no entries
+    b = get_basis(n)
+    waves = [(1, 0), (0, 1), (1, 1), (1, -1), (0, n), (n, -n), (0, 0)]
+    vs = [SpectralField.from_modes(b, [(BasisMode(kind, k), 1.0)]) for k in waves for kind in "cs"]
+    vs.append(
+        SpectralField.from_modes(
+            b,
+            [
+                (BasisMode("c", (1, 0)), 0.7),
+                (BasisMode("s", (0, 1)), -1.1),
+                (BasisMode("c", (1, 1)), 0.4),
+            ],
+        )
+    )
+    for v in vs:
+        got = middle_slice(b, v)
+        want = oracles.middle_slice_from_tensor(b, v)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert g.astype(w.dtype).tobytes() == w.tobytes()
+        if not np.any(v.coeffs[:, 1:]):
+            assert len(got[0]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the batched core: a rotational pass for the quadratic term, a flux pass
 # for the quadratic term with transport
