@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .integrate import (
     EnsembleDiagnostics,
-    PathResult,
     SimConfig,
     run_ensemble,
     run_path,

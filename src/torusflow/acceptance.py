@@ -66,7 +66,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -143,20 +143,16 @@ class RunContext:
     def __init__(self, quick: bool, seed: int):
         self.quick, self.seed, self.scale = quick, seed, Scale.pick(quick)
 
+    def config(self, **changes) -> SimConfig:
+        """The desk ``SimConfig`` at this job's horizon, paths and seed, with ``changes``."""
+        desk = SimConfig(t_final=self.scale.t_final, paths=self.scale.paths, seed=self.seed)
+        return replace(desk, **changes)
+
     @cached_property
     def a2_ensemble(self) -> EnsembleDiagnostics:
         """A2's Euler-Maruyama ensemble, carrying the three probes A6 reads."""
-        cfg = SimConfig(
-            n=8,
-            dt=1e-3,
-            t_final=self.scale.t_final,
-            scheme="ito-em",
-            noise=NoiseModel.space_independent(),
-            paths=self.scale.paths,
-            seed=self.seed,
-            initial="random:3",
-        )
-        b = get_basis(8)
+        cfg = self.config(scheme="ito-em")
+        b = cfg.basis
         probes = [
             MartingaleProbe(SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)]), "v1"),
             MartingaleProbe(SpectralField.from_modes(b, [(BasisMode("s", (0, 1)), 1.0)]), "v2"),
@@ -171,17 +167,7 @@ class RunContext:
 
 
 def _a1a_midpoint(run: RunContext):
-    cfg = SimConfig(
-        n=8,
-        dt=1e-3,
-        t_final=run.scale.t_final,
-        scheme="strat-midpoint",
-        noise=NoiseModel.space_independent(),
-        paths=run.scale.paths,
-        seed=run.seed,
-        initial="random:3",
-    )
-    diag = run_ensemble(cfg)
+    diag = run_ensemble(run.config(scheme="strat-midpoint"))
     drift, h1_drift = (
         float(np.abs((sq - sq[:, :1]) / sq[:, :1]).max()) for sq in (diag.l2_sq, diag.h1_sq)
     )
@@ -194,17 +180,11 @@ def _a1a_midpoint(run: RunContext):
 
 def _a1b_heun_order(run: RunContext):
     sc, seed = run.scale, run.seed
-    n = 8
-    basis = get_basis(n)
-    noise = NoiseModel.space_independent()
-    t_final = sc.t_final
     dts = sc.heun_dts
-    fine_dt = dts[-1]
-    fine_steps = int(round(t_final / fine_dt))
+    cfg = run.config(dt=dts[-1])
+    basis, noise, fine_dt, fine_steps = cfg.basis, cfg.noise, cfg.dt, cfg.n_steps
     factors = [int(round(dt / fine_dt)) for dt in dts]
-    cfg0 = SimConfig(n=n, dt=fine_dt, t_final=t_final, noise=noise, seed=seed,
-                     initial="random:3")
-    u0 = cfg0.initial_field().coeffs
+    u0 = cfg.initial_field().coeffs
     p = sc.heun_paths
     k = noise.n_components
 
@@ -258,16 +238,7 @@ def _a2_h1_flat(run: RunContext):
 
 def _a3_gronwall(run: RunContext):
     noise = NoiseModel.q_wiener(8, beta=4.0)
-    cfg = SimConfig(
-        n=8,
-        dt=1e-3,
-        t_final=run.scale.t_final,
-        scheme="ito-em",
-        noise=noise,
-        paths=run.scale.paths,
-        seed=run.seed,
-        initial="random:4",
-    )
+    cfg = run.config(scheme="ito-em", noise=noise, initial="random:4")
     rep = energy_report(run_ensemble(cfg))
     mean, se, env = rep.mean_h1, rep.se_h1, rep.envelope_h1
     idx = _saved_indices(len(rep.times) - 1, CHECK_EVERY)
@@ -387,17 +358,13 @@ def _a6_martingale(run: RunContext):
             wl = max(wl, abs(mean) / max(3 * se, 1e-300))
 
     # one-mode reference configuration for the second-moment identity
-    cfg = SimConfig(
+    cfg = run.config(
         n=1,
-        dt=1e-3,
-        t_final=run.scale.t_final,
         scheme="ito-em",
-        noise=NoiseModel.space_independent(),
         paths=max(run.scale.paths, 64),
-        seed=run.seed,
         initial=((BasisMode("c", (1, 0)), 1.0),),
     )
-    v = SpectralField.from_modes(get_basis(1), [(BasisMode("s", (1, 0)), 1.0)])
+    v = SpectralField.from_modes(cfg.basis, [(BasisMode("s", (1, 0)), 1.0)])
     rep = qv_check(run_ensemble(cfg, observers=[MartingaleProbe(v, "ref")]), "ref")
     wm = abs(rep.mean_m[-1]) / max(3 * rep.se_m[-1], 1e-300)
     wg = abs(rep.gap[-1]) / (3 * rep.se_gap[-1] + 2 * cfg.dt)
@@ -414,19 +381,11 @@ def _a6_martingale(run: RunContext):
 
 
 def _a7_ito_strat(run: RunContext):
-    common = dict(
-        n=2,
-        dt=1e-3,
-        t_final=run.scale.t_final,
-        noise=NoiseModel.space_independent(),
-        paths=run.scale.paths,
-        seed=run.seed,
-        initial="mode:1,0",
-    )
-    em = energy_report(run_ensemble(SimConfig(scheme="ito-em", **common)))
-    heun = energy_report(run_ensemble(SimConfig(scheme="strat-heun", **common)))
+    cfg = run.config(n=2, initial="mode:1,0")
+    em = energy_report(run_ensemble(replace(cfg, scheme="ito-em")))
+    heun = energy_report(run_ensemble(replace(cfg, scheme="strat-heun")))
     diff = abs(float(em.mean_l2[-1] - heun.mean_l2[-1]))
-    allow = 3 * float(np.hypot(em.se_l2[-1], heun.se_l2[-1])) + 5 * common["dt"]
+    allow = 3 * float(np.hypot(em.se_l2[-1], heun.se_l2[-1])) + 5 * cfg.dt
     return (
         diff <= allow,
         f"|mean L2(T) gap| = {diff:.2e}",

@@ -260,7 +260,7 @@ def cmd_run(args) -> int:
     p_csv = manifest.out_dir / "run.csv"
     p_state = manifest.out_dir / "state_final.csv"
     write_path_csv(result, p_csv)
-    write_state_csv(result.states[-1], p_state)
+    write_state_csv(SpectralField(cfg.basis, result.final[0]), p_state)
     _finish(manifest, [p_csv, p_state], t0)
     return 0
 

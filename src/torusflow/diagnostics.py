@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import SpectralField, Workspace, gradient
 from .dynamics import middle_slice
-from .integrate import EnsembleDiagnostics, PathResult, _saved_indices, mean_se
+from .integrate import EnsembleDiagnostics, _saved_indices, mean_se
 from .noise import (
     ConfigurationError,
     NoiseModel,
@@ -237,16 +237,9 @@ class EnergyReport:
     n_paths: int
 
 
-def energy_report(source: PathResult | EnsembleDiagnostics) -> EnergyReport:
+def energy_report(source: EnsembleDiagnostics) -> EnergyReport:
     """Summarize L2/H1 series against the initial values and the envelope."""
-    if isinstance(source, PathResult):
-        times = source.step_times
-        l2 = source.l2_sq[None, :]
-        h1 = source.h1_sq[None, :]
-    else:
-        times = source.times
-        l2 = source.l2_sq
-        h1 = source.h1_sq
+    times, l2, h1 = source.times, source.l2_sq, source.h1_sq
     mean_l2, se_l2 = mean_se(l2)
     mean_h1, se_h1 = mean_se(h1)
     # from mean_h1[0] itself: the column mean and h1[:, 0].mean() sum in
@@ -312,18 +305,19 @@ def write_ensemble_csv(
             )
 
 
-def write_path_csv(path: PathResult, out) -> None:
-    """Per-step scalar ledger of a single path."""
+def write_path_csv(run: EnsembleDiagnostics, out) -> None:
+    """Per-step scalar ledger of the first path of a run."""
+    l2, h1 = run.l2_sq[0], run.h1_sq[0]
     with csv_writer(out) as w:
         w.writerow(["t", "l2_sq", "h1_sq", "rel_l2_drift"])
-        ref = path.l2_sq[0] if path.l2_sq[0] > 0 else 1.0
-        for i, t in enumerate(path.step_times):
+        ref = l2[0] if l2[0] > 0 else 1.0
+        for i, t in enumerate(run.times):
             w.writerow(
                 [
                     f"{t:.10g}",
-                    f"{path.l2_sq[i]:.17g}",
-                    f"{path.h1_sq[i]:.17g}",
-                    f"{(path.l2_sq[i] - path.l2_sq[0]) / ref:.17g}",
+                    f"{l2[i]:.17g}",
+                    f"{h1[i]:.17g}",
+                    f"{(l2[i] - l2[0]) / ref:.17g}",
                 ]
             )
 

@@ -71,8 +71,8 @@ Draws, norms and observers stay in the runner, and run while the helpers
 step: once it has woken them for step ``k + 1``, and before it claims a
 block, the runner takes the norms of the state after step ``k``, passes it
 to the observers (read-only, since its own blocks of step ``k + 1`` still
-read it), keeps it if it is saved, and folds the increment field of step
-``k + 2``, first refilling the draw buffer when it is used up.
+read it), and folds the increment field of step ``k + 2``, first refilling
+the draw buffer when it is used up.
 Every operation is the serial loop's, on the same arrays and in the same
 per-path draw order; only when it runs changes.  Observers see every state
 once, in step order, and a midpoint failure in a step is raised after they
@@ -220,9 +220,14 @@ class SimConfig:
         if self.save_every < 1:
             bad.append(f"save_every must be >= 1 (got {self.save_every})")
         try:
-            self.initial_field()
+            # a start that comes out non-finite is reported below, not warned about
+            with np.errstate(invalid="ignore", over="ignore"):
+                u0 = self.initial_field()
         except Exception as e:  # surface every constraint at once
             bad.append(f"initial condition: {e}")
+        else:
+            if not np.isfinite(u0.coeffs).all():
+                bad.append(f"initial condition {self.initial!r} is not finite")
         return bad
 
     def validate(self) -> "SimConfig":
@@ -616,30 +621,18 @@ def _read_only(u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PathResult:
-    """One path: decimated states plus the per-step energy ledger."""
-
-    config: SimConfig
-    path_id: int
-    times: np.ndarray          # saved times (decimated)
-    states: list[SpectralField]
-    step_times: np.ndarray     # full step grid
-    l2_sq: np.ndarray          # per-step ||u||_0^2
-    h1_sq: np.ndarray          # per-step ||u||_1^2
-    processes: int = 1         # the processes that stepped the run
-
-
-@dataclass
 class EnsembleDiagnostics:
-    """Per-step energy series over all paths, plus observer products."""
+    """One run of one or more paths: per-step energy series, the states at
+    ``T`` and observer products."""
 
     config: SimConfig
     path_ids: tuple[int, ...]
     times: np.ndarray     # (S,) full step grid
     l2_sq: np.ndarray     # (P, S)
     h1_sq: np.ndarray     # (P, S)
+    final: np.ndarray     # (P, 2, N) states at T
     observers: dict = field(default_factory=dict)
-    processes: int = 1    # the processes that stepped the ensemble
+    processes: int = 1    # the processes that stepped the run
 
     @property
     def n_paths(self) -> int:
@@ -666,11 +659,8 @@ def _saved_indices(n_steps: int, save_every: int) -> np.ndarray:
 
 
 def _run_batch(
-    config: SimConfig,
-    path_ids: Sequence[int],
-    observers: Sequence[StepObserver] = (),
-    keep_states_for: int | None = None,
-):
+    config: SimConfig, path_ids: Sequence[int], observers: Sequence[StepObserver] = ()
+) -> EnsembleDiagnostics:
     """Advance all requested paths in lockstep; the workhorse of both runners.
 
     Increment draws are per path and in step order, so results are
@@ -678,9 +668,7 @@ def _run_batch(
     way out, step some of the path blocks; draws, norms and observers stay in
     this process, in two stages (module docstring): while step ``s`` runs,
     ``meanwhile`` observes the state it started from and folds the field of
-    step ``s + 1``.  Returns per-step energies, when ``keep_states_for``
-    names a position in ``path_ids`` that path's saved states, and the
-    number of processes that stepped.
+    step ``s + 1``.
     """
     config.validate()
     basis = config.basis
@@ -695,12 +683,6 @@ def _run_batch(
     h1 = np.empty((p, steps + 1))
     norms = Workspace()
     l2[:, 0], h1[:, 0] = batch_norms_sq(basis, u, norms)
-
-    saved = _saved_indices(steps, config.save_every)
-    keep = keep_states_for is not None
-    states: list[SpectralField] = []
-    if keep and 0 in saved:
-        states.append(SpectralField(basis, u[keep_states_for].copy()))
 
     gens = [path_stream(config.seed, pid) for pid in path_ids]
     step_bytes = 8 * p * noise.n_components * 2
@@ -718,8 +700,8 @@ def _run_batch(
         return noise.increments_to_field(draws[:, i % per_draw])
 
     def observe(i: int, u: np.ndarray) -> None:
-        """The norms of the state after ``i`` steps, its observers, and its save;
-        a non-finite norm raises :class:`NonFiniteStateError`."""
+        """The norms of the state after ``i`` steps and its observers; a
+        non-finite norm raises :class:`NonFiniteStateError`."""
         l2[:, i], h1[:, i] = batch_norms_sq(basis, u, norms)
         blown = np.flatnonzero(~(np.isfinite(l2[:, i]) & np.isfinite(h1[:, i])))
         if len(blown):
@@ -727,8 +709,6 @@ def _run_batch(
         view = _read_only(u)
         for obs in observers:
             obs.after_step(i * config.dt, view)
-        if keep and i in saved:
-            states.append(SpectralField(basis, u[keep_states_for].copy()))
 
     def meanwhile() -> None:
         # while step s runs: observe the state it starts from (start() saw
@@ -756,27 +736,23 @@ def _run_batch(
                 ) from None
         observe(steps, u)
 
+    results = {
+        getattr(obs, "name", obs.__class__.__name__): obs.result()
+        for obs in observers
+        if hasattr(obs, "result")
+    }
     times = np.arange(steps + 1) * config.dt
-    return times, l2, h1, saved, states, processes
+    return EnsembleDiagnostics(
+        config, tuple(path_ids), times, l2, h1, final=u, observers=results, processes=processes
+    )
 
 
 def run_path(
     config: SimConfig, path_id: int = 0, observers: Sequence[StepObserver] = ()
-) -> PathResult:
-    """Integrate a single path; deterministic given ``(seed, path_id)``."""
-    times, l2, h1, saved, states, processes = _run_batch(
-        config, [path_id], observers, keep_states_for=0
-    )
-    return PathResult(
-        config=config,
-        path_id=path_id,
-        times=times[saved],
-        states=states,
-        step_times=times,
-        l2_sq=l2[0],
-        h1_sq=h1[0],
-        processes=processes,
-    )
+) -> EnsembleDiagnostics:
+    """Integrate a single path, deterministic given ``(seed, path_id)``: a run
+    whose one row is that path."""
+    return _run_batch(config, [path_id], observers)
 
 
 def run_ensemble(
@@ -793,18 +769,4 @@ def run_ensemble(
         path_ids = list(range(config.paths))
     if len(path_ids) < 2:
         raise ConfigurationError("ensemble statistics need at least two paths")
-    times, l2, h1, _, _, processes = _run_batch(config, path_ids, observers)
-    results = {}
-    for obs in observers:
-        name = getattr(obs, "name", obs.__class__.__name__)
-        if hasattr(obs, "result"):
-            results[name] = obs.result()
-    return EnsembleDiagnostics(
-        config=config,
-        path_ids=tuple(path_ids),
-        times=times,
-        l2_sq=l2,
-        h1_sq=h1,
-        observers=results,
-        processes=processes,
-    )
+    return _run_batch(config, path_ids, observers)

@@ -121,6 +121,20 @@ def test_blown_up_state_exits_2_without_outputs(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_non_finite_initial_condition_exits_2_naming_it(tmp_path, capsys):
+    # a nan start is rejected as bad input before a step, not reported as a
+    # scheme whose state turned non-finite
+    out = tmp_path / "o"
+    code = run_cli(
+        "run", "--n", "4", "--T", "0.01", "--ic", "random:nan", "--scheme", "ito-em",
+        "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: initial condition 'random:nan' is not finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["finite:1,0;2", "qwiener:x", "finite:a,b"])
 def test_malformed_noise_spec_is_quoted(tmp_path, capsys, spec):
     code = run_cli("run", "--noise", spec, "--out", str(tmp_path / "o"))

@@ -258,9 +258,11 @@ def test_run_path_single_step_and_times():
         n=2, dt=1e-2, t_final=1e-2, scheme="strat-heun", noise=SI, paths=1, seed=3
     )
     r = run_path(cfg, 0)
-    assert len(r.step_times) == 2
+    assert r.path_ids == (0,)
+    assert len(r.times) == 2
     assert r.times[0] == 0.0 and r.times[-1] == pytest.approx(1e-2)
-    assert len(r.states) == 2
+    assert r.l2_sq.shape == r.h1_sq.shape == (1, 2)
+    assert r.final.shape == (1, 2, cfg.basis.n_modes)
 
 
 def test_run_path_deterministic():
@@ -270,7 +272,7 @@ def test_run_path_deterministic():
     a = run_path(cfg, 5)
     b = run_path(cfg, 5)
     assert np.array_equal(a.l2_sq, b.l2_sq)
-    assert np.array_equal(a.states[-1].coeffs, b.states[-1].coeffs)
+    assert np.array_equal(a.final, b.final)
 
 
 def test_no_noise_steady_mode_constant_path():
@@ -288,8 +290,9 @@ def test_no_noise_steady_mode_constant_path():
         initial="mode:1,0",
     )
     r = run_path(cfg, 0)
-    assert np.abs(r.l2_sq - r.l2_sq[0]).max() <= 1e-12 * r.l2_sq[0]
-    np.testing.assert_allclose(r.states[-1].coeffs, r.states[0].coeffs, atol=1e-12)
+    l2 = r.l2_sq[0]
+    assert np.abs(l2 - l2[0]).max() <= 1e-12 * l2[0]
+    np.testing.assert_allclose(r.final[0], cfg.initial_field().coeffs, atol=1e-12)
 
 
 def test_ensemble_order_invariance_and_degenerate_hook():
@@ -301,7 +304,7 @@ def test_ensemble_order_invariance_and_degenerate_hook():
     assert np.array_equal(e1.l2_sq[0], e2.l2_sq[1])
     assert np.array_equal(e1.l2_sq[2], e2.l2_sq[0])
     solo = run_path(cfg, 1)
-    assert np.array_equal(e1.l2_sq[1], solo.l2_sq)
+    assert np.array_equal(e1.l2_sq[1], solo.l2_sq[0])
 
     dup = run_ensemble(cfg, path_ids=[3, 3])
     assert np.array_equal(dup.l2_sq[0], dup.l2_sq[1])
@@ -330,8 +333,8 @@ def test_blocked_ensemble_matches_single_paths(monkeypatch, scheme, noise):
     ens = run_ensemble(cfg)
     for pid in (0, 3, 4, 7, 8, 9):
         solo = run_path(cfg, pid)
-        assert np.array_equal(ens.l2_sq[pid], solo.l2_sq)
-        assert np.array_equal(ens.h1_sq[pid], solo.h1_sq)
+        assert np.array_equal(ens.l2_sq[pid], solo.l2_sq[0])
+        assert np.array_equal(ens.h1_sq[pid], solo.h1_sq[0])
     ids = [int(i) for i in np.random.default_rng(3).permutation(10)]
     shuffled = run_ensemble(cfg, path_ids=ids)
     assert np.array_equal(shuffled.l2_sq, ens.l2_sq[ids])
@@ -405,8 +408,8 @@ def _probes(basis):
 
 
 def _lockstep_run(cfg, observers):
-    """Energies of an ensemble stepped by the plain loop: draw, fold, step,
-    observe, with the first draw schedule and fold."""
+    """Energies and final states of an ensemble stepped by the plain loop:
+    draw, fold, step, observe, with the first draw schedule and fold."""
     kernel = StepKernel(cfg.basis, cfg.noise, cfg.scheme, cfg.dt)
     u = np.broadcast_to(cfg.initial_field().coeffs, (cfg.paths, 2, cfg.basis.n_modes)).copy()
     norms = [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
@@ -419,7 +422,7 @@ def _lockstep_run(cfg, observers):
         norms += [batch_l2_sq(cfg.basis, u), batch_h1_sq(cfg.basis, u)]
         for obs in observers:
             obs.after_step((s + 1) * cfg.dt, u)
-    return np.stack(norms[::2], axis=1), np.stack(norms[1::2], axis=1)
+    return np.stack(norms[::2], axis=1), np.stack(norms[1::2], axis=1), u
 
 
 def _series(probe):
@@ -433,15 +436,13 @@ def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
     # 10 paths in blocks of 4, 4 and 2, stepped by 1, 2 and 3 processes,
     # each observing step k while step k + 1 runs: every split of the blocks
     # gives the bits of the plain loop that observes between steps, in the
-    # energies and the probe series, and one path's saved states are the
-    # same at every CPU count
+    # energies, the final states and the probe series, and one path run
+    # alone gives its row
     model = SI if noise == "space-independent" else NoiseModel.q_wiener(2, beta=4.0)
-    cfg = SimConfig(
-        n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5, save_every=2
-    )
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme=scheme, noise=model, paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     probes = _probes(cfg.basis)
-    l2, h1 = _lockstep_run(cfg, probes)
+    l2, h1, final = _lockstep_run(cfg, probes)
     want = [_series(p) for p in probes]
     for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
@@ -450,14 +451,32 @@ def test_sharded_ensemble_matches_serial(monkeypatch, scheme, noise):
         assert ens.processes == cpus
         assert np.array_equal(ens.l2_sq, l2)
         assert np.array_equal(ens.h1_sq, h1)
+        assert np.array_equal(ens.final, final)
         for got, series in zip(probes, want):
             assert all(np.array_equal(a, b) for a, b in zip(_series(got), series))
         path = run_path(cfg, 7)
-        assert np.array_equal(path.l2_sq, l2[7]) and np.array_equal(path.h1_sq, h1[7])
-        if cpus == 1:
-            states = [s.coeffs for s in path.states]
-            assert len(states) == 4
-        assert all(np.array_equal(s.coeffs, c) for s, c in zip(path.states, states))
+        assert np.array_equal(path.l2_sq, l2[7:8]) and np.array_equal(path.h1_sq, h1[7:8])
+        assert np.array_equal(path.final, final[7:8])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+def test_ensemble_final_states_are_the_single_paths(monkeypatch, noise):
+    # 10 shuffled ids in blocks of 3, 3, 3 and 1, stepped by 1, 2 and 3
+    # processes: each row of the ensemble's final states is bit for bit the
+    # final state of its path run alone
+    model = SI if noise == "space-independent" else NoiseModel.q_wiener(2, beta=4.0)
+    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="ito-em", noise=model, paths=10, seed=9)
+    ids = [4, 9, 0, 7, 2, 11, 5, 1, 8, 3]
+    solo = [run_path(cfg, pid).final[0] for pid in ids]
+    _shrink_blocks(monkeypatch, cfg, 3)
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        ens = run_ensemble(cfg, path_ids=ids)
+        assert ens.processes == cpus
+        assert ens.final.shape == (len(ids), 2, cfg.basis.n_modes)
+        for i, want in enumerate(solo):
+            assert np.array_equal(ens.final[i], want), ids[i]
     assert_no_child_left()
 
 
@@ -833,8 +852,9 @@ def test_strong_accuracy_against_rotation_oracle():
     amp = cfg.initial_field().coefficient(BasisMode("c", (1, 0)))
     expect_c = amp * np.cos(angle)
     expect_s = -amp * np.sin(angle)
-    got_c = r.states[-1].coefficient(BasisMode("c", (1, 0)))
-    got_s = r.states[-1].coefficient(BasisMode("s", (1, 0)))
+    final = SpectralField(cfg.basis, r.final[0])
+    got_c = final.coefficient(BasisMode("c", (1, 0)))
+    got_s = final.coefficient(BasisMode("s", (1, 0)))
     tol = 20 * np.sqrt(15 * dt**3 * steps) / 12 + 1e-9
     assert abs(got_c - expect_c) <= tol
     assert abs(got_s - expect_s) <= tol
@@ -870,6 +890,28 @@ def test_config_validation_lists_all_violations():
         assert frag in joined
     with pytest.raises(ConfigurationError):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [
+        "random:nan",
+        "random:-inf",
+        ((BasisMode("c", (1, 0)), 1.0), (BasisMode("s", (1, 1)), np.nan)),
+    ],
+    ids=["random:nan", "random:-inf", "mode-list-with-nan"],
+)
+def test_config_rejects_non_finite_initial_field(initial):
+    # a non-finite start is bad input, not a blow-up of the scheme, and is
+    # named without a numpy warning
+    cfg = SimConfig(n=4, dt=1e-2, t_final=1e-2, scheme="ito-em", noise=SI, initial=initial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cfg.violations() == [f"initial condition {initial!r} is not finite"]
+    with pytest.raises(ConfigurationError, match="initial condition"):
+        run_path(cfg)
+    zero = SimConfig(n=4, noise=SI, initial=((BasisMode("c", (1, 0)), 0.0),))
+    assert zero.violations() == []
 
 
 def test_config_rejects_partial_steps():
@@ -938,9 +980,10 @@ def test_streamed_draws_replay_the_block_schedule():
     # 256 paths under constant noise still draw 64 steps at a time
     assert integrate.DRAW_BYTES // (8 * 256 * 1 * 2) == 64
     ens = run_ensemble(cfg)
-    l2, h1 = _lockstep_run(cfg, [])
+    l2, h1, final = _lockstep_run(cfg, [])
     assert np.array_equal(ens.l2_sq, l2)
     assert np.array_equal(ens.h1_sq, h1)
+    assert np.array_equal(ens.final, final)
 
 
 def test_draws_take_no_more_memory_over_a_longer_horizon(monkeypatch):
