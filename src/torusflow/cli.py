@@ -17,6 +17,11 @@ Config keys::
     seed        64-bit stream seed (default 0)
     save_every  output decimation in steps (default 10)
 
+``save_every`` decimates the rows of ``ensemble.csv`` and nothing else, so
+only ``torusflow ensemble`` takes ``--save-every``: ``run`` writes every
+step to ``run.csv`` and refuses the flag (exit 2).  A config file or a
+manifest that carries ``save_every`` still replays a run byte-identically.
+
 The default output directory is ``$TORUSFLOW_OUT`` or ``./torusflow_out``.
 """
 
@@ -323,7 +328,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="covariance decay exponent (> 3)")
     p.add_argument("--ic", help="mode:<k1>,<k2> | pair | random[:<decay>]")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./torusflow_out)")
-    p.add_argument("--save-every", type=int, dest="save_every", help="output decimation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="integrate an ensemble and write diagnostics")
     _add_config_flags(p_ens)
+    p_ens.add_argument(
+        "--save-every", type=int, dest="save_every", help="ensemble.csv row decimation in steps"
+    )
     p_ens.set_defaults(fn=cmd_ensemble)
 
     p_ver = sub.add_parser("verify", help="run the acceptance battery")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralField, Workspace, gradient
+from .basis import SpectralField, Workspace, gradient, path_chunks
 from .dynamics import middle_slice
 from .integrate import EnsembleDiagnostics, _saved_indices, mean_se
 from .noise import (
@@ -50,9 +50,9 @@ ENSEMBLE_CSV_COLUMNS = (
 )
 
 
-#: the arrays of the probes' quadratic form, one set for every probe: the
-#: observers of a run take their turns, and a set per probe would hold ~1.6
-#: MB each at 256 paths
+#: the arrays of the probes' quadratic form, one set for every probe (the
+#: observers of a run take their turns), sized for one chunk of
+#: ``CHUNK_PATHS`` paths: ~0.45 MB at n=8 however many paths the batch has
 _QUADRATIC_FORM = Workspace()
 
 
@@ -138,18 +138,22 @@ class MartingaleProbe:
         """
         flat = u.reshape(u.shape[:-2] + (-1,))
         pairs = flat @ self.w
-        # the quadratic form gathers rows of a transposed copy into arrays
-        # kept for the next call; the product is the transpose of the
-        # F-ordered one that flat[..., q_i] * flat[..., q_j] makes, so the
-        # gemv with q_v rounds as it did on that
+        # the quadratic form runs over chunks of CHUNK_PATHS paths, gathering
+        # rows of a transposed copy of each into arrays kept for the next
+        # chunk; the product is the transpose of the F-ordered one that
+        # flat[..., q_i] * flat[..., q_j] makes, so the gemv with q_v rounds
+        # each path as it did on that
         rows = flat.reshape(-1, flat.shape[-1])
-        cols = _QUADRATIC_FORM.take("cols", rows.shape[::-1])
-        cols[...] = rows.T
-        shape = (len(self.q_v), len(rows))
-        left, right = (_QUADRATIC_FORM.take(name, shape) for name in ("left", "right"))
-        np.take(cols, self.q_i, axis=0, out=left, mode="clip")
-        np.take(cols, self.q_j, axis=0, out=right, mode="clip")
-        b_quad = (np.multiply(left, right, out=left).T @ self.q_v).reshape(flat.shape[:-1])
+        b_quad = np.empty(len(rows))
+        for chunk in path_chunks(len(rows)):
+            cols = _QUADRATIC_FORM.take("cols", rows[chunk].shape[::-1])
+            cols[...] = rows[chunk].T
+            shape = (len(self.q_v), cols.shape[1])
+            left, right = (_QUADRATIC_FORM.take(name, shape) for name in ("left", "right"))
+            np.take(cols, self.q_i, axis=0, out=left, mode="clip")
+            np.take(cols, self.q_j, axis=0, out=right, mode="clip")
+            b_quad[chunk] = np.multiply(left, right, out=left).T @ self.q_v
+        b_quad = b_quad.reshape(flat.shape[:-1])
         t1, t2 = pairs[..., 2], pairs[..., 3]
         # a probe keeps uv for every step: a copy, not a view that would keep
         # all four columns alive

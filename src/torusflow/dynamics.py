@@ -37,8 +37,10 @@ the advecting field once for every state it advects, as its 2 components.
 The quadratic term alone has ``v = scale u``, so ``A = B = scale u1 u2``
 and ``C = scale (u2^2 - u1^2)``: 2 fields in and 2 out (the symmetric form
 of Basdevant, *J. Comput. Phys.* 50, 1983).  Every stage of a pass writes
-into arrays kept for the next pass of the same shape (``_PASS``); the
-arrays are module state, so passes must not run concurrently.
+into arrays kept for the next pass of the same shape (``_PASS``), and the
+flux spectra into the placed block's array, which is dead once the inverse
+transform has read it; the arrays are module state, so passes must not run
+concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -326,7 +328,8 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
     return _fft.next_fast_len(need, real=True)
 
 
-#: the arrays of one ``advect`` pass, reused by the next pass of the same shape
+#: the arrays of one ``advect`` pass, reused by the next pass of the same
+#: shape; ``spec`` holds the placed ``u``, then the flux spectra
 _PASS = Workspace()
 
 
@@ -348,8 +351,9 @@ def advect(
     fields per state; the flux products of ``v = scale u + w`` go forward
     onto the block of ``out_basis``, 2 fields without an advector and 3 with
     one (module docstring), and ``gather_flux_coeffs`` takes their
-    divergence.  Every stage writes into an array of ``_PASS``; only the
-    result is fresh.  Returns ``(..., 2, N)`` over ``out_basis`` (default:
+    divergence.  Every stage writes into an array of ``_PASS``, the flux
+    spectra into the one that held the placed ``u``; only the result is
+    fresh.  Returns ``(..., 2, N)`` over ``out_basis`` (default:
     the basis of ``u``).
     """
     out_basis = out_basis or basis
@@ -374,7 +378,7 @@ def advect(
         np.multiply(v, u[..., ::-1, :, :], out=prods[..., 0:2, :, :])
         vu = np.multiply(v, u, out=v)
         np.subtract.reduce(vu[..., ::-1, :, :], axis=-3, out=prods[..., 2, :, :])
-    spec_out = _PASS.take("spec_out", prods.shape[:-2] + block_shape(out_basis))
+    spec_out = _PASS.take("spec", prods.shape[:-2] + block_shape(out_basis))
     spec_out = grid_to_halfspectrum(prods, out_basis, out=spec_out)
     return gather_flux_coeffs(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))
 

@@ -11,8 +11,9 @@ half-spectrum, ``scipy.fft.irfft2``/``rfft2``, and its own index maps, plus
 the conversions between the package's real cos/sin block and the complex
 half-spectrum cells.  The
 probe section keeps the probe's quadratic form as first sliced from the
-whole coupling tensor, the first form of its pairings and the running
-trapezoids that first integrated its series, and the noise section the
+whole coupling tensor, the first form of its pairings, their form before
+the quadratic form ran over path chunks and the running trapezoids that
+first integrated its series, and the noise section the
 first increment fold and draw schedule.
 """
 
@@ -362,6 +363,20 @@ def probe_pairings(v: SpectralField, u: np.ndarray):
     t1 = -np.einsum("...cn,cn->...", u, b.norm_sq * d1v.coeffs)
     t2 = -np.einsum("...cn,cn->...", u, b.norm_sq * d2v.coeffs)
     return uv, -0.5 * a_pair + b_quad, t1 * t1 + t2 * t2
+
+
+def probe_pairings_unchunked(probe, u: np.ndarray):
+    """``probe.pairings`` as it was before the quadratic form ran over path
+    chunks: one gather and one gemv over the whole batch, into fresh arrays."""
+    flat = u.reshape(u.shape[:-2] + (-1,))
+    pairs = flat @ probe.w
+    rows = flat.reshape(-1, flat.shape[-1])
+    cols = np.ascontiguousarray(rows.T)
+    left = np.take(cols, probe.q_i, axis=0)
+    right = np.take(cols, probe.q_j, axis=0)
+    b_quad = (np.multiply(left, right, out=left).T @ probe.q_v).reshape(flat.shape[:-1])
+    t1, t2 = pairs[..., 2], pairs[..., 3]
+    return pairs[..., 0].copy(), -0.5 * pairs[..., 1] + b_quad, t1 * t1 + t2 * t2
 
 
 class RunningTrapezoids:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow.basis import (
+    CHUNK_PATHS,
     BasisMode,
     ResolutionError,
     SpectralField,
@@ -21,6 +22,7 @@ from torusflow.basis import (
     halfspectrum_to_grid,
     l2_inner,
     leray_project,
+    path_chunks,
     place_halfspectrum,
     random_field,
 )
@@ -298,13 +300,35 @@ def test_batch_norms_match_the_single_norms_bit_for_bit():
     # the runners' norms, squared once into reused arrays, round as
     # batch_l2_sq and batch_h1_sq do, also when the arrays are reused
     work = Workspace()
-    for n, paths in ((1, 1), (3, 7), (8, 256), (3, 7)):
+    for n, paths in ((1, 1), (3, 7), (8, 256), (8, 100), (8, 300), (3, 7)):
         b = get_basis(n)
         rng = np.random.default_rng(paths)
         u = rng.standard_normal((paths, 2, b.n_modes)) * rng.uniform(0, 10, (paths, 2, b.n_modes))
         l2, h1 = batch_norms_sq(b, u, work)
         assert np.array_equal(l2, batch_l2_sq(b, u))
         assert np.array_equal(h1, batch_h1_sq(b, u))
+
+
+def test_batch_norms_hold_one_chunk():
+    # 1024 paths are squared in chunks: the workspace keeps two
+    # (CHUNK_PATHS, N) arrays, not two (1024, N) ones
+    work = Workspace()
+    b = get_basis(8)
+    batch_norms_sq(b, np.random.default_rng(5).standard_normal((1024, 2, b.n_modes)), work)
+    assert sum(a.nbytes for a in work._slots.values()) == 2 * CHUNK_PATHS * b.n_modes * 8
+
+
+def test_path_chunks_cover_the_batch_from_chunk_starts():
+    # chunks start at multiples of CHUNK_PATHS, where the batch's rows
+    # repeat their place in a product, and none but a lone batch has 1-3 paths
+    for paths in range(1, 3 * CHUNK_PATHS + 5):
+        chunks = path_chunks(paths)
+        assert [c.start for c in chunks] == list(range(0, paths, CHUNK_PATHS))[: len(chunks)]
+        assert chunks[-1].stop == paths
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.stop - c.start for c in chunks]
+        assert max(sizes) < CHUNK_PATHS + 4
+        assert len(sizes) == 1 or min(sizes) >= 4
 
 
 def test_workspace_takes_smaller_shapes_from_the_slot():

@@ -188,6 +188,26 @@ def test_ensemble_under_field_noise_writes_nan_probe_columns(tmp_path):
             assert math.isnan(float(row[col]))
 
 
+def test_run_refuses_save_every_and_replays_a_config_that_sets_it(tmp_path, capsys):
+    # run.csv has every step, so run takes no --save-every (argparse exits 2
+    # naming it); a config or manifest that sets save_every still replays
+    with pytest.raises(SystemExit) as refused:
+        run_cli("run", "--n", "2", "--save-every", "5", "--out", str(tmp_path / "x"))
+    assert refused.value.code == 2
+    assert "--save-every" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 2\ndt = 1e-2\nT = 0.05\npaths = 1\nsave_every = 5\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
+    assert json.loads((a / "manifest.json").read_text())["config"]["save_every"] == "5"
+    with open(a / "run.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 6  # header and steps 0-5
+    assert run_cli("run", "--config", str(a / "manifest.json"), "--out", str(b)) == 0
+    for name in ("run.csv", "state_final.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nn = 2\npaths = 256\ndt = 1e-2\nT = 0.05\n")

@@ -5,7 +5,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from torusflow.basis import BasisMode, SpectralField, get_basis, random_field
+from torusflow import diagnostics
+from torusflow.basis import (
+    CHUNK_PATHS,
+    BasisMode,
+    SpectralField,
+    Workspace,
+    get_basis,
+    random_field,
+)
 from torusflow.diagnostics import (
     ENSEMBLE_CSV_COLUMNS,
     MartingaleProbe,
@@ -86,6 +94,34 @@ def test_probe_quadratic_form_keeps_its_bits(mode, paths):
     quad = (flat[..., probe.q_i] * flat[..., probe.q_j]) @ probe.q_v
     want = -0.5 * (flat @ probe.w)[:, 1] + quad
     assert np.array_equal(probe.pairings(u)[1], want)
+
+
+@pytest.mark.parametrize("paths", [1, 100, 131, 300])
+@pytest.mark.parametrize(
+    "mode", [BasisMode("c", (1, 0)), BasisMode("s", (0, 1)), BasisMode("c", (1, 1))], ids=str
+)
+def test_chunked_probe_pairings_match_the_unchunked_form(mode, paths):
+    # no batch is a whole number of chunks, and 131 ends in 3 paths that join
+    # the chunk before them; each path rounds as in one gemv over the batch
+    assert paths % CHUNK_PATHS
+    rng = np.random.default_rng(paths)
+    b = get_basis(8)
+    probe = MartingaleProbe(SpectralField.from_modes(b, [(mode, 1.0)]))
+    u = np.stack([random_field(b, rng, include_mean=True).coeffs for _ in range(paths)])
+    for got, want in zip(probe.pairings(u), oracles.probe_pairings_unchunked(probe, u)):
+        assert np.array_equal(got, want)
+
+
+def test_quadratic_form_holds_one_chunk(monkeypatch):
+    # after 1024 paths the probes' arrays hold one chunk: cols (2N, chunk),
+    # left and right (nnz, chunk); over the batch they would be 6.6 MB
+    monkeypatch.setattr(diagnostics, "_QUADRATIC_FORM", Workspace())
+    rng = np.random.default_rng(4)
+    b = get_basis(8)
+    probe = MartingaleProbe(SpectralField.from_modes(b, [(BasisMode("c", (1, 1)), 1.0)]))
+    probe.pairings(rng.standard_normal((1024, 2, b.n_modes)))
+    held = sum(a.nbytes for a in diagnostics._QUADRATIC_FORM._slots.values())
+    assert held == (2 * b.n_modes + 2 * len(probe.q_v)) * CHUNK_PATHS * 8
 
 
 def test_probe_keeps_three_numbers_per_path_and_step():

@@ -470,6 +470,26 @@ def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
         assert np.array_equal(arr, copy)
 
 
+def test_advect_stages_share_one_slot(monkeypatch):
+    # the transform stages are never live at once, nor are the placed block
+    # and the flux spectra: a fused pass keeps the largest of each, not the sum
+    monkeypatch.setattr(dynamics, "_PASS", Workspace())
+    monkeypatch.setattr(basis_module, "_STAGES", Workspace())
+    rng = np.random.default_rng(3)
+    b = get_basis(8)
+    m = dealias_resolution(b.n, b.n, b.n)
+    paths, rows, cols = 16, b.n + 1, 2 * (2 * b.n + 1)
+    U = _batch(b, rng, paths)
+    advect(b, U, m, SCALE, _advector(b, _batch(b, rng, paths), m))
+    stages = {
+        "inverse": paths * 2 * rows * 2 * m,
+        "forward": paths * 3 * 2 * rows * m,
+        "gather": paths * 3 * 2 * b.n_modes,
+    }
+    assert {k: a.size for k, a in basis_module._STAGES._slots.items()} == {"stage": max(stages.values())}
+    assert dynamics._PASS._slots["spec"].size == paths * 3 * rows * cols
+
+
 def test_advect_pass_allocates_nothing_large():
     # after a warm-up pass every stage array is reused: a 16-path pass at n=8
     # allocates little beyond its own result, with or without a field
