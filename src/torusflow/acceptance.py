@@ -546,6 +546,7 @@ JOINS = {"a6": "a2", "a4": "a5"}
 CLAIM_ORDER = ("a2", "a6", "a5", "a1a", "a1b", "a3", "a9", "a7", "a4", "a8")
 
 
+@workers.one_blas_thread()
 def run_suite(
     suite: str = "all", quick: bool = False, seed: int = 0
 ) -> list[CriterionResult]:
@@ -555,9 +556,10 @@ def run_suite(
     criterion joins the job of the one it reads (:data:`JOINS`).  Each job
     has its own :class:`RunContext`, and nothing of it outlives the job.
     The jobs run in lanes (:func:`_run_in_lanes`) on the CPUs of
-    ``workers.plan(jobs)``, or in this process when that is one CPU.  Each
-    check computes the same either way; only the lane in
-    ``CriterionResult.process`` and the timings differ.
+    ``workers.plan(jobs)``, or in this process when that is one CPU, with
+    BLAS held at one thread in every process.  Each check computes the same
+    either way; only the lane in ``CriterionResult.process`` and the timings
+    differ.
     """
     picked = [c for c in CRITERIA if suite in ("all", c.suite, c.key)]
     if not picked:

@@ -181,7 +181,9 @@ class Workspace:
 
 
 #: the stage array of the transforms called with ``out=``: one slot, since
-#: the inverse, the forward and the gather stage are never live at once
+#: its four users are never live at once: the inverse, the forward and the
+#: gather stage, and ``dynamics.advect``'s flux products on the grid, which
+#: keep ``u1 u2`` or ``v`` here between the inverse and the forward transform
 _STAGES = Workspace()
 
 #: paths per chunk of the per-step observations (``batch_norms_sq`` and the
@@ -530,14 +532,24 @@ def leray_project(f: SpectralField, basis: Basis) -> SpectralField:
     return out
 
 
-def constant_advection(kappa: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def constant_advection(
+    kappa: np.ndarray, coeffs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact ``(a . grad) u`` for a spatially constant advector ``a``.
 
     ``kappa = a . k`` is the per-mode symbol (leading axes broadcast against
     ``coeffs`` of shape ``(..., 2, N)``); transport rotates each cosine/sine
     pair, ``(a, b) -> (kappa b, -kappa a)``, and never leaves the mode set.
+    ``out``, if given, must not overlap ``coeffs``.
     """
-    return np.stack([kappa * coeffs[..., 1, :], -kappa * coeffs[..., 0, :]], axis=-2)
+    if out is None:
+        lead = np.broadcast_shapes(np.shape(kappa), coeffs.shape[:-2] + coeffs.shape[-1:])
+        out = np.empty(lead[:-1] + (2,) + lead[-1:])
+    np.multiply(kappa, coeffs[..., 1, :], out=out[..., 0, :])
+    # -(kappa a) is (-kappa) a: rounding is symmetric in the sign
+    np.multiply(kappa, coeffs[..., 0, :], out=out[..., 1, :])
+    np.negative(out[..., 1, :], out=out[..., 1, :])
+    return out
 
 
 def constant_symbol(basis: Basis, a1, a2) -> np.ndarray:

@@ -37,10 +37,15 @@ the advecting field once for every state it advects, as its 2 components.
 The quadratic term alone has ``v = scale u``, so ``A = B = scale u1 u2``
 and ``C = scale (u2^2 - u1^2)``: 2 fields in and 2 out (the symmetric form
 of Basdevant, *J. Comput. Phys.* 50, 1983).  Every stage of a pass writes
-into arrays kept for the next pass of the same shape (``_PASS``), and the
-flux spectra into the placed block's array, which is dead once the inverse
-transform has read it; the arrays are module state, so passes must not run
-concurrently.
+into arrays kept for the next pass of the same shape (``_PASS``): the two
+flux products of the quadratic term overwrite the grids of ``u`` that they
+are formed from, the flux spectra go into the placed block's array, which is
+dead once the inverse transform has read it, and the one array that waits
+while the products form (``u1 u2``, or with an advecting field ``v = scale u
++ w``) goes into the transforms' stage slot (``basis._STAGES``), free
+between the inverse and the forward transform.  Only a pass with an advecting field keeps
+an array for its 3 products.  The arrays are module state, so passes must not
+run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -61,6 +66,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft as _fft
 
+from . import basis as _basis
 from .basis import (
     Basis,
     BasisMode,
@@ -329,7 +335,9 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
 
 
 #: the arrays of one ``advect`` pass, reused by the next pass of the same
-#: shape; ``spec`` holds the placed ``u``, then the flux spectra
+#: shape: ``spec`` holds the placed ``u``, then the flux spectra; ``grids``
+#: holds ``u`` on the grid, then the quadratic term's products; ``prods``
+#: holds the 3 products of a pass with an advecting field
 _PASS = Workspace()
 
 
@@ -351,28 +359,33 @@ def advect(
     fields per state; the flux products of ``v = scale u + w`` go forward
     onto the block of ``out_basis``, 2 fields without an advector and 3 with
     one (module docstring), and ``gather_flux_coeffs`` takes their
-    divergence.  Every stage writes into an array of ``_PASS``, the flux
-    spectra into the one that held the placed ``u``; only the result is
-    fresh.  Returns ``(..., 2, N)`` over ``out_basis`` (default:
-    the basis of ``u``).
+    divergence.  Every stage writes into an array of ``_PASS`` or into the
+    stage slot of ``basis``: the quadratic term's products into the grids of
+    ``u``, the flux spectra into the array that held the placed ``u``; only
+    the result is fresh.  Returns ``(..., 2, N)`` over ``out_basis``
+    (default: the basis of ``u``).
     """
     out_basis = out_basis or basis
     lead = coeffs.shape[:-2]
     spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
     spec = place_halfspectrum(basis, coeffs, m, out=spec)
     u = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (2, m, m)))
-    # numpy buffers every strided operand of a ufunc, so each product takes
-    # the whole batch in one call, and C is a reduction over the field axis,
-    # which needs no buffer
+    # the stage slot is free from the end of the inverse transform to the
+    # start of the forward one; numpy buffers every operand of a ufunc that
+    # is strided across paths, so a product that has to read one field
+    # alone is a reduction over the field axis, which needs no buffer
     if advector is None:
-        # (u1 u2, u2 u1), whose second field C then overwrites
-        prods = np.multiply(u, u[..., ::-1, :, :], out=_PASS.take("prods", lead + (2, m, m)))
-        uu = np.multiply(u, u, out=_PASS.take("v", lead + (2, m, m)))
-        np.subtract.reduce(uu[..., ::-1, :, :], axis=-3, out=prods[..., 1, :, :])
+        # A = u1 u2 waits in the stage slot while the grids are squared in
+        # place and C = u2^2 - u1^2 overwrites the second
+        a = np.multiply.reduce(u, axis=-3, out=_basis._STAGES.take("stage", lead + (m, m)))
+        np.multiply(u, u, out=u)
+        np.subtract.reduce(u[..., ::-1, :, :], axis=-3, out=u[..., 1, :, :])
+        u[..., 0, :, :] = a
         if scale != 1.0:
-            prods *= scale
+            u *= scale
+        prods = u
     else:
-        v = np.multiply(u, scale, out=_PASS.take("v", lead + (2, m, m)))
+        v = np.multiply(u, scale, out=_basis._STAGES.take("stage", lead + (2, m, m)))
         v += advector
         prods = _PASS.take("prods", lead + (3, m, m))
         np.multiply(v, u[..., ::-1, :, :], out=prods[..., 0:2, :, :])

@@ -34,8 +34,10 @@ so the noise costs memory in paths x components, not in the horizon.
 
 A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  The pass writes its stages into arrays that
-``dynamics.advect`` keeps for the next pass of the same shape, so in a run
-they are allocated once, not faulted in afresh every pass.  The block size
+``dynamics.advect`` keeps for the next pass of the same shape, and each
+scheme's update into arrays that the kernel keeps for the next block, so in
+a run they are allocated once, not faulted in afresh every pass; a step
+allocates only its result and each pass's.  The block size
 is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` budgets
 what one pass touches per path: 5 transformed fields (a field-noise pass's
 2 in and 3 out; the quadratic term alone moves 2 in and 2 out), each an
@@ -101,7 +103,6 @@ from .basis import (
     batch_norms_sq,
     block_shape,
     constant_advection,
-    constant_symbol,
     get_basis,
     halfspectrum_to_grid,
     place_halfspectrum,
@@ -301,7 +302,6 @@ class StepKernel:
         self.scheme = scheme
         self.dt = float(dt)
         self.m = dealias_resolution(basis.n, max(noise.field_basis.n, basis.n), basis.n)
-        self.ksq = basis.ksq
         self.constant_noise = noise.is_constant_advection
         # the budget of a 5-field pass per path (under field noise 2 fields
         # in and 3 out, and the quadratic term alone within it at 2 and 2),
@@ -313,6 +313,12 @@ class StepKernel:
         self.path_bytes += 0 if self.constant_noise else 2 * 8 * m * m
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
         self._noise_arrays = Workspace()
+        #: the schemes' arrays of one block, reused by the next block
+        self._work = Workspace()
+        # per-mode rows of every step: the Ito viscosity's dt (1/2) |k|^2,
+        # and the wavevectors of the constant noise's symbol
+        self._viscosity = self.dt * ITO_VISCOSITY * basis.ksq
+        self._k1, self._k2 = basis.modes.T.astype(np.float64)
         #: the processes that share a multi-block step, from :func:`helper_processes`
         self.helpers: _Helpers | None = None
 
@@ -322,21 +328,36 @@ class StepKernel:
         """What every operator evaluation of one step needs of its noise field.
 
         Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
-        rotation.  Otherwise: the field's 2 components on the grid, ``advect``'s
-        advector, in arrays the next step reuses.
+        rotation (``constant_symbol``).  Otherwise: the field's 2 components
+        on the grid, ``advect``'s advector.  Both go into arrays that the
+        next block reuses.
         """
+        work = self._noise_arrays
         if self.constant_noise:
-            return constant_symbol(self.basis, w_coeffs[..., 0, 0:1], w_coeffs[..., 1, 0:1])
+            shape = w_coeffs.shape[:-2] + (self.basis.n_modes,)
+            kappa = np.multiply(w_coeffs[..., 0, 0:1], self._k1, out=work.take("kappa", shape))
+            kappa += np.multiply(w_coeffs[..., 1, 0:1], self._k2, out=work.take("a2_k2", shape))
+            return kappa
         fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (2,)
-        spec = self._noise_arrays.take("spec", lead + block_shape(fb))
-        spec = place_halfspectrum(fb, w_coeffs, m, out=spec)
-        return halfspectrum_to_grid(spec, m, out=self._noise_arrays.take("grids", lead + (m, m)))
+        spec = place_halfspectrum(fb, w_coeffs, m, out=work.take("spec", lead + block_shape(fb)))
+        return halfspectrum_to_grid(spec, m, out=work.take("grids", lead + (m, m)))
 
     def _increment(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """The Stratonovich increment ``-dt P (u . grad) u + P (dW . grad) u``."""
+        """The Stratonovich increment ``-dt P (u . grad) u + P (dW . grad) u``,
+        in the array that ``advect`` returns."""
         if self.constant_noise:
-            return constant_advection(noise, u) - self.dt * advect(self.basis, u, self.m)
+            incr = advect(self.basis, u, self.m)
+            incr *= self.dt
+            rotated = constant_advection(noise, u, out=self._work.take("rotated", u.shape))
+            return np.subtract(rotated, incr, out=incr)
         return advect(self.basis, u, self.m, -self.dt, noise)
+
+    def _rows(self, a: np.ndarray, rows: np.ndarray | None, name: str) -> np.ndarray:
+        """``a`` itself, or its ``rows`` gathered into the kept array ``name``."""
+        if rows is None:
+            return a
+        out = self._work.take(name, (len(rows),) + a.shape[1:])
+        return np.take(a, rows, axis=0, out=out, mode="clip")
 
     # -- schemes -------------------------------------------------------------
 
@@ -389,24 +410,40 @@ class StepKernel:
         return failed
 
     def _step_block(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
-        noise = self._prepare_noise(w_coeffs)
+        """One step of a block of paths, allocating only its result and each
+        ``advect`` result; every other array is kept in ``_work`` for the next
+        block.  Any leading axes are stepped as one axis of paths."""
+        lead = u.shape[:-2]
+        u = u.reshape((-1,) + u.shape[-2:])
+        noise = self._prepare_noise(w_coeffs.reshape((-1,) + w_coeffs.shape[-2:]))
         if self.scheme == "ito-em":
-            return self._step_em(u, noise)
-        if self.scheme == "strat-heun":
-            return self._step_heun(u, noise)
-        return self._step_midpoint(u, noise)
+            out = self._step_em(u, noise)
+        elif self.scheme == "strat-heun":
+            out = self._step_heun(u, noise)
+        else:
+            out = self._step_midpoint(u, noise)
+        return out.reshape(lead + out.shape[-2:])
 
     def _step_em(self, u, noise):
-        return u - self.dt * ITO_VISCOSITY * self.ksq * u + self._increment(u, noise)
+        # u - dt (1/2) A u + incr(u)
+        incr = self._increment(u, noise)
+        damped = np.multiply(self._viscosity, u, out=self._work.take("damped", u.shape))
+        incr += np.subtract(u, damped, out=damped)
+        return incr
 
     def _step_heun(self, u, noise):
-        incr0 = self._increment(u, noise)
-        incr1 = self._increment(u + incr0, noise)
-        return u + 0.5 * (incr0 + incr1)
+        # u + (incr(u) + incr(u + incr(u))) / 2
+        incr = self._increment(u, noise)
+        predicted = np.add(u, incr, out=self._work.take("predicted", u.shape))
+        incr += self._increment(predicted, noise)
+        incr *= 0.5
+        incr += u
+        return incr
 
     def _step_midpoint(self, u, noise):
         # solve v = u - dt P(mid . grad) mid + T(mid), mid = (u + v)/2, by
         # fixed-point iteration on the paths not yet converged
+        work = self._work
         if self.constant_noise:
             # the linear noise part T is inverted exactly per mode (2x2
             # blocks): the iteration starts from the exact noise-only step v0,
@@ -414,39 +451,59 @@ class StepKernel:
             # -dt S(B(mid)), S = (I - T/2)^-1, as two per-mode products:
             # -dt S maps (x0, x1) to s0 (x0, x1) + (s1 x1, -s1 x0), with
             # h = kappa/2, s0 = -dt / (1 + h^2) and s1 = h s0
-            half_k = 0.5 * noise
-            denom = 1.0 + half_k * half_k
-            base = u + 0.5 * constant_advection(noise, u)
-            va = (base[..., 0, :] + half_k * base[..., 1, :]) / denom
-            v0 = np.stack([va, base[..., 1, :] - half_k * va], axis=-2)
-            s0 = (-self.dt / denom)[..., None, :]
-            s1 = s0 * half_k[..., None, :] * [[1.0], [-1.0]]
+            half_k = np.multiply(noise, 0.5, out=work.take("half_k", noise.shape))
+            denom = np.multiply(half_k, half_k, out=work.take("s0", noise.shape))
+            denom += 1.0
+            base = constant_advection(noise, u, out=work.take("base", u.shape))
+            base *= 0.5
+            base += u
+            v0 = work.take("v0", u.shape)
+            va = np.multiply(half_k, base[:, 1, :], out=v0[:, 0, :])
+            va += base[:, 0, :]
+            va /= denom
+            np.multiply(half_k, va, out=v0[:, 1, :])
+            np.subtract(base[:, 1, :], v0[:, 1, :], out=v0[:, 1, :])
+            s0 = np.divide(-self.dt, denom, out=denom)[:, None, :]
+            s1 = work.take("s1", u.shape)
+            np.multiply(s0[:, 0, :], half_k, out=s1[:, 0, :])
+            np.negative(s1[:, 0, :], out=s1[:, 1, :])
 
-            def update(rows, mid):
+            def update(rows, u_rows, mid):
                 b = advect(self.basis, mid, self.m)
-                inc = s1[rows] * b[..., ::-1, :]
-                inc += s0[rows] * b
-                inc += v0[rows]
-                return inc
+                new = work.take("new", b.shape)
+                np.multiply(self._rows(s1, rows, "s1_rows"), b[:, ::-1, :], out=new)
+                b *= self._rows(s0, rows, "s0_rows")
+                new += b
+                new += self._rows(v0, rows, "v0_rows")
+                return new
 
             v = v0.copy()
         else:
 
-            def update(rows, mid):
-                return u[rows] + self._increment(mid, noise[rows])
+            def update(rows, u_rows, mid):
+                new = self._increment(mid, self._rows(noise, rows, "noise_rows"))
+                new += u_rows
+                return new
 
             v = u.copy()
         # every path takes every pass until one has converged; from then on
         # a pass gathers the rows still active
-        active = np.ones(u.shape[:-2], dtype=bool)
-        rows = ...
+        active = np.ones(len(u), dtype=bool)
+        rows = None
         # a diverging iterate overflows on the grid; its residual turns
         # non-finite in the same pass and ends the solve there
         with np.errstate(over="ignore", invalid="ignore"):
             for iteration in range(1, MIDPOINT_MAX_ITER + 1):
-                v_new = update(rows, 0.5 * (u[rows] + v[rows]))
-                res = np.abs(v_new - v[rows]).max(axis=(-2, -1))
-                v[rows] = v_new
+                u_rows, v_rows = self._rows(u, rows, "u_rows"), self._rows(v, rows, "v_rows")
+                mid = np.add(u_rows, v_rows, out=work.take("mid", u_rows.shape))
+                mid *= 0.5
+                v_new = update(rows, u_rows, mid)
+                diff = np.subtract(v_new, v_rows, out=mid)
+                res = np.abs(diff, out=diff).max(axis=(-2, -1))
+                if rows is None:
+                    v[...] = v_new
+                else:
+                    v[rows] = v_new
                 blown = ~np.isfinite(res)
                 if blown.any():
                     raise MidpointConvergenceError(
@@ -456,8 +513,8 @@ class StepKernel:
                 if not still.any():
                     return v
                 if not still.all():
-                    active[rows] = still
-                    rows = np.nonzero(active)
+                    active[active] = still
+                    rows = np.flatnonzero(active)
         raise MidpointConvergenceError(
             float(np.max(res)), MIDPOINT_MAX_ITER, paths=np.flatnonzero(active)
         )
@@ -658,6 +715,7 @@ def _saved_indices(n_steps: int, save_every: int) -> np.ndarray:
     return np.array(idx, dtype=np.int64)
 
 
+@workers.one_blas_thread()
 def _run_batch(
     config: SimConfig, path_ids: Sequence[int], observers: Sequence[StepObserver] = ()
 ) -> EnsembleDiagnostics:
@@ -668,7 +726,8 @@ def _run_batch(
     way out, step some of the path blocks; draws, norms and observers stay in
     this process, in two stages (module docstring): while step ``s`` runs,
     ``meanwhile`` observes the state it started from and folds the field of
-    step ``s + 1``.
+    step ``s + 1``.  The run holds BLAS at one thread, in every process, so
+    its bits do not depend on the CPUs it may use.
     """
     config.validate()
     basis = config.basis

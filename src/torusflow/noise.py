@@ -35,12 +35,13 @@ rigorous tail bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
-from .basis import Basis, BasisMode, ModeIndex, get_basis
+from .basis import Basis, BasisMode, ModeIndex, get_basis, path_chunks
 
 
 class ConfigurationError(ValueError):
@@ -216,12 +217,19 @@ class NoiseModel:
         the sum of the two members' products, and a row of one member is its
         product, so the field does not depend on the batch it comes in; a
         matrix product rounds a row differently for different batch sizes.
+        The paths are folded ``basis.CHUNK_PATHS`` at a time, so the
+        temporaries of the fold hold one chunk however large the batch.
         """
         factors, rows, first, second, alone_rows, alone = self._fold
-        prods = values * factors
-        out = np.zeros(values.shape[:-2] + (2, self.field_basis.n_modes))
-        out[..., rows] = np.swapaxes(prods[..., first, :] + prods[..., second, :], -1, -2)
-        out[..., alone_rows] = np.swapaxes(prods[..., alone, :], -1, -2)
+        lead = values.shape[:-2]
+        out = np.zeros(lead + (2, self.field_basis.n_modes))
+        paths = prod(lead)
+        flat, flat_out = (a.reshape((paths,) + a.shape[-2:]) for a in (values, out))
+        for chunk in path_chunks(paths):
+            prods = flat[chunk] * factors
+            block = flat_out[chunk]
+            block[..., rows] = np.swapaxes(prods[..., first, :] + prods[..., second, :], -1, -2)
+            block[..., alone_rows] = np.swapaxes(prods[..., alone, :], -1, -2)
         return out
 
     def discarded_trace(self) -> float:

@@ -23,10 +23,16 @@ exception, with the child's traceback as a :class:`ChildTraceback` for its
 cause.  A child whose pipe ends is a :class:`HelperProcessError` naming it,
 how it ended and, from its last claim notice, the work it held.
 :meth:`Workers.close` kills and reaps every child, whatever it is doing.
+
+Both callers fork inside :func:`one_blas_thread`, which holds numpy's
+OpenBLAS at one thread for the length of the work, so every process, the
+caller included, rounds each matrix product the same way whatever CPUs it
+may use.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import select
@@ -37,9 +43,11 @@ import threading
 import traceback
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 #: a claims pipe holds tickets as native ints
 _TICKET = struct.Struct("i")
@@ -68,6 +76,66 @@ def plan(work: int) -> list[int]:
     """The CPUs to spread ``work`` independent parts over; one means serially."""
     cpus = usable_cpus()[:work]
     return cpus if threading.active_count() == 1 else cpus[:1]
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_count() -> tuple[Callable, Callable] | None:
+    """The setter and getter of the thread count of the OpenBLAS that numpy
+    calls, or None, with a warning the first time, where it has none.
+
+    They are found by symbol through numpy's core extension, which links that
+    library: ``scipy_openblas_..._num_threads64_`` in numpy's own wheels,
+    ``openblas_..._num_threads64_`` in older ones and ``openblas_..._num_threads``
+    in plain builds.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        lib = None
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+        names = (f"{prefix}openblas_{verb}_num_threads{suffix}" for verb in ("set", "get"))
+        try:
+            setter, getter = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    warnings.warn(
+        "found no OpenBLAS thread-count setter in numpy's BLAS: a run's bits may depend "
+        "on the number of BLAS threads once a per-path product is large enough to thread",
+        RuntimeWarning,
+    )
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS at one thread, then restore its count.
+
+    OpenBLAS splits a product over its threads once the product is large
+    enough, from n = 24 on for the per-path products of a step, and the sums
+    then round by how the product was split: a run's bits would depend on the
+    CPUs the process may use.  Its threads would also compete with the
+    processes forked inside, which inherit the one thread.  Where numpy's BLAS
+    has no setter, nothing changes (:func:`_blas_thread_count`).  Usable as a
+    decorator.
+    """
+    count = _blas_thread_count()
+    if count is None:
+        yield
+        return
+    setter, getter = count
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def fork_child(serve: Callable[[], int]) -> int:

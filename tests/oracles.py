@@ -14,14 +14,26 @@ probe section keeps the probe's quadratic form as first sliced from the
 whole coupling tensor, the first form of its pairings, their form before
 the quadratic form ran over path chunks and the running trapezoids that
 first integrated its series, and the noise section the
-first increment fold and draw schedule.
+first increment fold and draw schedule and the fold before it ran over path
+chunks.  The fresh-array section keeps the operator pass's flux products and
+every scheme's update as they were before they ran on kept arrays.
 """
 
 import mpmath as mp
 import numpy as np
 import scipy.fft as sfft
 
-from torusflow.basis import Basis, BasisMode, SpectralField, gradient
+from torusflow.basis import (
+    Basis,
+    BasisMode,
+    SpectralField,
+    constant_symbol,
+    gather_flux_coeffs,
+    gradient,
+    grid_to_halfspectrum,
+    halfspectrum_to_grid,
+    place_halfspectrum,
+)
 from torusflow.dynamics import (
     ITO_VISCOSITY,
     advect,
@@ -29,6 +41,7 @@ from torusflow.dynamics import (
     dealias_resolution,
     nonlinear_pseudospectral,
 )
+from torusflow.integrate import MIDPOINT_MAX_ITER, MIDPOINT_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -188,6 +201,100 @@ def midpoint_step_solve(
         active[idx] = np.abs(v_new - v[idx]).max(axis=(1, 2)) > tol
         v[idx] = v_new
     return v
+
+
+# ---------------------------------------------------------------------------
+# the operator pass and the scheme updates on fresh arrays
+# ---------------------------------------------------------------------------
+
+
+def advect_fresh(basis: Basis, coeffs, m: int, scale=1.0, advector=None, out_basis=None):
+    """``dynamics.advect`` with its flux products as first formed: each in a
+    fresh array, ``(A, B)`` as one product of the grids with their reverse
+    and ``C`` as a reduction of ``u u`` (or ``v u``) over the field axis."""
+    out_basis = out_basis or basis
+    u = halfspectrum_to_grid(place_halfspectrum(basis, coeffs, m), m)
+    if advector is None:
+        prods = u * u[..., ::-1, :, :]
+        uu = u * u
+        prods[..., 1, :, :] = np.subtract.reduce(uu[..., ::-1, :, :], axis=-3)
+        if scale != 1.0:
+            prods *= scale
+    else:
+        v = u * scale
+        v += advector
+        prods = np.empty(u.shape[:-3] + (3,) + u.shape[-2:])
+        prods[..., 0:2, :, :] = v * u[..., ::-1, :, :]
+        vu = v * u
+        prods[..., 2, :, :] = np.subtract.reduce(vu[..., ::-1, :, :], axis=-3)
+    return gather_flux_coeffs(out_basis, grid_to_halfspectrum(prods, out_basis), m)
+
+
+def rotate_fresh(kappa, coeffs):
+    """``basis.constant_advection`` as first written, by ``np.stack``."""
+    return np.stack([kappa * coeffs[..., 1, :], -kappa * coeffs[..., 0, :]], axis=-2)
+
+
+def step_fresh(kernel, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
+    """One step of ``kernel`` over the whole batch ``(P, 2, N)``, every
+    update as first written in fresh arrays over :func:`advect_fresh`; a
+    midpoint solve that misses its tolerance raises ``RuntimeError``."""
+    b, m, dt = kernel.basis, kernel.m, kernel.dt
+    if kernel.constant_noise:
+        noise = constant_symbol(b, w_coeffs[..., 0, 0:1], w_coeffs[..., 1, 0:1])
+
+        def increment(x, noise):
+            return rotate_fresh(noise, x) - dt * advect_fresh(b, x, m)
+
+    else:
+        fb = kernel.noise.field_basis
+        noise = halfspectrum_to_grid(place_halfspectrum(fb, w_coeffs, m), m)
+
+        def increment(x, noise):
+            return advect_fresh(b, x, m, -dt, noise)
+
+    if kernel.scheme == "ito-em":
+        return u - dt * ITO_VISCOSITY * b.ksq * u + increment(u, noise)
+    if kernel.scheme == "strat-heun":
+        incr0 = increment(u, noise)
+        incr1 = increment(u + incr0, noise)
+        return u + 0.5 * (incr0 + incr1)
+    if kernel.constant_noise:
+        half_k = 0.5 * noise
+        denom = 1.0 + half_k * half_k
+        base = u + 0.5 * rotate_fresh(noise, u)
+        va = (base[..., 0, :] + half_k * base[..., 1, :]) / denom
+        v0 = np.stack([va, base[..., 1, :] - half_k * va], axis=-2)
+        s0 = (-dt / denom)[..., None, :]
+        s1 = s0 * half_k[..., None, :] * [[1.0], [-1.0]]
+
+        def update(rows, mid):
+            conv = advect_fresh(b, mid, m)
+            inc = s1[rows] * conv[..., ::-1, :]
+            inc += s0[rows] * conv
+            inc += v0[rows]
+            return inc
+
+        v = v0.copy()
+    else:
+
+        def update(rows, mid):
+            return u[rows] + increment(mid, noise[rows])
+
+        v = u.copy()
+    active = np.ones(u.shape[:-2], dtype=bool)
+    rows = ...
+    for _ in range(MIDPOINT_MAX_ITER):
+        v_new = update(rows, 0.5 * (u[rows] + v[rows]))
+        res = np.abs(v_new - v[rows]).max(axis=(-2, -1))
+        v[rows] = v_new
+        still = res > MIDPOINT_TOL
+        if not still.any():
+            return v
+        if not still.all():
+            active[rows] = still
+            rows = np.nonzero(active)
+    raise RuntimeError("the midpoint solve missed its tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +556,17 @@ def fold_increments(model, values: np.ndarray) -> np.ndarray:
     out = np.zeros(values.shape[:-2] + (2, fb.n_modes))
     out[..., 0, rows] = np.add.reduceat(v[..., 0] * wc, starts, axis=-1)
     out[..., 1, rows] = np.add.reduceat(v[..., 1] * ws, starts, axis=-1)
+    return out
+
+
+def fold_increments_unchunked(model, values: np.ndarray) -> np.ndarray:
+    """``model.increments_to_field`` over the whole batch at once, before it
+    ran over path chunks."""
+    factors, rows, first, second, alone_rows, alone = model._fold
+    prods = values * factors
+    out = np.zeros(values.shape[:-2] + (2, model.field_basis.n_modes))
+    out[..., rows] = np.swapaxes(prods[..., first, :] + prods[..., second, :], -1, -2)
+    out[..., alone_rows] = np.swapaxes(prods[..., alone, :], -1, -2)
     return out
 
 

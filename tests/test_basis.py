@@ -14,6 +14,8 @@ from torusflow.basis import (
     batch_h1_sq,
     batch_l2_sq,
     batch_norms_sq,
+    constant_advection,
+    constant_symbol,
     divergence_max,
     gather_coeffs,
     get_basis,
@@ -215,6 +217,25 @@ def test_gradient_modewise():
     assert np.abs(d2.coeffs).max() == 0.0
     z1, z2 = gradient(SpectralField.from_modes(b, [(BasisMode("c", (0, 0)), 2.0)]))
     assert np.abs(z1.coeffs).max() == 0.0 and np.abs(z2.coeffs).max() == 0.0
+
+
+def test_constant_advection_into_kept_arrays_holds_the_stacked_bits():
+    # the rotation written into a given array, and into a fresh one, holds
+    # the bits of the first np.stack form, the signs of zeros included
+    rng = np.random.default_rng(14)
+    b = get_basis(5)
+    coeffs = np.stack([random_field(b, rng).coeffs for _ in range(4)])
+    coeffs[1, 0] = 0.0
+    kappa = constant_symbol(b, rng.standard_normal((4, 1)), rng.standard_normal((4, 1)))
+    kappa[2] = -0.0
+    want = oracles.rotate_fresh(kappa, coeffs)
+    kept = np.full_like(coeffs, np.nan)
+    for got in (constant_advection(kappa, coeffs), constant_advection(kappa, coeffs, out=kept)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert constant_advection(kappa, coeffs, out=kept) is kept
+    k1 = b.modes[:, 0].astype(np.float64)
+    assert np.array_equal(constant_advection(k1, coeffs[0]), oracles.rotate_fresh(k1, coeffs[0]))
 
 
 def test_gradient_against_symbolic_shift():

@@ -472,22 +472,48 @@ def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
 
 def test_advect_stages_share_one_slot(monkeypatch):
     # the transform stages are never live at once, nor are the placed block
-    # and the flux spectra: a fused pass keeps the largest of each, not the sum
+    # and the flux spectra, nor the grids of u and the quadratic term's
+    # products: a fused pass keeps the largest of each, not the sum, and the
+    # product that waits (v) takes the stage slot between the transforms
     monkeypatch.setattr(dynamics, "_PASS", Workspace())
-    monkeypatch.setattr(basis_module, "_STAGES", Workspace())
+    stages = Workspace()
+    monkeypatch.setattr(basis_module, "_STAGES", stages)
     rng = np.random.default_rng(3)
     b = get_basis(8)
     m = dealias_resolution(b.n, b.n, b.n)
     paths, rows, cols = 16, b.n + 1, 2 * (2 * b.n + 1)
     U = _batch(b, rng, paths)
+    advect(b, U, m)
+    assert set(dynamics._PASS._slots) == {"spec", "grids"}
     advect(b, U, m, SCALE, _advector(b, _batch(b, rng, paths), m))
-    stages = {
+    sizes = {
         "inverse": paths * 2 * rows * 2 * m,
+        "v": paths * 2 * m * m,
         "forward": paths * 3 * 2 * rows * m,
         "gather": paths * 3 * 2 * b.n_modes,
     }
-    assert {k: a.size for k, a in basis_module._STAGES._slots.items()} == {"stage": max(stages.values())}
+    assert {k: a.size for k, a in stages._slots.items()} == {"stage": max(sizes.values())}
+    assert set(dynamics._PASS._slots) == {"spec", "grids", "prods"}
     assert dynamics._PASS._slots["spec"].size == paths * 3 * rows * cols
+    assert dynamics._PASS._slots["grids"].size == paths * 2 * m * m
+
+
+@pytest.mark.parametrize("paths", [1, 32, 33])
+def test_advect_is_bit_equal_to_the_fresh_array_products(paths):
+    # the products formed in the grids and the stage slot hold the bits of
+    # the products as first formed in fresh arrays: the quadratic term
+    # alone (scaled or not), transport alone and fused, into the input
+    # basis and a larger one, with the qwiener:2 field as advector
+    rng = np.random.default_rng(80 + paths)
+    b, wb = get_basis(8), NoiseModel.q_wiener(2).field_basis
+    U = _batch(b, rng, paths, include_mean=True)
+    W = _batch(wb, rng, paths, include_mean=True)
+    for out in (b, get_basis(11)):
+        m = dealias_resolution(b.n, b.n, out.n)
+        w_grid = _advector(wb, W, m)
+        for scale, advector in ((1.0, None), (SCALE, None), (0.0, w_grid), (-1e-3, w_grid)):
+            got = advect(b, U, m, scale, advector, out)
+            assert np.array_equal(got, oracles.advect_fresh(b, U, m, scale, advector, out))
 
 
 def test_advect_pass_allocates_nothing_large():

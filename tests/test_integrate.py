@@ -369,6 +369,94 @@ def test_results_do_not_depend_on_blas_threads():
     assert proc.stdout.split() == _blas_fingerprints()
 
 
+def _n24_bits(monkeypatch, cpus, blas_threads=None):
+    """The bits of a few ito-em steps at n=24 under ``qwiener:4``, 16 paths
+    in blocks of 3, seen by ``cpus`` usable CPUs and started with
+    ``blas_threads`` BLAS threads (None: as they are)."""
+    _use_cpus(monkeypatch, cpus)
+    cfg = SimConfig(
+        n=24, dt=1e-3, t_final=5e-3, scheme="ito-em", noise=NoiseModel.q_wiener(4),
+        paths=16, seed=7, initial="pair",
+    )
+    setter, getter = workers._blas_thread_count() or (None, None)
+    before = getter() if getter else None
+    if blas_threads is not None:
+        setter(blas_threads)
+    try:
+        ens = run_ensemble(cfg)
+    finally:
+        if setter:
+            setter(before)
+    return ens.processes, ens.l2_sq.tobytes() + ens.h1_sq.tobytes() + ens.final.tobytes()
+
+
+def test_n24_bits_do_not_depend_on_cpus_or_blas_threads(monkeypatch):
+    # from n = 24 a per-path product is large enough for OpenBLAS to split
+    # over its threads, which rounds it by the split; the runner holds BLAS
+    # at one thread, so a serial run, one on 2 CPUs and a serial run begun
+    # under 2 BLAS threads write the same bits
+    processes, serial = _n24_bits(monkeypatch, 1)
+    assert processes == 1
+    processes, shared = _n24_bits(monkeypatch, 2)
+    assert processes == 2 and shared == serial
+    if workers._blas_thread_count() is None:
+        pytest.skip("numpy's BLAS has no thread-count setter")
+    assert _n24_bits(monkeypatch, 1, blas_threads=2) == (1, serial)
+    assert_no_child_left()
+
+
+def test_many_mode_probe_does_not_depend_on_blas_threads(monkeypatch):
+    # a probe whose test function has every mode at n=8 takes a quadratic
+    # form of 35k entries per 65-path chunk, which OpenBLAS threads; inside
+    # the runner it rounds the same under 1 and 2 BLAS threads
+    if workers._blas_thread_count() is None:
+        pytest.skip("numpy's BLAS has no thread-count setter")
+    setter, getter = workers._blas_thread_count()
+    _use_cpus(monkeypatch, 1)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=3e-3, scheme="ito-em", paths=65, seed=4)
+    v = random_field(cfg.basis, np.random.default_rng(6))
+    before = getter()
+    series = []
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            probe = MartingaleProbe(v)
+            series.append(run_ensemble(cfg, observers=[probe]).observers["probe"])
+    finally:
+        setter(before)
+    for name in ("uv", "drift", "qv_density"):
+        assert np.array_equal(getattr(series[0], name), getattr(series[1], name))
+
+
+@pytest.mark.parametrize("paths", [1, 32, 33])
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_steps_are_bit_equal_to_the_fresh_array_updates(monkeypatch, scheme, noise, paths):
+    # every update writes into the kernel's kept arrays and only the step's
+    # result is new: three steps hold the bits of the updates as first
+    # written in fresh arrays, at one path, a block and a block and a path;
+    # the states' sizes span 3.5 decades, so the midpoint paths converge at
+    # different passes and the solve gathers its active rows
+    model = SI if noise == "space-independent" else NoiseModel.q_wiener(2)
+    cfg, u, w = _desk_batch(model, paths=paths)
+    u *= np.geomspace(3.0, 1e-3, paths)[:, None, None]
+    kernel = StepKernel(cfg.basis, model, scheme, cfg.dt)
+    gathered = []
+    rows_of = StepKernel._rows
+
+    def gathering(self, a, rows, name):
+        gathered.append(rows is not None)
+        return rows_of(self, a, rows, name)
+
+    monkeypatch.setattr(StepKernel, "_rows", gathering)
+    got = want = u
+    for _ in range(3):
+        got = kernel.step(got, w)
+        want = oracles.step_fresh(kernel, want, w)
+        assert np.array_equal(got, want)
+    assert any(gathered) == (scheme == "strat-midpoint" and paths > 1)
+
+
 def test_midpoint_failure_collects_every_block(monkeypatch):
     # unconverged paths in two blocks of 4 give one error naming all of them
     # with the largest residual, not the first failing block's

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,7 +7,7 @@ import pytest
 import oracles
 
 from torusflow.acceptance import _lattice_ladder, _tail_bound
-from torusflow.basis import SpectralField
+from torusflow.basis import CHUNK_PATHS, SpectralField
 from torusflow.noise import (
     ConfigurationError,
     NoiseModel,
@@ -183,6 +185,32 @@ def test_fold_is_bit_equal_to_its_first_form(model):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(model.increments_to_field(values)[0, 0]).any()
+
+
+def test_fold_over_path_chunks_is_bit_equal_to_the_whole_batch_fold():
+    # 2048 paths at qwiener:8 fold 64 at a time into the bits of the fold
+    # over the whole batch, and its temporaries hold one chunk: 4 chunks'
+    # worth of increments beyond the field, where the whole batch's
+    # increments are 9.5 MB each
+    model = NoiseModel.q_wiener(8)
+    values = path_stream(3, 1).standard_normal((2048, model.n_components, 2))
+    values[5] = -0.0
+    want = oracles.fold_increments_unchunked(model, values)
+    got = model.increments_to_field(values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for batch in (values[:67], values[:3].reshape(3, 1, model.n_components, 2), values[0]):
+        assert np.array_equal(
+            model.increments_to_field(batch), oracles.fold_increments_unchunked(model, batch)
+        )
+    tracemalloc.start()
+    try:
+        out = model.increments_to_field(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = CHUNK_PATHS * model.n_components * 2 * 8
+    assert peak - out.nbytes < 4 * chunk
 
 
 def test_increment_moments():

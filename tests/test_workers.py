@@ -115,3 +115,45 @@ def test_each_child_wakes_to_its_own_first_ticket(monkeypatch):
     finally:
         pool.close()
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("work", [_in_helper, _in_lane], ids=["helpers", "lanes"])
+def test_work_holds_blas_at_one_thread_and_restores_it(monkeypatch, work):
+    # an ensemble and the battery run with one BLAS thread in the caller and
+    # in every child they fork, and leave the count as they found it
+    real = os.sched_getaffinity
+    if len(real(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    if workers._blas_thread_count() is None:
+        pytest.skip("numpy's BLAS has no thread-count setter")
+    setter, getter = workers._blas_thread_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(sorted(real(pid))[:2]))
+
+    def one_thread():
+        if getter() != 1:
+            raise AssertionError(f"{getter()} BLAS threads in a child")
+
+    run, _ = work(monkeypatch, one_thread)
+    before = getter()
+    setter(2)
+    try:
+        with deadline(60):
+            run()
+        assert getter() == 2
+    finally:
+        setter(before)
+    assert_no_child_left()
+
+
+def test_a_missing_blas_setter_warns_once(monkeypatch):
+    # a BLAS with no thread-count setter changes nothing and says so once
+    monkeypatch.setattr(workers.ctypes, "CDLL", lambda path: object())
+    workers._blas_thread_count.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="no OpenBLAS thread-count setter") as record:
+            for _ in range(2):
+                with workers.one_blas_thread():
+                    pass
+        assert len(record) == 1
+    finally:
+        workers._blas_thread_count.cache_clear()
