@@ -179,11 +179,17 @@ class Workspace:
             a = self._slots[name] = np.empty(size)
         return a[:size].reshape(shape)
 
+    def take_field_major(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """``take`` of grids ``(..., F, m, m)`` laid out as ``(F, ..., m, m)``,
+        through a view of the asked shape: each field is one contiguous array."""
+        fields = shape[:-3] + shape[-2:]
+        return np.moveaxis(self.take(name, (shape[-3],) + fields), 0, -3)
+
 
 #: the stage array of the transforms called with ``out=``: one slot, since
 #: its four users are never live at once: the inverse, the forward and the
 #: gather stage, and ``dynamics.advect``'s flux products on the grid, which
-#: keep ``u1 u2`` or ``v`` here between the inverse and the forward transform
+#: keep ``u1^2`` or ``v`` here between the inverse and the forward transform
 _STAGES = Workspace()
 
 #: paths per chunk of the per-step observations (``batch_norms_sq`` and the

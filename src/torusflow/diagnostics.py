@@ -160,15 +160,28 @@ class MartingaleProbe:
         return pairs[..., 0].copy(), -0.5 * pairs[..., 1] + b_quad, t1 * t1 + t2 * t2
 
     def start(self, t: float, u: np.ndarray) -> None:
-        self._t, self._record = [t], [self.pairings(u)]
+        self._t, self._series = [], None
+        #: each series' step records, one list each, so that ``result`` can
+        #: stack one series and drop its records before the next
+        self._records = ([], [], [])
+        self.after_step(t, u)
 
     def after_step(self, t: float, u: np.ndarray) -> None:
         self._t.append(t)
-        self._record.append(self.pairings(u))
+        for record, value in zip(self._records, self.pairings(u)):
+            record.append(value)
 
     def result(self) -> ProbeSeries:
-        uv, drift, qv_density = (np.stack(s, axis=1) for s in zip(*self._record))
-        return ProbeSeries(self.name, np.array(self._t), uv, drift, qv_density)
+        """The series, stacked once: each series is stacked while the others
+        are still records, and its records are dropped at once, so the
+        probe holds about 4/3 of its records at the peak, not twice them."""
+        if self._series is None:
+            stacked = []
+            for record in self._records:
+                stacked.append(np.stack(record, axis=1))
+                record.clear()
+            self._series = ProbeSeries(self.name, np.array(self._t), *stacked)
+        return self._series
 
 
 # ---------------------------------------------------------------------------

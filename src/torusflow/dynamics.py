@@ -41,11 +41,14 @@ into arrays kept for the next pass of the same shape (``_PASS``): the two
 flux products of the quadratic term overwrite the grids of ``u`` that they
 are formed from, the flux spectra go into the placed block's array, which is
 dead once the inverse transform has read it, and the one array that waits
-while the products form (``u1 u2``, or with an advecting field ``v = scale u
+while the products form (``u1^2``, or with an advecting field ``v = scale u
 + w``) goes into the transforms' stage slot (``basis._STAGES``), free
-between the inverse and the forward transform.  Only a pass with an advecting field keeps
-an array for its 3 products.  The arrays are module state, so passes must not
-run concurrently.
+between the inverse and the forward transform.  Only a pass with an
+advecting field keeps an array for its 3 products.  Every grid array is
+kept field-major, ``(F, ..., m, m)``, behind the path-major view ``(..., F,
+m, m)`` that the transforms write and read (``Workspace.take_field_major``),
+so that each product is a ufunc over contiguous fields.  The arrays are
+module state, so passes must not run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -369,28 +372,30 @@ def advect(
     lead = coeffs.shape[:-2]
     spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
     spec = place_halfspectrum(basis, coeffs, m, out=spec)
-    u = halfspectrum_to_grid(spec, m, out=_PASS.take("grids", lead + (2, m, m)))
-    # the stage slot is free from the end of the inverse transform to the
-    # start of the forward one; numpy buffers every operand of a ufunc that
-    # is strided across paths, so a product that has to read one field
-    # alone is a reduction over the field axis, which needs no buffer
+    # the grids are field-major (module docstring): one field is a
+    # contiguous array, and every product below a contiguous ufunc, which
+    # numpy runs without an iterator buffer or a copy of an operand
+    u = halfspectrum_to_grid(spec, m, out=_PASS.take_field_major("grids", lead + (2, m, m)))
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
     if advector is None:
-        # A = u1 u2 waits in the stage slot while the grids are squared in
-        # place and C = u2^2 - u1^2 overwrites the second
-        a = np.multiply.reduce(u, axis=-3, out=_basis._STAGES.take("stage", lead + (m, m)))
-        np.multiply(u, u, out=u)
-        np.subtract.reduce(u[..., ::-1, :, :], axis=-3, out=u[..., 1, :, :])
-        u[..., 0, :, :] = a
+        # u1^2 waits in the stage slot (free from the end of the inverse
+        # transform to the start of the forward one) while A = u1 u2
+        # overwrites u1 and C = u2^2 - u1^2 overwrites u2
+        square = np.multiply(u1, u1, out=_basis._STAGES.take("stage", lead + (m, m)))
+        u1 *= u2
+        u2 *= u2
+        u2 -= square
         if scale != 1.0:
             u *= scale
         prods = u
     else:
-        v = np.multiply(u, scale, out=_basis._STAGES.take("stage", lead + (2, m, m)))
+        v = np.multiply(u, scale, out=_basis._STAGES.take_field_major("stage", lead + (2, m, m)))
         v += advector
-        prods = _PASS.take("prods", lead + (3, m, m))
-        np.multiply(v, u[..., ::-1, :, :], out=prods[..., 0:2, :, :])
-        vu = np.multiply(v, u, out=v)
-        np.subtract.reduce(vu[..., ::-1, :, :], axis=-3, out=prods[..., 2, :, :])
+        prods = _PASS.take_field_major("prods", lead + (3, m, m))
+        np.multiply(v[..., 0, :, :], u2, out=prods[..., 0, :, :])
+        np.multiply(v[..., 1, :, :], u1, out=prods[..., 1, :, :])
+        v *= u
+        np.subtract(v[..., 1, :, :], v[..., 0, :, :], out=prods[..., 2, :, :])
     spec_out = _PASS.take("spec", prods.shape[:-2] + block_shape(out_basis))
     spec_out = grid_to_halfspectrum(prods, out_basis, out=spec_out)
     return gather_flux_coeffs(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))

@@ -36,8 +36,9 @@ A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  The pass writes its stages into arrays that
 ``dynamics.advect`` keeps for the next pass of the same shape, and each
 scheme's update into arrays that the kernel keeps for the next block, so in
-a run they are allocated once, not faulted in afresh every pass; a step
-allocates only its result and each pass's.  The block size
+a run they are allocated once, not faulted in afresh every pass; a block
+allocates only its result and each pass's, and the runner's steps write
+into the ring below.  The block size
 is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` budgets
 what one pass touches per path: 5 transformed fields (a field-noise pass's
 2 in and 3 out; the quadratic term alone moves 2 in and 2 out), each an
@@ -55,19 +56,29 @@ The blocks of an ensemble's steps are shared between the runner and helper
 processes forked for the ensemble on the layer of :mod:`torusflow.workers`,
 one per CPU of ``workers.plan(blocks)`` (:func:`helper_processes`).  Each
 process owns a contiguous range of blocks as tickets, the runner the first.
-Each step the runner copies the state and the increment field into one of
-two slots of one anonymous shared mapping, the slots taking turns, and
-hands out the slot's tickets; a helper steps a ticket into the slot's
-shared output.  Once a helper has held a ticket ``PATIENCE`` times as long
-as the runner took for its own last one, the runner steps it itself, so a
-helper that the host deschedules (steal time on a shared host) delays the
-step by about one ticket, not by as long as it is off its CPU.  A slot is
-rewritten only once every ticket of it is answered, and until then the
-runner steps serially.  A helper's midpoint failure comes back as
-``(residual, iterations, rows)`` and merges with the runner's in row order;
-anything else it raises is re-raised in the runner.  One usable CPU (so
-``taskset -c 0`` and a lane of the acceptance battery), one block, or other
-threads running in the process give the serial loop, with the same bits.
+The ensemble's state and increment field live in four slots each, in
+anonymous shared mappings: step ``s`` reads a state and its field, every
+process writes its rows of the result straight into the first other state
+that no ticket out holds, and the runner folds the next field into that
+state's field, so nothing is copied between processes and a run takes
+turns between the first two states.  Once a helper has held a ticket
+``PATIENCE`` times as long as the runner took for its own last one, the
+runner steps it itself, so a helper that the host deschedules (steal time)
+delays the step by about one ticket, not by as long as it is off its CPU.
+The late helper reads and writes its rows of the step's two states until
+it answers, so the runner steps the ticket into a third state; a helper
+that has not answered ``PATIENCE`` times later still has the runner gather
+the step's other rows there, and the next steps, every ticket still
+shared, use neither held state (the field copied in once).  With more than
+one helper late a step may find no state free, and waits for an answer
+instead.  A helper's midpoint failure comes back as ``(residual,
+iterations, rows)`` and merges with the runner's in row order; anything
+else it raises is re-raised in the runner.  One usable CPU (so
+``taskset -c 0`` and a lane of the acceptance battery), one block, or
+other threads running in the process give the serial loop, with the same
+bits, on two states and fields of the runner's own.  A caller of
+``StepKernel.step`` other than the runner passes its own arrays, which are
+copied into free slots and the result out of them.
 
 Draws, norms and observers stay in the runner, and run while the helpers
 step: once it has woken them for step ``k + 1``, and before it claims a
@@ -329,8 +340,9 @@ class StepKernel:
 
         Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
         rotation (``constant_symbol``).  Otherwise: the field's 2 components
-        on the grid, ``advect``'s advector.  Both go into arrays that the
-        next block reuses.
+        on the grid, ``advect``'s advector, kept field-major as ``advect``
+        keeps its grids and returned through a path-major view.  Both go into
+        arrays that the next block reuses.
         """
         work = self._noise_arrays
         if self.constant_noise:
@@ -340,7 +352,7 @@ class StepKernel:
             return kappa
         fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (2,)
         spec = place_halfspectrum(fb, w_coeffs, m, out=work.take("spec", lead + block_shape(fb)))
-        return halfspectrum_to_grid(spec, m, out=work.take("grids", lead + (m, m)))
+        return halfspectrum_to_grid(spec, m, out=work.take_field_major("grids", lead + (m, m)))
 
     def _increment(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """The Stratonovich increment ``-dt P (u . grad) u + P (dW . grad) u``,
@@ -362,7 +374,11 @@ class StepKernel:
     # -- schemes -------------------------------------------------------------
 
     def step(
-        self, u: np.ndarray, w_coeffs: np.ndarray, meanwhile: Callable[[], object] = _nothing
+        self,
+        u: np.ndarray,
+        w_coeffs: np.ndarray,
+        meanwhile: Callable[[], object] = _nothing,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Advance batched coefficients ``(..., 2, N)`` by one step.
 
@@ -376,16 +392,29 @@ class StepKernel:
         the step when it runs serially; it must not write ``u`` or
         ``w_coeffs``.  A midpoint failure is raised once every block has run,
         with the largest residual and the unconverged rows of all blocks.
+
+        The result goes into ``out``, a fresh array by default, which is
+        returned; ``out`` may be ``u`` itself, stepped in place.  The
+        caller's arrays stay the caller's: with helpers, ``u`` and
+        ``w_coeffs`` are copied into their ring and the result out of it,
+        so a returned state stays as it is through later steps and after
+        the helpers exit.  Only the runner passes the ring's own slots
+        (:meth:`_Ring.free`): then nothing is copied, and after a late ticket
+        the state returned may be another slot than ``out``.
         """
         if u.ndim != 3 or len(u) <= self.block_paths:
             meanwhile()
-            return self._step_block(u, w_coeffs)
-        out = np.empty_like(u)
+            result = self._step_block(u, w_coeffs)
+            if out is None:
+                return result
+            out[...] = result
+            return out
+        out = np.empty_like(u) if out is None else out
         if self.helpers is None:
             meanwhile()
             failed = self._step_rows(u, w_coeffs, out, 0, len(u))
         else:
-            failed = self.helpers.step(u, w_coeffs, out, meanwhile)
+            out, failed = self.helpers.step(u, w_coeffs, out, meanwhile)
         if failed:
             raise MidpointConvergenceError(
                 float(np.max([residual for residual, _, _ in failed])),
@@ -560,17 +589,48 @@ _MAX_TICKETS = 128
 PATIENCE = 1.5
 
 
-class _Helpers:
-    """The step policy of the helpers (module docstring): ticket ``slot *
-    count + j`` steps the rows ``ranges[j]`` of shared slot ``slot``."""
+class _Ring:
+    """The states and increment fields that a run steps through: step ``s``
+    reads a state and its field (``states[a]``, ``fields[a]``) and writes
+    another state ``states[b]``, while the field of step ``s + 1`` is folded
+    into ``fields[b]``.  Serially two of each, this process's own arrays;
+    :class:`_Helpers` keeps four in shared mappings."""
+
+    def __init__(self, kernel: StepKernel, paths: int, slots: int = 2, alloc=np.empty):
+        state = (paths, 2, kernel.basis.n_modes)
+        noise = (paths, 2, kernel.noise.field_basis.n_modes)
+        self.states = tuple(alloc(state) for _ in range(slots))
+        self.fields = tuple(alloc(noise) for _ in range(slots))
+
+    def free(self, pair: tuple, a: np.ndarray) -> np.ndarray:
+        """The array to write the next of ``pair`` (``states`` or ``fields``)
+        into while ``a`` is read: the other slot."""
+        return pair[1] if a is pair[0] else pair[0]
+
+
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array in an anonymous shared mapping of its own, which forked
+    processes share and which goes when its last view does."""
+    return np.frombuffer(mmap.mmap(-1, 8 * prod(shape)), np.float64).reshape(shape)
+
+
+class _Helpers(_Ring):
+    """The step policy of the helpers (module docstring), and the ring in
+    shared mappings: ticket ``(a * 4 + b) * count + j`` steps the rows
+    ``ranges[j]`` of ``states[a]`` and ``fields[a]`` into ``states[b]``.  A
+    step writes the first state that no ticket out reads or writes, so a run
+    takes turns between the first two, and the others come into use only
+    while a late ticket holds states."""
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
+        super().__init__(kernel, paths, 4, _shared)
         self.kernel = kernel
         rows = kernel.block_paths
         blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
         # each process's blocks, as at most _MAX_TICKETS runs of whole blocks
         self.ranges: list[tuple[int, int]] = []
-        owned = []
+        #: each process's indices into ``ranges``
+        self.owned: list[range] = []
         for i in range(processes):
             own = blocks[len(blocks) * i // processes : len(blocks) * (i + 1) // processes]
             per = -(-len(own) // _MAX_TICKETS)
@@ -578,55 +638,102 @@ class _Helpers:
             self.ranges += [
                 (own[j][0], own[min(j + per, len(own)) - 1][1]) for j in range(0, len(own), per)
             ]
-            owned.append(range(first, len(self.ranges)))
+            self.owned.append(range(first, len(self.ranges)))
         self.count = len(self.ranges)
-        #: each process's tickets, for each slot
-        self.tickets = [[[slot * self.count + j for j in own] for own in owned] for slot in (0, 1)]
         self.steps = 0
         #: the caller's time for its last ticket, in seconds
         self.ticket_s: float | None = None
-        state = (2, paths, 2, kernel.basis.n_modes)
-        noise = (2, paths, 2, kernel.noise.field_basis.n_modes)
-        mem = np.frombuffer(mmap.mmap(-1, 8 * (2 * prod(state) + prod(noise))), np.float64)
-        self.u, self.out = mem[: 2 * prod(state)].reshape((2, *state))
-        self.w = mem[2 * prod(state) :].reshape(noise)
+        #: the state that the step under way writes
+        self.writing: int | None = None
         self.workers = workers.Workers(
             self._serve, processes, "path-block helper", lambda ticket: f" at step {self.steps}"
         )
 
     def _serve(self, me: int, ticket: int) -> list:
-        slot, j = divmod(ticket, self.count)
-        return self.kernel._step_rows(self.u[slot], self.w[slot], self.out[slot], *self.ranges[j])
+        slots, j = divmod(ticket, self.count)
+        a, b = divmod(slots, len(self.states))
+        u, w_coeffs, out = self.states[a], self.fields[a], self.states[b]
+        return self.kernel._step_rows(u, w_coeffs, out, *self.ranges[j])
 
-    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile) -> list:
-        """Step the whole batch into ``out``; the failures of every block in row
-        order.  ``meanwhile()`` runs once the tickets are out, before this
-        process claims one, or before a serial step."""
+    def _drain(self) -> None:
+        """Read every answer that has come."""
         while self.workers.receive(0) is not None:
             pass
-        slot = self.steps % 2
-        mine = range(slot * self.count, (slot + 1) * self.count)
-        if not self.workers.pending.isdisjoint(mine):
-            # a helper still steps a ticket of two steps ago from this slot
-            meanwhile()
-            failed = self.kernel._step_rows(u, w_coeffs, out, 0, len(u))
-        else:
-            failed = self._share(slot, mine, u, w_coeffs, out, meanwhile)
-        self.steps += 1
-        return failed
 
-    def _share(self, slot: int, mine: range, u, w_coeffs, out, meanwhile) -> list:
-        self.u[slot] = u
-        self.w[slot] = w_coeffs
-        self.workers.put(self.tickets[slot])
+    def _unheld(self, *besides: int | None) -> list[int]:
+        """The states, but ``besides``, that no ticket out reads or writes."""
+        held = set(besides)
+        for ticket in self.workers.pending:
+            held.update(divmod(ticket // self.count, len(self.states)))
+        return [i for i in range(len(self.states)) if i not in held]
+
+    def _free(self, *besides: int | None) -> int:
+        """The first of :meth:`_unheld`.  One beyond the first two states only
+        once the answers that would free one of those have had one more
+        ``PATIENCE``, as a late helper mostly answers by then; with none,
+        waiting for an answer, which takes more than one helper late."""
+        deadline = perf_counter() + PATIENCE * (self.ticket_s or 0.0)
+        while True:
+            free = self._unheld(*besides)
+            left = deadline - perf_counter()
+            if free and (free[0] < 2 or left <= 0):
+                return free[0]
+            self.workers.receive(max(0.0, left) if free else None)
+
+    def free(self, pair: tuple, a: np.ndarray) -> np.ndarray:
+        """The first state, other than ``a``, that no ticket out holds; the
+        field that that state is read with, for the step under way."""
+        if pair is self.fields:
+            return pair[self.writing]
+        # between steps, where every answer that has come can be read
+        self._drain()
+        return pair[self._free(_slot(pair, a))]
+
+    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile):
+        """Step the whole batch (``StepKernel.step``): the state, in ``out`` or,
+        after a late ticket, in another state, and the failures of every
+        block in row order.  ``meanwhile()`` runs once the tickets are out,
+        before this process claims one."""
+        self._drain()
+        # the runner's state and the state it writes are slots already; a
+        # caller's own arrays go into free ones, and the result out of them
+        a, b = _slot(self.states, u), _slot(self.states, out)
+        a = self._free(b) if a is None else a
+        b = self._free(a) if b is None else b
+        if u is not self.states[a]:
+            self.states[a][...] = u
+        if w_coeffs is not self.fields[a]:
+            # the runner's field after a late ticket, or a caller's
+            self.fields[a][...] = w_coeffs
+        self.writing = b
+        try:
+            result, failed = self._share(a, b, meanwhile)
+        finally:
+            self.writing = None
+        if _slot(self.states, out) is None:
+            out[...] = result
+        else:
+            out = result
+        self.steps += 1
+        return out, failed
+
+    def _share(self, a: int, b: int, meanwhile) -> tuple[np.ndarray, list]:
+        u, w_coeffs, out = self.states[a], self.fields[a], self.states[b]
+        first = (a * len(self.states) + b) * self.count
+        mine = range(first, first + self.count)
+        self.workers.put([[first + j for j in own] for own in self.owned])
         meanwhile()
         done: dict[int, list] = {}
         while (ticket := self.workers.claim()) is not None:
             done[ticket] = self._step_own(u, w_coeffs, out, ticket)
+        late, spare = [], None
         waiting = perf_counter()
         while len(done) < self.count:
+            # where this process steps a late ticket; with no state free, it
+            # waits for the helpers, and an answer may free one
+            spare = next(iter(self._unheld(a, b)), None) if spare is None else spare
             timeout = None
-            if self.ticket_s is not None:
+            if self.ticket_s is not None and spare is not None:
                 # the ticket held longest; one whose claim notice is not yet
                 # read counts from when the wait began
                 held = {t: self.workers.claimed.get(t, waiting) for t in mine if t not in done}
@@ -634,20 +741,38 @@ class _Helpers:
                 timeout = max(0.0, held[ticket] + PATIENCE * self.ticket_s - perf_counter())
             replies = self.workers.receive(timeout)
             if replies is None:
-                # the helper is late with the ticket: step it here as well
-                done[ticket] = self._step_own(u, w_coeffs, out, ticket)
+                # the helper is late with the ticket, and writes its rows of
+                # ``out`` until it answers: step them into the spare as well
+                done[ticket] = self._step_own(u, w_coeffs, self.states[spare], ticket)
+                late.append(ticket)
             for ticket, failed in replies or ():
                 if ticket in mine and ticket not in done:
-                    lo, hi = self.ranges[ticket - mine.start]
-                    out[lo:hi] = self.out[slot, lo:hi]
                     done[ticket] = failed
-        return sorted((f for failed in done.values() for f in failed), key=lambda f: f[2][0])
+        failed = sorted((f for fs in done.values() for f in fs), key=lambda f: f[2][0])
+        # a late helper mostly answers soon after: one more ``PATIENCE``
+        # spares the gather, and the spare
+        deadline = perf_counter() + PATIENCE * (self.ticket_s or 0.0)
+        while not self.workers.pending.isdisjoint(late):
+            if self.workers.receive(max(0.0, deadline - perf_counter())) is None:
+                break
+        if self.workers.pending.isdisjoint(late):
+            # no ticket was late, or its helper has answered
+            return out, failed
+        for ticket in set(mine).difference(late):
+            lo, hi = self.ranges[ticket - first]
+            self.states[spare][lo:hi] = out[lo:hi]
+        return self.states[spare], failed
 
     def _step_own(self, u, w_coeffs, out, ticket: int) -> list:
         start = perf_counter()
         failed = self.kernel._step_rows(u, w_coeffs, out, *self.ranges[ticket % self.count])
         self.ticket_s = perf_counter() - start
         return failed
+
+
+def _slot(pair: tuple, a) -> int | None:
+    """The index of ``a`` in ``pair``, or None when it is none of them."""
+    return next((i for i, slot in enumerate(pair) if slot is a), None)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +787,9 @@ class StepObserver(Protocol):
     next step is under way, and that step still reads ``u``: both hooks get a
     read-only view, so an observer that writes to it raises ``ValueError``
     rather than change the rows that this process steps and not the helpers'.
-    A step's midpoint failure is raised after ``after_step`` has seen the
-    state that the step started from.
+    The view is of a slot of the run's ring, which a later step rewrites, so
+    an observer copies what it keeps.  A step's midpoint failure is raised
+    after ``after_step`` has seen the state that the step started from.
     """
 
     def start(self, t: float, u: np.ndarray) -> None: ...
@@ -726,8 +852,11 @@ def _run_batch(
     way out, step some of the path blocks; draws, norms and observers stay in
     this process, in two stages (module docstring): while step ``s`` runs,
     ``meanwhile`` observes the state it started from and folds the field of
-    step ``s + 1``.  The run holds BLAS at one thread, in every process, so
-    its bits do not depend on the CPUs it may use.
+    step ``s + 1``.  States and fields go into the ring (:class:`_Ring`,
+    the helpers' shared slots when there are helpers), so a step of more
+    than one block allocates no state; ``final`` is the last state, in
+    memory that no later run reuses.  The run holds BLAS at one thread, in every process, so its
+    bits do not depend on the CPUs it may use.
     """
     config.validate()
     basis = config.basis
@@ -736,27 +865,25 @@ def _run_batch(
     p = len(path_ids)
     kernel = StepKernel(basis, noise, config.scheme, config.dt)
     u0 = config.initial_field()
-    u = np.broadcast_to(u0.coeffs, (p,) + u0.coeffs.shape).copy()
 
     l2 = np.empty((p, steps + 1))
     h1 = np.empty((p, steps + 1))
     norms = Workspace()
-    l2[:, 0], h1[:, 0] = batch_norms_sq(basis, u, norms)
 
     gens = [path_stream(config.seed, pid) for pid in path_ids]
     step_bytes = 8 * p * noise.n_components * 2
     per_draw = min(steps, max(1, DRAW_BYTES // max(step_bytes, 1)))
     draws = np.empty((p, per_draw, noise.n_components, 2))
 
-    def field(i: int) -> np.ndarray:
-        """The increment field of step ``i``, refilling the draws from step ``i`` on
-        when they are used up."""
+    def field(i: int, out: np.ndarray) -> np.ndarray:
+        """The increment field of step ``i``, folded into ``out``, refilling the
+        draws from step ``i`` on when they are used up."""
         if i % per_draw == 0:
             fill = draws[:, : steps - i]
             for j, g in enumerate(gens):
                 g.standard_normal(out=fill[j])
             fill *= np.sqrt(config.dt)
-        return noise.increments_to_field(draws[:, i % per_draw])
+        return noise.increments_to_field(draws[:, i % per_draw], out=out)
 
     def observe(i: int, u: np.ndarray) -> None:
         """The norms of the state after ``i`` steps and its observers; a
@@ -771,30 +898,39 @@ def _run_batch(
 
     def meanwhile() -> None:
         # while step s runs: observe the state it starts from (start() saw
-        # state 0) and fold the field of step s + 1
+        # state 0) and fold the field of step s + 1 into the ring's other field
         nonlocal w
         if s:
             observe(s, u)
         if s + 1 < steps:
-            w = field(s + 1)
+            w = field(s + 1, ring.free(ring.fields, w))
 
     # a path that blows up overflows on the grid and in its norms before its
     # state turns non-finite; its norms then raise NonFiniteStateError, so
     # the overflow warnings would add nothing (the helpers, forked here, keep
     # the setting)
     with np.errstate(over="ignore", invalid="ignore"), helper_processes(kernel, p) as processes:
+        ring = kernel.helpers or _Ring(kernel, p)
+        u = ring.states[0]
+        u[...] = u0.coeffs
+        l2[:, 0], h1[:, 0] = batch_norms_sq(basis, u, norms)
         for obs in observers:
             obs.start(0.0, _read_only(u))
-        w = field(0)
+        w = field(0, ring.fields[0])
         for s in range(steps):
+            # a single block's step returns the block's own result, with no
+            # copy into the ring
+            out = ring.free(ring.states, u) if p > kernel.block_paths else None
             try:
-                u = kernel.step(u, w, meanwhile)
+                u = kernel.step(u, w, meanwhile, out=out)
             except MidpointConvergenceError as e:
                 raise MidpointConvergenceError(
                     e.residual, e.iterations, s, [path_ids[i] for i in e.paths]
                 ) from None
         observe(steps, u)
-
+    # the ring's other slots go before the observers build their results;
+    # ``u`` keeps its own
+    del ring
     results = {
         getattr(obs, "name", obs.__class__.__name__): obs.result()
         for obs in observers

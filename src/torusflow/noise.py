@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .basis import Basis, BasisMode, ModeIndex, get_basis, path_chunks
+from .basis import CHUNK_PATHS, Basis, BasisMode, ModeIndex, get_basis
 
 
 class ConfigurationError(ValueError):
@@ -207,7 +207,9 @@ class NoiseModel:
             out.append((float(self.weights[j]), BasisMode("s", k), (j, 1)))
         return out
 
-    def increments_to_field(self, values: np.ndarray) -> np.ndarray:
+    def increments_to_field(
+        self, values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Fold raw increments ``(..., K, 2)`` into field coefficients ``(..., 2, N)``.
 
         The result represents ``dW = sum_j w_j [c_{k_j} dB_j^1 + s_{k_j} dB_j^2]``
@@ -217,15 +219,24 @@ class NoiseModel:
         the sum of the two members' products, and a row of one member is its
         product, so the field does not depend on the batch it comes in; a
         matrix product rounds a row differently for different batch sizes.
-        The paths are folded ``basis.CHUNK_PATHS`` at a time, so the
-        temporaries of the fold hold one chunk however large the batch.
+        The temporaries of the fold grow as paths x components, so the paths
+        are folded in chunks of ``basis.CHUNK_PATHS`` paths or, where a path
+        has fewer components than that, of as many paths as hold
+        ``CHUNK_PATHS`` squared increments: under constant noise a batch of
+        up to 4096 paths folds in one call.  The result goes into ``out``
+        when given, a fresh array otherwise.
         """
         factors, rows, first, second, alone_rows, alone = self._fold
         lead = values.shape[:-2]
-        out = np.zeros(lead + (2, self.field_basis.n_modes))
+        if out is None:
+            out = np.empty(lead + (2, self.field_basis.n_modes))
+        if len(rows) + len(alone_rows) < self.field_basis.n_modes:
+            out[...] = 0.0
         paths = prod(lead)
         flat, flat_out = (a.reshape((paths,) + a.shape[-2:]) for a in (values, out))
-        for chunk in path_chunks(paths):
+        per = CHUNK_PATHS * max(1, CHUNK_PATHS // max(1, self.n_components))
+        for start in range(0, paths, per):
+            chunk = slice(start, start + per)
             prods = flat[chunk] * factors
             block = flat_out[chunk]
             block[..., rows] = np.swapaxes(prods[..., first, :] + prods[..., second, :], -1, -2)

@@ -145,6 +145,36 @@ def test_probe_keeps_three_numbers_per_path_and_step():
     assert 3.0 <= per <= 3.5, per
 
 
+def test_probe_result_holds_its_records_once_and_a_third():
+    # a 256-path, 200-step probe stacks one series at a time and drops its
+    # records before the next, so building the series peaks at about 4/3 of
+    # the records, where stacking all three while every record was alive
+    # held twice them; the series are the records' bits, and a second read
+    # returns them again
+    rng = np.random.default_rng(6)
+    b = get_basis(4)
+    states = rng.standard_normal((200, 256, 2, b.n_modes))
+    probe = MartingaleProbe(SpectralField.from_modes(b, [(BasisMode("c", (1, 0)), 1.0)]))
+    want = [probe.pairings(u) for u in states]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probe.start(0.0, states[0])
+        for s, u in enumerate(states[1:], 1):
+            probe.after_step(s * 1e-3, u)
+        records = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        series = probe.result()
+        after, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * records, peak / records
+    assert after < 1.05 * records, after / records
+    for name, column in zip(("uv", "drift", "qv_density"), zip(*want)):
+        assert np.array_equal(getattr(series, name), np.stack(column, axis=1)), name
+    assert probe.result() is series
+
+
 def test_probe_at_n16_builds_no_tensor():
     # the probe's couplings come from the closed form over its targets: the
     # whole tensor has 1.32M entries at n=16 and would be built and cached

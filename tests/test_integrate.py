@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import hashlib
 import inspect
@@ -887,6 +888,158 @@ def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
     assert sharded.processes == 3
     assert np.array_equal(sharded.l2_sq, serial.l2_sq)
     assert np.array_equal(sharded.h1_sq, serial.h1_sq)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("release", [None, 5])
+def test_late_ticket_steps_give_the_serial_bits(monkeypatch, tmp_path, release):
+    # once the observer has seen the state after step 2, the helper holds
+    # the next ticket it steps until the observer has seen ``release`` more
+    # states (never: it is killed on the way out), so the runner steps
+    # that ticket itself, into a third state.  The helper reads its rows of
+    # one state and writes them in another until it answers, so until then no
+    # process writes either of them, and only the runner's step of the late
+    # ticket reads them; then the run goes back to the first two states.  The
+    # energies and the final states keep the serial run's bits
+    cfg = SimConfig(n=3, dt=1e-3, t_final=0.03, scheme="strat-midpoint", paths=10, seed=5)
+    _shrink_blocks(monkeypatch, cfg, 4)
+    _use_cpus(monkeypatch, 1)
+    serial = run_ensemble(cfg)
+    _use_cpus(monkeypatch, 2)
+    step_rows, log = StepKernel._step_rows, tmp_path / "log"
+    hold, answered = tmp_path / "hold", tmp_path / "answered"
+    caller, shared, mapped = os.getpid(), integrate._shared, []
+
+    def recorded_shared(shape):
+        # the ring's four states, then its four fields, mapped before the fork
+        mapped.append(shared(shape))
+        return mapped[-1]
+
+    def write(line):
+        with open(log, "a") as f:
+            f.write(line + "\n")
+
+    def held_step_rows(self, u, w_coeffs, out, lo, hi):
+        if not mapped:
+            return step_rows(self, u, w_coeffs, out, lo, hi)
+        # every process logs the states that it reads and writes
+        states = tuple(mapped[:4])
+        write(f"{integrate._slot(states, u)} {integrate._slot(states, out)} {lo} {hi}")
+        if os.getpid() == caller or not hold.exists():
+            return step_rows(self, u, w_coeffs, out, lo, hi)
+        hold.unlink()
+        write(f"held {integrate._slot(states, u)} {integrate._slot(states, out)} {lo} {hi}")
+        while not (tmp_path / "go").exists():
+            time.sleep(0.001)
+        failed = step_rows(self, u, w_coeffs, out, lo, hi)
+        write("answered")
+        answered.touch()
+        return failed
+
+    class Hold:
+        def start(self, t, u):
+            self.seen = None
+
+        def after_step(self, t, u):
+            if round(t / cfg.dt) == 2:
+                hold.touch()
+                self.seen = 0
+            elif self.seen is not None and not hold.exists():
+                # the helper holds its ticket
+                self.seen += 1
+                if self.seen == release:
+                    (tmp_path / "go").touch()
+                    while not answered.exists():
+                        time.sleep(0.001)
+
+    monkeypatch.setattr(StepKernel, "_step_rows", held_step_rows)
+    monkeypatch.setattr(integrate, "_shared", recorded_shared)
+    with deadline(60):
+        sharded = run_ensemble(cfg, observers=[Hold()])
+    assert sharded.processes == 2
+    lines = log.read_text().split("\n")[:-1]
+    at = next(i for i, line in enumerate(lines) if line.startswith("held"))
+    _, read, written, lo, hi = lines[at].split()
+    pair = {read, written}
+    end = lines.index("answered") if "answered" in lines else len(lines)
+    steps = [line.split() for line in lines[at + 1 : end]]
+    rows = [(a, b) for a, b, c, d in steps if int(c) < int(hi) and int(d) > int(lo)]
+    assert all(b not in pair and (a == read or a not in pair) for a, b in rows), lines
+    # the runner's step of the late ticket, and the steps after it, in
+    # neither state
+    again = next(i for i, (a, b, c, d) in enumerate(steps) if a == read and c == lo)
+    after = steps[again + 1 :]
+    assert after and all(pair.isdisjoint(step[:2]) for step in after), lines
+    if release is not None:
+        assert any(line.split()[1] in ("0", "1") for line in lines[end + 1 :]), lines
+    assert np.array_equal(sharded.l2_sq, serial.l2_sq)
+    assert np.array_equal(sharded.h1_sq, serial.h1_sq)
+    assert np.array_equal(sharded.final, serial.final)
+    assert_no_child_left()
+
+
+def test_two_process_runner_holds_no_state(monkeypatch):
+    # with helpers the states and fields live in shared mappings, which
+    # tracemalloc does not see, and a step allocates no state-sized array:
+    # the runner's traced peak does not grow with the steps beyond the
+    # energies and draws of the horizon, and lies at least a state below
+    # the serial run's, which holds its two states
+    def peak(cpus, steps):
+        _use_cpus(monkeypatch, cpus)
+        cfg = SimConfig(n=8, dt=1e-3, t_final=steps * 1e-3, scheme="ito-em", paths=128, seed=3)
+        run_ensemble(cfg)
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(cfg)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.processes == cpus
+        horizon = ens.l2_sq.nbytes + ens.h1_sq.nbytes + 128 * min(steps, 128) * 2 * 8
+        return top - horizon, ens.final.nbytes
+
+    state = peak(2, 3)[1]
+    short, long, alone = peak(2, 3)[0], peak(2, 30)[0], peak(1, 3)[0]
+    assert long < short + state / 4, (short, long)
+    assert short < alone - state, (short, alone)
+    assert_no_child_left()
+
+
+def test_final_states_outlive_later_runs(monkeypatch):
+    # the final states of a run stepped with helpers are its own: a second
+    # run, stepped in the same way, leaves them as they were
+    _use_cpus(monkeypatch, 2)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=3e-3, scheme="ito-em", paths=64, seed=2)
+    first = run_ensemble(cfg)
+    kept = first.final.copy()
+    second = run_ensemble(dataclasses.replace(cfg, seed=3))
+    assert second.processes == first.processes == 2
+    assert not np.shares_memory(first.final, second.final)
+    assert np.array_equal(first.final, kept)
+    assert not np.array_equal(second.final, kept)
+    assert_no_child_left()
+
+
+def test_stepped_state_is_the_callers(monkeypatch):
+    # a caller other than the runner passes its own arrays: what a step
+    # returns stays as it was through two more steps and after the helpers
+    # exit, and every step gives the serial bits
+    _use_cpus(monkeypatch, 2)
+    cfg, u, w = _desk_batch(SI, paths=64)
+    kernel = StepKernel(cfg.basis, SI, "strat-heun", cfg.dt)
+    want = [u]
+    for _ in range(3):
+        want.append(kernel.step(want[-1], w))
+    with integrate.helper_processes(kernel, len(u)) as processes:
+        assert processes == 2
+        first = kernel.step(u, w)
+        kept = first.copy()
+        second = kernel.step(first, w)
+        third = kernel.step(second, w, out=np.empty_like(u))
+        assert np.array_equal(first, kept)
+    assert np.array_equal(first, kept)
+    for got, expected in zip((first, second, third), want[1:]):
+        assert np.array_equal(got, expected)
     assert_no_child_left()
 
 

@@ -169,8 +169,9 @@ def test_increment_assembly_matches_modewise_sum():
         NoiseModel.q_wiener(8),
         # (1, 0) and (0, 1) meet their -k; (2, 1), (0, 0) and (-1, 3) are alone
         NoiseModel.finite_modes([(1, 0), (2, 1), (0, -1), (0, 0), (-1, 0), (-1, 3), (0, 1)]),
+        NoiseModel.space_independent(),
     ],
-    ids=["qwiener:8", "finite"],
+    ids=["qwiener:8", "finite", "space-independent"],
 )
 def test_fold_is_bit_equal_to_its_first_form(model):
     # a batch, one path and a single draw, with zeros of both signs: every
@@ -184,6 +185,12 @@ def test_fold_is_bit_equal_to_its_first_form(model):
         want = oracles.fold_increments(model, batch)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        # folded into an array that held something else: the rows that no
+        # component reaches are zeroed
+        into = np.full_like(want, np.nan)
+        assert model.increments_to_field(batch, out=into) is into
+        assert np.array_equal(np.signbit(into), np.signbit(want))
+        assert np.array_equal(into, want)
     assert np.signbit(model.increments_to_field(values)[0, 0]).any()
 
 
