@@ -55,30 +55,19 @@ bit-identical alone, in any batch and in any block.
 The blocks of an ensemble's steps are shared between the runner and helper
 processes forked for the ensemble on the layer of :mod:`torusflow.workers`,
 one per CPU of ``workers.plan(blocks)`` (:func:`helper_processes`).  Each
-process owns a contiguous range of blocks as tickets, the runner the first.
-The ensemble's state and increment field live in four slots each, in
-anonymous shared mappings: step ``s`` reads a state and its field, every
-process writes its rows of the result straight into the first other state
-that no ticket out holds, and the runner folds the next field into that
-state's field, so nothing is copied between processes and a run takes
-turns between the first two states.  Once a helper has held a ticket
-``PATIENCE`` times as long as the runner took for its own last one, the
-runner steps it itself, so a helper that the host deschedules (steal time)
-delays the step by about one ticket, not by as long as it is off its CPU.
-The late helper reads and writes its rows of the step's two states until
-it answers, so the runner steps the ticket into a third state; a helper
-that has not answered ``PATIENCE`` times later still has the runner gather
-the step's other rows there, and the next steps, every ticket still
-shared, use neither held state (the field copied in once).  With more than
-one helper late a step may find no state free, and waits for an answer
-instead.  A helper's midpoint failure comes back as ``(residual,
-iterations, rows)`` and merges with the runner's in row order; anything
-else it raises is re-raised in the runner.  One usable CPU (so
-``taskset -c 0`` and a lane of the acceptance battery), one block, or
-other threads running in the process give the serial loop, with the same
-bits, on two states and fields of the runner's own.  A caller of
-``StepKernel.step`` other than the runner passes its own arrays, which are
-copied into free slots and the result out of them.
+process owns a contiguous range of blocks as tickets, the runner the first,
+and claims what is left of the others' once through its own.  The
+ensemble's state and increment field live in two slots each, in anonymous
+shared mappings: step ``s`` reads one state and its field, every process
+writes its rows of the result straight into the other state, and the runner
+folds the next field into the other field, so nothing is copied between
+processes.  A step ends when every ticket has answered, so a helper that
+the host slows down in a ticket delays that step.  A helper's midpoint
+failure comes back as ``(residual, iterations, rows)`` and merges with the
+runner's in row order; anything else it raises is re-raised in the runner.
+One usable CPU (so ``taskset -c 0`` and a lane of the acceptance battery),
+one block, or other threads running in the process give the serial loop,
+with the same bits, on two states and fields of the runner's own.
 
 Draws, norms and observers stay in the runner, and run while the helpers
 step: once it has woken them for step ``k + 1``, and before it claims a
@@ -100,7 +89,6 @@ import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
-from time import perf_counter
 from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -399,8 +387,7 @@ class StepKernel:
         ``w_coeffs`` are copied into their ring and the result out of it,
         so a returned state stays as it is through later steps and after
         the helpers exit.  Only the runner passes the ring's own slots
-        (:meth:`_Ring.free`): then nothing is copied, and after a late ticket
-        the state returned may be another slot than ``out``.
+        (:meth:`_Ring.free`): then nothing is copied.
         """
         if u.ndim != 3 or len(u) <= self.block_paths:
             meanwhile()
@@ -414,7 +401,7 @@ class StepKernel:
             meanwhile()
             failed = self._step_rows(u, w_coeffs, out, 0, len(u))
         else:
-            out, failed = self.helpers.step(u, w_coeffs, out, meanwhile)
+            failed = self.helpers.step(u, w_coeffs, out, meanwhile)
         if failed:
             raise MidpointConvergenceError(
                 float(np.max([residual for residual, _, _ in failed])),
@@ -584,23 +571,20 @@ def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
 #: each process's row range goes out as at most this many tickets, so a
 #: step's tickets fit in a pipe without a reader
 _MAX_TICKETS = 128
-#: a helper is late with a ticket once it has held it this many times as long
-#: as the runner's own last ticket took; the runner then steps it itself
-PATIENCE = 1.5
 
 
 class _Ring:
-    """The states and increment fields that a run steps through: step ``s``
-    reads a state and its field (``states[a]``, ``fields[a]``) and writes
-    another state ``states[b]``, while the field of step ``s + 1`` is folded
-    into ``fields[b]``.  Serially two of each, this process's own arrays;
-    :class:`_Helpers` keeps four in shared mappings."""
+    """The two states and increment fields that a run steps through: step
+    ``s`` reads ``states[a]`` with ``fields[a]`` and writes the other state,
+    while the field of step ``s + 1`` is folded into the other field.
+    Serially this process's own arrays; :class:`_Helpers` keeps them in
+    shared mappings."""
 
-    def __init__(self, kernel: StepKernel, paths: int, slots: int = 2, alloc=np.empty):
+    def __init__(self, kernel: StepKernel, paths: int, alloc=np.empty):
         state = (paths, 2, kernel.basis.n_modes)
         noise = (paths, 2, kernel.noise.field_basis.n_modes)
-        self.states = tuple(alloc(state) for _ in range(slots))
-        self.fields = tuple(alloc(noise) for _ in range(slots))
+        self.states = (alloc(state), alloc(state))
+        self.fields = (alloc(noise), alloc(noise))
 
     def free(self, pair: tuple, a: np.ndarray) -> np.ndarray:
         """The array to write the next of ``pair`` (``states`` or ``fields``)
@@ -615,15 +599,12 @@ def _shared(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _Helpers(_Ring):
-    """The step policy of the helpers (module docstring), and the ring in
-    shared mappings: ticket ``(a * 4 + b) * count + j`` steps the rows
-    ``ranges[j]`` of ``states[a]`` and ``fields[a]`` into ``states[b]``.  A
-    step writes the first state that no ticket out reads or writes, so a run
-    takes turns between the first two, and the others come into use only
-    while a late ticket holds states."""
+    """The ring in shared mappings, and the tickets that step it: ticket
+    ``a * count + j`` steps the rows ``ranges[j]`` of ``states[a]`` and
+    ``fields[a]`` into the other state."""
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
-        super().__init__(kernel, paths, 4, _shared)
+        super().__init__(kernel, paths, _shared)
         self.kernel = kernel
         rows = kernel.block_paths
         blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
@@ -641,138 +622,39 @@ class _Helpers(_Ring):
             self.owned.append(range(first, len(self.ranges)))
         self.count = len(self.ranges)
         self.steps = 0
-        #: the caller's time for its last ticket, in seconds
-        self.ticket_s: float | None = None
-        #: the state that the step under way writes
-        self.writing: int | None = None
         self.workers = workers.Workers(
             self._serve, processes, "path-block helper", lambda ticket: f" at step {self.steps}"
         )
 
     def _serve(self, me: int, ticket: int) -> list:
-        slots, j = divmod(ticket, self.count)
-        a, b = divmod(slots, len(self.states))
-        u, w_coeffs, out = self.states[a], self.fields[a], self.states[b]
+        a, j = divmod(ticket, self.count)
+        u, w_coeffs, out = self.states[a], self.fields[a], self.states[1 - a]
         return self.kernel._step_rows(u, w_coeffs, out, *self.ranges[j])
 
-    def _drain(self) -> None:
-        """Read every answer that has come."""
+    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile) -> list:
+        """Step the whole batch into ``out`` (``StepKernel.step``); the
+        failures of every block, in row order.  ``meanwhile()`` runs once
+        the tickets are out, before this process claims one, and the step
+        ends when every ticket has answered."""
+        # every ticket of the last step has answered, so what is left to read
+        # is a helper that has ended since: report it before handing it tickets
         while self.workers.receive(0) is not None:
             pass
-
-    def _unheld(self, *besides: int | None) -> list[int]:
-        """The states, but ``besides``, that no ticket out reads or writes."""
-        held = set(besides)
-        for ticket in self.workers.pending:
-            held.update(divmod(ticket // self.count, len(self.states)))
-        return [i for i in range(len(self.states)) if i not in held]
-
-    def _free(self, *besides: int | None) -> int:
-        """The first of :meth:`_unheld`.  One beyond the first two states only
-        once the answers that would free one of those have had one more
-        ``PATIENCE``, as a late helper mostly answers by then; with none,
-        waiting for an answer, which takes more than one helper late."""
-        deadline = perf_counter() + PATIENCE * (self.ticket_s or 0.0)
-        while True:
-            free = self._unheld(*besides)
-            left = deadline - perf_counter()
-            if free and (free[0] < 2 or left <= 0):
-                return free[0]
-            self.workers.receive(max(0.0, left) if free else None)
-
-    def free(self, pair: tuple, a: np.ndarray) -> np.ndarray:
-        """The first state, other than ``a``, that no ticket out holds; the
-        field that that state is read with, for the step under way."""
-        if pair is self.fields:
-            return pair[self.writing]
-        # between steps, where every answer that has come can be read
-        self._drain()
-        return pair[self._free(_slot(pair, a))]
-
-    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile):
-        """Step the whole batch (``StepKernel.step``): the state, in ``out`` or,
-        after a late ticket, in another state, and the failures of every
-        block in row order.  ``meanwhile()`` runs once the tickets are out,
-        before this process claims one."""
-        self._drain()
-        # the runner's state and the state it writes are slots already; a
-        # caller's own arrays go into free ones, and the result out of them
-        a, b = _slot(self.states, u), _slot(self.states, out)
-        a = self._free(b) if a is None else a
-        b = self._free(a) if b is None else b
+        a = 1 if u is self.states[1] else 0
         if u is not self.states[a]:
-            self.states[a][...] = u
-        if w_coeffs is not self.fields[a]:
-            # the runner's field after a late ticket, or a caller's
-            self.fields[a][...] = w_coeffs
-        self.writing = b
-        try:
-            result, failed = self._share(a, b, meanwhile)
-        finally:
-            self.writing = None
-        if _slot(self.states, out) is None:
-            out[...] = result
-        else:
-            out = result
-        self.steps += 1
-        return out, failed
-
-    def _share(self, a: int, b: int, meanwhile) -> tuple[np.ndarray, list]:
-        u, w_coeffs, out = self.states[a], self.fields[a], self.states[b]
-        first = (a * len(self.states) + b) * self.count
-        mine = range(first, first + self.count)
-        self.workers.put([[first + j for j in own] for own in self.owned])
+            # a caller's own arrays go into slot 0, and the result out of slot 1
+            self.states[0][...], self.fields[0][...] = u, w_coeffs
+        self.workers.put([[a * self.count + j for j in own] for own in self.owned])
         meanwhile()
-        done: dict[int, list] = {}
+        failed = []
         while (ticket := self.workers.claim()) is not None:
-            done[ticket] = self._step_own(u, w_coeffs, out, ticket)
-        late, spare = [], None
-        waiting = perf_counter()
-        while len(done) < self.count:
-            # where this process steps a late ticket; with no state free, it
-            # waits for the helpers, and an answer may free one
-            spare = next(iter(self._unheld(a, b)), None) if spare is None else spare
-            timeout = None
-            if self.ticket_s is not None and spare is not None:
-                # the ticket held longest; one whose claim notice is not yet
-                # read counts from when the wait began
-                held = {t: self.workers.claimed.get(t, waiting) for t in mine if t not in done}
-                ticket = min(held, key=held.get)
-                timeout = max(0.0, held[ticket] + PATIENCE * self.ticket_s - perf_counter())
-            replies = self.workers.receive(timeout)
-            if replies is None:
-                # the helper is late with the ticket, and writes its rows of
-                # ``out`` until it answers: step them into the spare as well
-                done[ticket] = self._step_own(u, w_coeffs, self.states[spare], ticket)
-                late.append(ticket)
-            for ticket, failed in replies or ():
-                if ticket in mine and ticket not in done:
-                    done[ticket] = failed
-        failed = sorted((f for fs in done.values() for f in fs), key=lambda f: f[2][0])
-        # a late helper mostly answers soon after: one more ``PATIENCE``
-        # spares the gather, and the spare
-        deadline = perf_counter() + PATIENCE * (self.ticket_s or 0.0)
-        while not self.workers.pending.isdisjoint(late):
-            if self.workers.receive(max(0.0, deadline - perf_counter())) is None:
-                break
-        if self.workers.pending.isdisjoint(late):
-            # no ticket was late, or its helper has answered
-            return out, failed
-        for ticket in set(mine).difference(late):
-            lo, hi = self.ranges[ticket - first]
-            self.states[spare][lo:hi] = out[lo:hi]
-        return self.states[spare], failed
-
-    def _step_own(self, u, w_coeffs, out, ticket: int) -> list:
-        start = perf_counter()
-        failed = self.kernel._step_rows(u, w_coeffs, out, *self.ranges[ticket % self.count])
-        self.ticket_s = perf_counter() - start
-        return failed
-
-
-def _slot(pair: tuple, a) -> int | None:
-    """The index of ``a`` in ``pair``, or None when it is none of them."""
-    return next((i for i, slot in enumerate(pair) if slot is a), None)
+            failed += self._serve(0, ticket)
+        while self.workers.pending:
+            failed += [f for _, fs in self.workers.receive() for f in fs]
+        if out is not self.states[1 - a]:
+            out[...] = self.states[1 - a]
+        self.steps += 1
+        return sorted(failed, key=lambda f: f[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -848,15 +730,16 @@ def _run_batch(
     """Advance all requested paths in lockstep; the workhorse of both runners.
 
     Increment draws are per path and in step order, so results are
-    independent of the batch composition.  Helper processes, forked here and reaped on the
-    way out, step some of the path blocks; draws, norms and observers stay in
-    this process, in two stages (module docstring): while step ``s`` runs,
-    ``meanwhile`` observes the state it started from and folds the field of
-    step ``s + 1``.  States and fields go into the ring (:class:`_Ring`,
-    the helpers' shared slots when there are helpers), so a step of more
-    than one block allocates no state; ``final`` is the last state, in
-    memory that no later run reuses.  The run holds BLAS at one thread, in every process, so its
-    bits do not depend on the CPUs it may use.
+    independent of the batch composition.  Helper processes, forked here
+    and reaped on the way out, step some of the path blocks; draws, norms
+    and observers stay in this process, in two stages (module docstring):
+    while step ``s`` runs, ``meanwhile`` observes the state it started from
+    and folds the field of step ``s + 1``.  States and fields go into the
+    ring (:class:`_Ring`, the helpers' shared slots when there are
+    helpers), so a step of more than one block allocates no state;
+    ``final`` is the last state, in memory that no later run reuses.  The
+    run holds BLAS at one thread, in every process, so its bits do not
+    depend on the CPUs it may use.
     """
     config.validate()
     basis = config.basis

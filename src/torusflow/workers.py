@@ -16,13 +16,13 @@ and a child that woke to it would claim the caller's first ticket.  Only the
 caller writes the pipes, so the children end with it.  A child serves a
 ticket through the callable that it inherited at the fork, so what that
 callable reads (a shared mapping, monkeypatched code) must exist before the
-fork.  For each ticket a child sends two frames: a claim notice
-with the time of the claim, then the pickled result, or the pickled
-``(exception, traceback)`` of what it raised.  The caller re-raises such an
-exception, with the child's traceback as a :class:`ChildTraceback` for its
-cause.  A child whose pipe ends is a :class:`HelperProcessError` naming it,
-how it ended and, from its last claim notice, the work it held.
-:meth:`Workers.close` kills and reaps every child, whatever it is doing.
+fork.  For each ticket a child sends two frames: a claim notice, then the
+pickled result, or the pickled ``(exception, traceback)`` of what it raised.
+The caller re-raises such an exception, with the child's traceback as a
+:class:`ChildTraceback` for its cause.  A child whose pipe ends is a
+:class:`HelperProcessError` naming it, how it ended and, from its last claim
+notice, the work it held.  :meth:`Workers.close` kills and reaps every
+child, whatever it is doing.
 
 Both callers fork inside :func:`one_blas_thread`, which holds numpy's
 OpenBLAS at one thread for the length of the work, so every process, the
@@ -46,15 +46,13 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from time import perf_counter
 from typing import Callable, Iterator
 
 #: a claims pipe holds tickets as native ints
 _TICKET = struct.Struct("i")
-#: every frame a child sends: its ticket, when it was sent (``perf_counter``,
-#: one clock for every process) and the length of the pickle that follows,
-#: 0 for a claim notice
-FRAME = struct.Struct("<idI")
+#: every frame a child sends: its ticket and the length of the pickle that
+#: follows, 0 for a claim notice
+FRAME = struct.Struct("<iI")
 
 
 class HelperProcessError(RuntimeError):
@@ -215,9 +213,6 @@ class Workers:
         #: the tickets handed out that the caller has not claimed and no
         #: child has answered
         self.pending: set[int] = set()
-        #: when a child claimed each ticket of the last ``put``, from the
-        #: claim notices read so far
-        self.claimed: dict[int, float] = {}
         self.children: list[_Child] = []
         self.selector = selectors.DefaultSelector()
         self.claims = [os.pipe() for _ in range(processes)]
@@ -255,12 +250,12 @@ class Workers:
             while True:
                 select.select(own, [], [])
                 while (ticket := self.claim(me)) is not None:
-                    write_all(replies, FRAME.pack(ticket, perf_counter(), 0))
+                    write_all(replies, FRAME.pack(ticket, 0))
                     try:
                         payload = pickle.dumps((self.serve(me, ticket), None))
                     except Exception as e:
                         payload = pickle.dumps((None, _portable(e)))
-                    write_all(replies, FRAME.pack(ticket, perf_counter(), len(payload)) + payload)
+                    write_all(replies, FRAME.pack(ticket, len(payload)) + payload)
         except (BrokenPipeError, struct.error):  # the caller has gone: a pipe ended
             return 0
 
@@ -268,7 +263,6 @@ class Workers:
         """Hand out tickets, ``owned[i]`` to process ``i``.  A child wakes only
         to its own pipe, so every ``owned[i]`` of a child must hold a ticket;
         the helpers and the lanes give each process at least one."""
-        self.claimed = {}
         for (_, sink), tickets in zip(self.claims, owned):
             os.write(sink, array(_TICKET.format, tickets).tobytes())
             self.pending.update(tickets)
@@ -293,7 +287,7 @@ class Workers:
         for key, _ in ready:
             child = key.data
             header = read_upto(child.replies, FRAME.size)
-            ticket, stamp, size = FRAME.unpack(header) if len(header) == FRAME.size else (0, 0, -1)
+            ticket, size = FRAME.unpack(header) if len(header) == FRAME.size else (0, -1)
             payload = read_upto(child.replies, size)
             if len(payload) != size:
                 self.selector.unregister(child.replies)
@@ -301,7 +295,7 @@ class Workers:
                 how = f"{reap_child(pid)}{self.where(child.running)}"
                 raise HelperProcessError(f"{self.name} process {pid} {how}")
             if not size:
-                child.running, self.claimed[ticket] = ticket, stamp
+                child.running = ticket
                 continue
             child.running = None
             self.pending.discard(ticket)

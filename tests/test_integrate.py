@@ -747,7 +747,10 @@ def test_killed_helper_is_an_error_naming_the_step(monkeypatch):
             if self.steps == 1:
                 [helper] = forked[0].children
                 self.pid = helper.pid
-                while _unread_bytes(helper.replies) < 3 * frames:
+                waited = time.monotonic()
+                while (seen := _unread_bytes(helper.replies)) < 3 * frames:
+                    if time.monotonic() - waited > 10:
+                        pytest.fail(f"the helper sent {seen} of {3 * frames} bytes in 10 s")
                     time.sleep(0.001)
                 os.kill(self.pid, signal.SIGKILL)
                 # exited, and left for the runner to reap
@@ -769,56 +772,34 @@ def _unread_bytes(fd):
     return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
 
 
-def test_late_helper_does_not_hold_up_the_steps(monkeypatch):
-    # the helper sleeps 2 s in the first block it claims, as if its CPU were
-    # taken away; the runner steps that block itself, steps serially while
-    # the sleeping block's inputs must stay, and ends all 5 steps long before
-    # the helper wakes, with the serial run's bits; nor does the run wait for
-    # the helper on its way out
-    cfg = SimConfig(n=3, dt=1e-3, t_final=5e-3, scheme="strat-midpoint", paths=10, seed=5)
-    _shrink_blocks(monkeypatch, cfg, 4)
-    _use_cpus(monkeypatch, 1)
-    serial = run_ensemble(cfg)
-    _use_cpus(monkeypatch, 2)
-    caller, step_rows, slept = os.getpid(), StepKernel._step_rows, []
+def _steps_handed_out(monkeypatch):
+    """The count of the steps whose tickets the runner has handed out, in
+    memory that the helpers forked afterwards share: a helper serving a
+    ticket of step ``s`` reads ``s + 1``, since a step's tickets go out only
+    once every ticket of the step before has answered."""
+    count = integrate._shared((1,))
+    put = workers.Workers.put
 
-    def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
-        if os.getpid() != caller and not slept:
-            slept.append(lo)
-            time.sleep(2.0)
-        return step_rows(self, u, w_coeffs, out, lo, hi)
+    def counted_put(self, owned):
+        count[0] += 1
+        put(self, owned)
 
-    monkeypatch.setattr(StepKernel, "_step_rows", sleepy_step_rows)
-
-    class Stamps:
-        def start(self, t, u):
-            self.times = [time.perf_counter()]
-
-        def after_step(self, t, u):
-            self.times.append(time.perf_counter())
-
-    stamps = Stamps()
-    with deadline(60):
-        sharded = run_ensemble(cfg, observers=[stamps])
-    returned = time.perf_counter()
-    assert sharded.processes == 2
-    assert stamps.times[-1] - stamps.times[0] < 1.0
-    assert returned - stamps.times[0] < 1.0
-    assert np.array_equal(sharded.l2_sq, serial.l2_sq)
-    assert np.array_equal(sharded.h1_sq, serial.h1_sq)
-    assert_no_child_left()
+    monkeypatch.setattr(workers.Workers, "put", counted_put)
+    return count
 
 
 def test_raising_runner_ends_its_helpers_at_once(monkeypatch):
-    # an observer that raises while a helper sleeps 5 s in a ticket must not
-    # wait for that ticket; the helper is killed and reaped
+    # the helper sleeps 5 s in every ticket from step 3 on, and an observer
+    # raises while step 3 is under way: the runner must not wait for the
+    # helper's ticket; the helper is killed and reaped
     _use_cpus(monkeypatch, 2)
     cfg = SimConfig(n=3, dt=1e-3, t_final=0.02, scheme="strat-midpoint", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     caller, step_rows = os.getpid(), StepKernel._step_rows
+    handed_out = _steps_handed_out(monkeypatch)
 
     def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
-        if os.getpid() != caller:
+        if os.getpid() != caller and handed_out[0] > 3:
             time.sleep(5.0)
         return step_rows(self, u, w_coeffs, out, lo, hi)
 
@@ -831,17 +812,17 @@ def test_raising_runner_ends_its_helpers_at_once(monkeypatch):
 
 
 def test_helper_exception_keeps_its_type(monkeypatch):
-    # the helper raises in the first block it claims, after the runner has
-    # stepped that block itself and gone on; the runner re-raises the
-    # helper's exception at a later step, the helper's traceback its cause
+    # the helper raises in every ticket from step 3 on; the runner re-raises
+    # the helper's exception once its observers have seen more than two
+    # states, the helper's traceback its cause
     _use_cpus(monkeypatch, 2)
     cfg = SimConfig(n=3, dt=1e-3, t_final=0.1, scheme="ito-em", paths=10, seed=5)
     _shrink_blocks(monkeypatch, cfg, 4)
     caller, step_rows = os.getpid(), StepKernel._step_rows
+    handed_out = _steps_handed_out(monkeypatch)
 
     def failing_step_rows(self, u, w_coeffs, out, lo, hi):
-        if os.getpid() != caller:
-            time.sleep(0.2)
+        if os.getpid() != caller and handed_out[0] > 3:
             raise ValueError(f"rows {lo}:{hi} failed")
         return step_rows(self, u, w_coeffs, out, lo, hi)
 
@@ -862,10 +843,10 @@ def test_helper_exception_keeps_its_type(monkeypatch):
     assert_no_child_left()
 
 
-def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
+def test_sleepy_helpers_give_the_serial_bits(monkeypatch, tmp_path):
     # 3 processes on 5 blocks, the helpers sleeping at random in their
-    # blocks: duplicated blocks, serial steps and late replies to old slots
-    # all leave the serial run's bits
+    # blocks: each block is stepped once a step, by whichever process
+    # claims it, and the run keeps the serial run's bits
     cfg = SimConfig(
         n=3, dt=1e-3, t_final=0.04, scheme="strat-heun",
         noise=NoiseModel.q_wiener(2, beta=4.0), paths=10, seed=7,
@@ -874,9 +855,11 @@ def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
     _use_cpus(monkeypatch, 1)
     serial = run_ensemble(cfg)
     _use_cpus(monkeypatch, 3)
-    caller, step_rows, rngs = os.getpid(), StepKernel._step_rows, {}
+    caller, step_rows, rngs, log = os.getpid(), StepKernel._step_rows, {}, tmp_path / "blocks"
 
     def sleepy_step_rows(self, u, w_coeffs, out, lo, hi):
+        with open(log, "a") as f:
+            f.write(f"{lo}\n")
         if os.getpid() != caller:
             rng = rngs.setdefault(os.getpid(), np.random.default_rng(os.getpid()))
             time.sleep(rng.choice([0.0, 0.0, 0.002, 0.01]))
@@ -886,95 +869,10 @@ def test_sleepy_helpers_give_the_serial_bits(monkeypatch):
     with deadline(60):
         sharded = run_ensemble(cfg)
     assert sharded.processes == 3
+    stepped = sorted(int(lo) for lo in log.read_text().split())
+    assert stepped == sorted(list(range(0, 10, 2)) * cfg.n_steps)
     assert np.array_equal(sharded.l2_sq, serial.l2_sq)
     assert np.array_equal(sharded.h1_sq, serial.h1_sq)
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("release", [None, 5])
-def test_late_ticket_steps_give_the_serial_bits(monkeypatch, tmp_path, release):
-    # once the observer has seen the state after step 2, the helper holds
-    # the next ticket it steps until the observer has seen ``release`` more
-    # states (never: it is killed on the way out), so the runner steps
-    # that ticket itself, into a third state.  The helper reads its rows of
-    # one state and writes them in another until it answers, so until then no
-    # process writes either of them, and only the runner's step of the late
-    # ticket reads them; then the run goes back to the first two states.  The
-    # energies and the final states keep the serial run's bits
-    cfg = SimConfig(n=3, dt=1e-3, t_final=0.03, scheme="strat-midpoint", paths=10, seed=5)
-    _shrink_blocks(monkeypatch, cfg, 4)
-    _use_cpus(monkeypatch, 1)
-    serial = run_ensemble(cfg)
-    _use_cpus(monkeypatch, 2)
-    step_rows, log = StepKernel._step_rows, tmp_path / "log"
-    hold, answered = tmp_path / "hold", tmp_path / "answered"
-    caller, shared, mapped = os.getpid(), integrate._shared, []
-
-    def recorded_shared(shape):
-        # the ring's four states, then its four fields, mapped before the fork
-        mapped.append(shared(shape))
-        return mapped[-1]
-
-    def write(line):
-        with open(log, "a") as f:
-            f.write(line + "\n")
-
-    def held_step_rows(self, u, w_coeffs, out, lo, hi):
-        if not mapped:
-            return step_rows(self, u, w_coeffs, out, lo, hi)
-        # every process logs the states that it reads and writes
-        states = tuple(mapped[:4])
-        write(f"{integrate._slot(states, u)} {integrate._slot(states, out)} {lo} {hi}")
-        if os.getpid() == caller or not hold.exists():
-            return step_rows(self, u, w_coeffs, out, lo, hi)
-        hold.unlink()
-        write(f"held {integrate._slot(states, u)} {integrate._slot(states, out)} {lo} {hi}")
-        while not (tmp_path / "go").exists():
-            time.sleep(0.001)
-        failed = step_rows(self, u, w_coeffs, out, lo, hi)
-        write("answered")
-        answered.touch()
-        return failed
-
-    class Hold:
-        def start(self, t, u):
-            self.seen = None
-
-        def after_step(self, t, u):
-            if round(t / cfg.dt) == 2:
-                hold.touch()
-                self.seen = 0
-            elif self.seen is not None and not hold.exists():
-                # the helper holds its ticket
-                self.seen += 1
-                if self.seen == release:
-                    (tmp_path / "go").touch()
-                    while not answered.exists():
-                        time.sleep(0.001)
-
-    monkeypatch.setattr(StepKernel, "_step_rows", held_step_rows)
-    monkeypatch.setattr(integrate, "_shared", recorded_shared)
-    with deadline(60):
-        sharded = run_ensemble(cfg, observers=[Hold()])
-    assert sharded.processes == 2
-    lines = log.read_text().split("\n")[:-1]
-    at = next(i for i, line in enumerate(lines) if line.startswith("held"))
-    _, read, written, lo, hi = lines[at].split()
-    pair = {read, written}
-    end = lines.index("answered") if "answered" in lines else len(lines)
-    steps = [line.split() for line in lines[at + 1 : end]]
-    rows = [(a, b) for a, b, c, d in steps if int(c) < int(hi) and int(d) > int(lo)]
-    assert all(b not in pair and (a == read or a not in pair) for a, b in rows), lines
-    # the runner's step of the late ticket, and the steps after it, in
-    # neither state
-    again = next(i for i, (a, b, c, d) in enumerate(steps) if a == read and c == lo)
-    after = steps[again + 1 :]
-    assert after and all(pair.isdisjoint(step[:2]) for step in after), lines
-    if release is not None:
-        assert any(line.split()[1] in ("0", "1") for line in lines[end + 1 :]), lines
-    assert np.array_equal(sharded.l2_sq, serial.l2_sq)
-    assert np.array_equal(sharded.h1_sq, serial.h1_sq)
-    assert np.array_equal(sharded.final, serial.final)
     assert_no_child_left()
 
 
