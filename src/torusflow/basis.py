@@ -52,6 +52,9 @@ share a product, since their number is fixed by the pass).  Paths are never
 folded into the rows or columns of one GEMM: BLAS rounds a row differently
 for different row counts, and would switch to a matrix-vector kernel for a
 single path, so a path would not give the same bits alone and in a batch.
+A caller that repeats a transform on the same arrays resolves its operands
+once (``inverse_plan``, ``forward_plan``, ``sum_plan``; ``Workspace.plan``)
+and passes them as ``plan=``, which skips every lookup and reshape.
 """
 
 from __future__ import annotations
@@ -160,22 +163,28 @@ def get_basis(n: int) -> Basis:
 
 
 class Workspace:
-    """Arrays reused across calls: one slot per name, grown when a call needs more.
+    """Arrays reused across calls, one slot per name, and plans built from them.
 
     A call gets a C-contiguous array of the shape it asks for, made of the
     first elements of its slot, so a smaller shape (a partial path block, the
     paths still active) reuses the slot and only a larger one reallocates it.
     A slot is overwritten by the next call that takes it, so nothing a caller
-    keeps may be a slot or a view of one.
+    keeps may be a slot or a view of one.  ``plan`` keeps plans by call shape
+    (the plan/execute split of FFTW: Frigo and Johnson, *Proc. IEEE* 93,
+    2005), each built from slots, until any slot moves (``moves``).
     """
+
+    moves = 0
 
     def __init__(self):
         self._slots: dict[str, np.ndarray] = {}
+        self._plans, self._moves = {}, 0
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = prod(shape)
         a = self._slots.get(name)
         if a is None or a.size < size:
+            Workspace.moves += a is not None
             a = self._slots[name] = np.empty(size)
         return a[:size].reshape(shape)
 
@@ -185,11 +194,18 @@ class Workspace:
         fields = shape[:-3] + shape[-2:]
         return np.moveaxis(self.take(name, (shape[-3],) + fields), 0, -3)
 
+    def plan(self, key, build, *args):
+        """The plan of ``key``, ``build(*args)`` unless it is kept."""
+        if self._moves != Workspace.moves:
+            self._plans, self._moves = {}, Workspace.moves
+        if key not in self._plans:
+            self._plans[key] = build(*args)
+        return self._plans[key]
 
-#: the stage array of the transforms called with ``out=``: one slot, since
-#: its four users are never live at once: the inverse, the forward and the
-#: gather stage, and ``dynamics.advect``'s flux products on the grid, which
-#: keep ``u1^2`` or ``v`` here between the inverse and the forward transform
+
+#: the stage array of every plan: one slot, since its users are never live at
+#: once: the inverse, the forward and the gather stage, and ``u1^2`` or ``v``
+#: of ``dynamics.advect`` between the inverse and the forward transform
 _STAGES = Workspace()
 
 #: paths per chunk of the per-step observations (``batch_norms_sq`` and the
@@ -313,72 +329,70 @@ class _GridMap:
 # batched low-level transforms (leading axes pass through untouched)
 # ---------------------------------------------------------------------------
 #
-# Every matrix stage is a stacked real ``@`` with one small product per path:
-# a stage that multiplies from the right folds the path's fields into the
-# rows of its product, one that multiplies from the left runs one product per
-# field.  Folding paths into one GEMM would round a path differently for
-# different batch sizes (module docstring).  Each function returns a fresh
-# array unless the caller passes ``out=``; with ``out=``, the stage array in
-# between is reused as well.
+# Every matrix stage is one small product per path (module docstring).  Each
+# function returns a fresh array unless it runs on a plan, whose operands are
+# its own arrays with the stage slot in between (``*_plan`` with ``out=``).
 
-def place_halfspectrum(
-    basis: Basis, coeffs: np.ndarray, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def place_halfspectrum(basis: Basis, coeffs: np.ndarray, m: int, plan=None) -> np.ndarray:
     """Write the components ``(u1, u2)`` of a coefficient array into the real cos/sin block.
 
     ``coeffs`` has shape ``(..., 2, N)``; the result has shape ``(..., 2,
     n+1, 2(2n+1))``, and ``halfspectrum_to_grid`` of it evaluates ``u`` on
     the ``m x m`` collocation grid exactly.  One gather and one multiply by
-    per-cell weights.
+    per-cell weights.  ``plan`` is ``placement + (out,)`` of the grid map.
     """
-    index, weight = basis._grid_map(m).placement
-    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
-    out = np.take(flat, index, axis=-1, out=out, mode="clip")
+    index, weight, out = plan or basis._grid_map(m).placement + (None,)
+    out = coeffs.reshape(coeffs.shape[:-2] + (-1,)).take(index, axis=-1, out=out, mode="clip")
     np.multiply(out, weight, out=out)
     return out
 
 
-def halfspectrum_to_grid(
-    spec: np.ndarray, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverse transform of a placed block ``(..., F, n+1, 2(2n+1))`` to ``(..., F, m, m)``."""
+def inverse_plan(spec: np.ndarray, m: int, out: np.ndarray | None = None) -> tuple:
+    """The operands of ``halfspectrum_to_grid(spec, m)``, into ``out``."""
     n = spec.shape[-2] - 1
     if spec.shape[-1] != 2 * (2 * n + 1):
         raise ValueError(f"spectral block {spec.shape[-2:]} is not (n+1, 2(2n+1))")
     gm = get_basis(n)._grid_map(m)
     lead, fields = spec.shape[:-3], spec.shape[-3]
     rows = lead + (fields * (n + 1), 2 * m)
-    stage = None if out is None else _STAGES.take("stage", rows)
-    x = np.matmul(spec.reshape(rows[:-1] + (-1,)), gm.inv_k2, out=stage)  # one per path
-    x = x.reshape(lead + (fields, 2 * (n + 1), m))
-    return np.matmul(gm.inv_k1, x, out=out)  # one product per path and field
+    stage = np.empty(rows) if out is None else _STAGES.take("stage", rows)
+    x = stage.reshape(lead + (fields, 2 * (n + 1), m))
+    return spec.reshape(rows[:-1] + (-1,)), gm.inv_k2, stage, gm.inv_k1, x, out
 
 
-def grid_to_halfspectrum(
-    grid: np.ndarray, basis: Basis, out: np.ndarray | None = None
-) -> np.ndarray:
+def halfspectrum_to_grid(spec: np.ndarray, m: int, plan=None) -> np.ndarray:
+    """Inverse transform of a placed block ``(..., F, n+1, 2(2n+1))`` to ``(..., F, m, m)``."""
+    rows, inv_k2, stage, inv_k1, x, out = plan or inverse_plan(spec, m)
+    np.matmul(rows, inv_k2, out=stage)  # one per path
+    return np.matmul(inv_k1, x, out=out)  # one product per path and field
+
+
+def forward_plan(grid: np.ndarray, basis: Basis, out: np.ndarray | None = None) -> tuple:
+    """The operands of ``grid_to_halfspectrum(grid, basis)``, into ``out``."""
+    m = grid.shape[-1]
+    gm = basis._grid_map(m)
+    lead, fields = grid.shape[:-3], grid.shape[-3]
+    shape = lead + (fields, 2 * (basis.n + 1), m)
+    stage = np.empty(shape) if out is None else _STAGES.take("stage", shape)
+    out = np.empty(lead + (fields,) + gm.shape) if out is None else out
+    y = stage.reshape(lead + (fields * (basis.n + 1), 2 * m))
+    return gm.fwd_k1, stage, y, gm.fwd_k2, out.reshape(y.shape[:-1] + (-1,)), out
+
+
+def grid_to_halfspectrum(grid: np.ndarray, basis: Basis, plan=None) -> np.ndarray:
     """Forward transform of ``(..., F, m, m)`` grids onto the block of ``basis``.
 
     Returns ``(..., F, n+1, 2(2n+1))``: each cell pair holds ``(Re Z(k), -Im
     Z(k))`` of the grid's Fourier coefficient ``Z(k) = m^-2 sum g e^{-i k .
     theta}``, i.e. half the grid's cos/sin coefficients away from the mean.
     """
-    m = grid.shape[-1]
-    gm = basis._grid_map(m)
-    n = basis.n
-    lead, fields = grid.shape[:-3], grid.shape[-3]
-    shape = lead + (fields, 2 * (n + 1), m)
-    stage = None if out is None else _STAGES.take("stage", shape)
-    y = np.matmul(gm.fwd_k1, grid, out=stage)  # one product per path and field
-    y = y.reshape(lead + (fields * (n + 1), 2 * m))
-    rows = None if out is None else out.reshape(y.shape[:-1] + (-1,))
-    res = np.matmul(y, gm.fwd_k2, out=rows)  # one product per path
-    return res.reshape(lead + (fields,) + gm.shape)
+    fwd_k1, stage, y, fwd_k2, rows, out = plan or forward_plan(grid, basis)
+    np.matmul(fwd_k1, grid, out=stage)  # one product per path and field
+    np.matmul(y, fwd_k2, out=rows)  # one product per path
+    return out
 
 
-def gather_coeffs(
-    basis: Basis, spec: np.ndarray, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
     """Project a vector field's block ``(..., 2, n+1, 2(2n+1))`` onto the canonical basis.
 
     Performs the orthogonal projection of each Fourier vector coefficient onto
@@ -387,12 +401,10 @@ def gather_coeffs(
     two components.  Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
-    return _weighted_sum(spec, gm.gather_idx, gm.gather_w, out)
+    return _weighted_sum(sum_plan(spec, gm.gather_idx, gm.gather_w, False))
 
 
-def gather_flux_coeffs(
-    basis: Basis, spec: np.ndarray, m: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def gather_flux_coeffs(basis: Basis, spec: np.ndarray, m: int, plan=None) -> np.ndarray:
     """Project ``div(v (x) u)`` onto the canonical basis from its flux blocks.
 
     ``spec`` holds the blocks ``(..., 3, n+1, 2(2n+1))`` of ``A = v1 u2``,
@@ -406,22 +418,26 @@ def gather_flux_coeffs(
     divergence-free ``v`` the result is ``P (v . grad) u``.  One gather, a
     multiply and a sum over the blocks.  Returns ``(..., 2, N)``.
     """
-    index, weight = basis._grid_map(m).flux[spec.shape[-3]]
-    return _weighted_sum(spec, index, weight, out)
+    return _weighted_sum(plan or sum_plan(spec, *basis._grid_map(m).flux[spec.shape[-3]], False))
 
 
-def _weighted_sum(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, out) -> np.ndarray:
-    """Gather ``index`` ``(F, 2, N)`` from the flattened blocks of ``spec``,
-    multiply by ``weight`` and sum over ``F``, in order; with ``out=``, the
-    gathered parts go into a stage array."""
+def sum_plan(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, stage: bool) -> tuple:
+    """The operands of ``_weighted_sum``: the ``F`` parts that ``index`` ``(F,
+    2, N)`` gathers from ``spec``'s blocks, in the stage slot or fresh."""
     flat = spec.reshape(spec.shape[:-3] + (-1,))
     shape = flat.shape[:-1] + index.shape
-    parts = None if out is None else _STAGES.take("stage", shape)
-    parts = np.take(flat, index, axis=-1, out=parts, mode="clip")
+    parts = _STAGES.take("stage", shape) if stage else np.empty(shape)
+    return flat, index, parts, weight, [parts[..., f, :, :] for f in range(len(index))]
+
+
+def _weighted_sum(plan: tuple) -> np.ndarray:
+    """Gather, weigh and sum the parts in order, into a fresh array."""
+    flat, index, parts, weight, terms = plan
+    flat.take(index, axis=-1, out=parts, mode="clip")
     np.multiply(parts, weight, out=parts)
-    out = np.add(parts[..., 0, :, :], parts[..., 1, :, :], out=out)
-    for f in range(2, len(index)):
-        out += parts[..., f, :, :]
+    out = np.add(terms[0], terms[1])
+    for term in terms[2:]:
+        out += term
     return out
 
 

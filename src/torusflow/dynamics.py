@@ -36,19 +36,15 @@ grad) u = (v . grad) u`` for ``v = scale u + w``: a state enters through
 the advecting field once for every state it advects, as its 2 components.
 The quadratic term alone has ``v = scale u``, so ``A = B = scale u1 u2``
 and ``C = scale (u2^2 - u1^2)``: 2 fields in and 2 out (the symmetric form
-of Basdevant, *J. Comput. Phys.* 50, 1983).  Every stage of a pass writes
-into arrays kept for the next pass of the same shape (``_PASS``): the two
-flux products of the quadratic term overwrite the grids of ``u`` that they
-are formed from, the flux spectra go into the placed block's array, which is
-dead once the inverse transform has read it, and the one array that waits
-while the products form (``u1^2``, or with an advecting field ``v = scale u
-+ w``) goes into the transforms' stage slot (``basis._STAGES``), free
-between the inverse and the forward transform.  Only a pass with an
-advecting field keeps an array for its 3 products.  Every grid array is
-kept field-major, ``(F, ..., m, m)``, behind the path-major view ``(..., F,
-m, m)`` that the transforms write and read (``Workspace.take_field_major``),
-so that each product is a ufunc over contiguous fields.  The arrays are
-module state, so passes must not run concurrently.
+of Basdevant, *J. Comput. Phys.* 50, 1983).  Each call shape has a plan
+(``_Pass``), built on first use and kept: the arrays that the stages write,
+their views and the transforms' operands, so that a pass runs only numpy
+calls.  The quadratic term's products overwrite the grids of ``u``, the
+flux spectra the placed block, and the array that waits while the products
+form (``u1^2``, or ``v = scale u + w``) the stage slot (``basis._STAGES``).
+Grids are field-major, ``(F, ..., m, m)``, behind the path-major view the
+transforms see, so each product is a ufunc over contiguous fields.  Plans
+share module state, so passes must not run concurrently.
 
 All Galerkin outputs are the orthogonal projection onto the span of the
 truncated basis: representing the result in basis coefficients *is* the
@@ -78,12 +74,15 @@ from .basis import (
     block_shape,
     constant_advection,
     constant_symbol,
+    forward_plan,
     gather_flux_coeffs,
     get_basis,
     grid_to_halfspectrum,
     halfspectrum_to_grid,
+    inverse_plan,
     leray_project,
     place_halfspectrum,
+    sum_plan,
 )
 
 #: coefficient of the Laplacian in the Ito-form drift (the Stratonovich
@@ -337,11 +336,37 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
     return _fft.next_fast_len(need, real=True)
 
 
-#: the arrays of one ``advect`` pass, reused by the next pass of the same
-#: shape: ``spec`` holds the placed ``u``, then the flux spectra; ``grids``
-#: holds ``u`` on the grid, then the quadratic term's products; ``prods``
-#: holds the 3 products of a pass with an advecting field
+#: the arrays and plans of ``advect``: ``spec`` holds the placed ``u``, then
+#: the flux spectra; ``grids`` holds ``u``, then the quadratic term's
+#: products; ``prods`` holds the 3 products of a pass with an advecting field
 _PASS = Workspace()
+
+
+class _Pass:
+    """The plan of one ``advect`` call shape: every array the pass writes, a
+    leading slice of a slot of ``_PASS`` or of the stage slot, every view of
+    them, and the operands of the transforms."""
+
+    def __init__(self, basis: Basis, m: int, lead: tuple, advected: bool, out_basis: Basis):
+        spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
+        self.place = basis._grid_map(m).placement + (spec,)
+        self.spec, self.u = spec, _PASS.take_field_major("grids", lead + (2, m, m))
+        self.inverse = inverse_plan(spec, m, self.u)
+        self.u1, self.u2 = self.u[..., 0, :, :], self.u[..., 1, :, :]
+        if advected:
+            # v = scale u + w waits in the stage slot while the products form
+            self.v = _basis._STAGES.take_field_major("stage", lead + (2, m, m))
+            self.v1, self.v2 = self.v[..., 0, :, :], self.v[..., 1, :, :]
+            self.prods = _PASS.take_field_major("prods", lead + (3, m, m))
+            self.p = [self.prods[..., f, :, :] for f in range(3)]
+        else:
+            # u1^2 waits in the stage slot while A = u1 u2 overwrites u1
+            self.square = _basis._STAGES.take("stage", lead + (m, m))
+            self.prods = self.u
+        flux = _PASS.take("spec", self.prods.shape[:-2] + block_shape(out_basis))
+        self.forward = forward_plan(self.prods, out_basis, flux)
+        index, weight = out_basis._grid_map(m).flux[self.prods.shape[-3]]
+        self.flux, self.gather = flux, sum_plan(flux, index, weight, True)
 
 
 def advect(
@@ -362,43 +387,35 @@ def advect(
     fields per state; the flux products of ``v = scale u + w`` go forward
     onto the block of ``out_basis``, 2 fields without an advector and 3 with
     one (module docstring), and ``gather_flux_coeffs`` takes their
-    divergence.  Every stage writes into an array of ``_PASS`` or into the
-    stage slot of ``basis``: the quadratic term's products into the grids of
-    ``u``, the flux spectra into the array that held the placed ``u``; only
-    the result is fresh.  Returns ``(..., 2, N)`` over ``out_basis``
+    divergence.  The pass runs on the plan of its call shape (``_Pass``),
+    so only the result is fresh.  Returns ``(..., 2, N)`` over ``out_basis``
     (default: the basis of ``u``).
     """
     out_basis = out_basis or basis
-    lead = coeffs.shape[:-2]
-    spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
-    spec = place_halfspectrum(basis, coeffs, m, out=spec)
+    key = (basis, m, coeffs.shape[:-2], advector is not None, out_basis)
+    p = _PASS.plan(key, _Pass, *key)
+    place_halfspectrum(basis, coeffs, m, plan=p.place)
     # the grids are field-major (module docstring): one field is a
     # contiguous array, and every product below a contiguous ufunc, which
     # numpy runs without an iterator buffer or a copy of an operand
-    u = halfspectrum_to_grid(spec, m, out=_PASS.take_field_major("grids", lead + (2, m, m)))
-    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    halfspectrum_to_grid(p.spec, m, plan=p.inverse)
+    u1, u2 = p.u1, p.u2
     if advector is None:
-        # u1^2 waits in the stage slot (free from the end of the inverse
-        # transform to the start of the forward one) while A = u1 u2
-        # overwrites u1 and C = u2^2 - u1^2 overwrites u2
-        square = np.multiply(u1, u1, out=_basis._STAGES.take("stage", lead + (m, m)))
+        np.multiply(u1, u1, out=p.square)
         u1 *= u2
         u2 *= u2
-        u2 -= square
+        u2 -= p.square
         if scale != 1.0:
-            u *= scale
-        prods = u
+            p.u *= scale
     else:
-        v = np.multiply(u, scale, out=_basis._STAGES.take_field_major("stage", lead + (2, m, m)))
-        v += advector
-        prods = _PASS.take_field_major("prods", lead + (3, m, m))
-        np.multiply(v[..., 0, :, :], u2, out=prods[..., 0, :, :])
-        np.multiply(v[..., 1, :, :], u1, out=prods[..., 1, :, :])
-        v *= u
-        np.subtract(v[..., 1, :, :], v[..., 0, :, :], out=prods[..., 2, :, :])
-    spec_out = _PASS.take("spec", prods.shape[:-2] + block_shape(out_basis))
-    spec_out = grid_to_halfspectrum(prods, out_basis, out=spec_out)
-    return gather_flux_coeffs(out_basis, spec_out, m, out=np.empty(lead + (2, out_basis.n_modes)))
+        np.multiply(p.u, scale, out=p.v)
+        p.v += advector
+        np.multiply(p.v1, u2, out=p.p[0])
+        np.multiply(p.v2, u1, out=p.p[1])
+        p.v *= p.u
+        np.subtract(p.v2, p.v1, out=p.p[2])
+    grid_to_halfspectrum(p.prods, out_basis, plan=p.forward)
+    return gather_flux_coeffs(out_basis, p.flux, m, plan=p.gather)
 
 
 def nonlinear_pseudospectral(f: SpectralField, out_basis: Basis | None = None) -> SpectralField:

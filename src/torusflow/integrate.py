@@ -33,23 +33,22 @@ run reuses, holding as many whole steps of the batch as fit ``DRAW_BYTES``,
 so the noise costs memory in paths x components, not in the horizon.
 
 A batched step runs over contiguous blocks of paths, so the arrays of one
-operator pass stay in cache.  The pass writes its stages into arrays that
-``dynamics.advect`` keeps for the next pass of the same shape, and each
-scheme's update into arrays that the kernel keeps for the next block, so in
-a run they are allocated once, not faulted in afresh every pass; a block
-allocates only its result and each pass's, and the runner's steps write
-into the ring below.  The block size
-is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` budgets
-what one pass touches per path: 5 transformed fields (a field-noise pass's
-2 in and 3 out; the quadratic term alone moves 2 in and 2 out), each an
-``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an ``(n+1) x
-2(2n+1)`` cos/sin block, all real, plus under field noise the 2 grids of
-the step's noise field, placed once per step.  At n=8 (m=25) that gives 32
-paths with spatially constant noise and 27 with ``qwiener:8``; in the sweep
-in ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and 128 or
-256 faulted most.  Every operation,
-the midpoint convergence test and the transform stages included, acts on
-each path alone, so results do not depend on the blocks: a path is
+operator pass stay in cache.  Each block shape has a plan (``_Block``, and
+``dynamics._Pass`` for each pass), built on first use and kept, which holds
+every array its updates write and every view of them, so a block allocates
+only its result and each pass's, and runs only numpy calls; the runner's
+steps write into the ring below.  The block size is ``BLOCK_BYTES //
+StepKernel.path_bytes``, where ``path_bytes`` budgets what one pass
+touches per path: 5 transformed fields (a field-noise pass's 2 in and 3
+out; the quadratic term alone moves 2 in and 2 out), each an ``m x m``
+grid, an ``(n+1) x 2m`` matrix-stage array and an ``(n+1) x 2(2n+1)``
+cos/sin block, all real, plus under field noise the 2 grids of the step's
+noise field, placed once per step.  At n=8 (m=25) that gives 32 paths with
+spatially constant noise and 27 with ``qwiener:8``; in the sweep in
+``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and 128 or
+256 faulted most.  Every operation, the midpoint convergence test and the
+transform stages included, acts on each path alone, so results do not
+depend on the blocks: a path is
 bit-identical alone, in any batch and in any block.
 
 The blocks of an ensemble's steps are shared between the runner and helper
@@ -104,6 +103,7 @@ from .basis import (
     constant_advection,
     get_basis,
     halfspectrum_to_grid,
+    inverse_plan,
     place_halfspectrum,
     random_field,
 )
@@ -311,9 +311,9 @@ class StepKernel:
         self.path_bytes = 5 * 8 * (m * m + 2 * (n + 1) * (m + 2 * n + 1))
         self.path_bytes += 0 if self.constant_noise else 2 * 8 * m * m
         self.block_paths = max(1, BLOCK_BYTES // self.path_bytes)
-        self._noise_arrays = Workspace()
-        #: the schemes' arrays of one block, reused by the next block
-        self._work = Workspace()
+        #: the block plans (:class:`_Block`) and their arrays
+        self._arrays = Workspace()
+        self._step_scheme = getattr(StepKernel, "_step_" + scheme.split("-")[1])
         # per-mode rows of every step: the Ito viscosity's dt (1/2) |k|^2,
         # and the wavevectors of the constant noise's symbol
         self._viscosity = self.dt * ITO_VISCOSITY * basis.ksq
@@ -323,41 +323,26 @@ class StepKernel:
 
     # -- building blocks ---------------------------------------------------
 
-    def _prepare_noise(self, w_coeffs: np.ndarray) -> np.ndarray:
-        """What every operator evaluation of one step needs of its noise field.
-
-        Constant noise: the per-mode symbol ``kappa = w . k`` of its exact
-        rotation (``constant_symbol``).  Otherwise: the field's 2 components
-        on the grid, ``advect``'s advector, kept field-major as ``advect``
-        keeps its grids and returned through a path-major view.  Both go into
-        arrays that the next block reuses.
-        """
-        work = self._noise_arrays
+    def _prepare_noise(self, w_coeffs: np.ndarray, plan: _Block) -> np.ndarray:
+        """What every operator evaluation of one step needs of its noise field,
+        in the block's plan: constant noise's symbol ``kappa = w . k`` (per mode,
+        ``constant_symbol``), else the field's 2 grids, field-major as ``advect``'s."""
         if self.constant_noise:
-            shape = w_coeffs.shape[:-2] + (self.basis.n_modes,)
-            kappa = np.multiply(w_coeffs[..., 0, 0:1], self._k1, out=work.take("kappa", shape))
-            kappa += np.multiply(w_coeffs[..., 1, 0:1], self._k2, out=work.take("a2_k2", shape))
+            kappa = np.multiply(w_coeffs[..., 0, 0:1], self._k1, out=plan.kappa)
+            kappa += np.multiply(w_coeffs[..., 1, 0:1], self._k2, out=plan.a2_k2)
             return kappa
-        fb, m, lead = self.noise.field_basis, self.m, w_coeffs.shape[:-2] + (2,)
-        spec = place_halfspectrum(fb, w_coeffs, m, out=work.take("spec", lead + block_shape(fb)))
-        return halfspectrum_to_grid(spec, m, out=work.take_field_major("grids", lead + (m, m)))
+        place_halfspectrum(self.noise.field_basis, w_coeffs, self.m, plan=plan.place)
+        return halfspectrum_to_grid(plan.spec, self.m, plan=plan.inverse)
 
-    def _increment(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    def _increment(self, u: np.ndarray, noise: np.ndarray, plan: _Block) -> np.ndarray:
         """The Stratonovich increment ``-dt P (u . grad) u + P (dW . grad) u``,
         in the array that ``advect`` returns."""
         if self.constant_noise:
             incr = advect(self.basis, u, self.m)
             incr *= self.dt
-            rotated = constant_advection(noise, u, out=self._work.take("rotated", u.shape))
+            rotated = constant_advection(noise, u, out=plan.rotated)
             return np.subtract(rotated, incr, out=incr)
         return advect(self.basis, u, self.m, -self.dt, noise)
-
-    def _rows(self, a: np.ndarray, rows: np.ndarray | None, name: str) -> np.ndarray:
-        """``a`` itself, or its ``rows`` gathered into the kept array ``name``."""
-        if rows is None:
-            return a
-        out = self._work.take(name, (len(rows),) + a.shape[1:])
-        return np.take(a, rows, axis=0, out=out, mode="clip")
 
     # -- schemes -------------------------------------------------------------
 
@@ -391,10 +376,9 @@ class StepKernel:
         """
         if u.ndim != 3 or len(u) <= self.block_paths:
             meanwhile()
-            result = self._step_block(u, w_coeffs)
             if out is None:
-                return result
-            out[...] = result
+                return self._step_block(u, w_coeffs)
+            out[...] = self._step_block(u, w_coeffs)
             return out
         out = np.empty_like(u) if out is None else out
         if self.helpers is None:
@@ -426,40 +410,35 @@ class StepKernel:
         return failed
 
     def _step_block(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
-        """One step of a block of paths, allocating only its result and each
-        ``advect`` result; every other array is kept in ``_work`` for the next
-        block.  Any leading axes are stepped as one axis of paths."""
+        """One step of a block of paths on the plan of its shape, allocating
+        only its result and each ``advect`` result.  Any leading axes are
+        stepped as one axis of paths."""
         lead = u.shape[:-2]
         u = u.reshape((-1,) + u.shape[-2:])
-        noise = self._prepare_noise(w_coeffs.reshape((-1,) + w_coeffs.shape[-2:]))
-        if self.scheme == "ito-em":
-            out = self._step_em(u, noise)
-        elif self.scheme == "strat-heun":
-            out = self._step_heun(u, noise)
-        else:
-            out = self._step_midpoint(u, noise)
+        plan = self._arrays.plan(len(u), _Block, self, len(u))
+        noise = self._prepare_noise(w_coeffs.reshape((-1,) + w_coeffs.shape[-2:]), plan)
+        out = self._step_scheme(self, plan, u, noise)
         return out.reshape(lead + out.shape[-2:])
 
-    def _step_em(self, u, noise):
+    def _step_em(self, plan, u, noise):
         # u - dt (1/2) A u + incr(u)
-        incr = self._increment(u, noise)
-        damped = np.multiply(self._viscosity, u, out=self._work.take("damped", u.shape))
+        incr = self._increment(u, noise, plan)
+        damped = np.multiply(self._viscosity, u, out=plan.damped)
         incr += np.subtract(u, damped, out=damped)
         return incr
 
-    def _step_heun(self, u, noise):
+    def _step_heun(self, plan, u, noise):
         # u + (incr(u) + incr(u + incr(u))) / 2
-        incr = self._increment(u, noise)
-        predicted = np.add(u, incr, out=self._work.take("predicted", u.shape))
-        incr += self._increment(predicted, noise)
+        incr = self._increment(u, noise, plan)
+        predicted = np.add(u, incr, out=plan.predicted)
+        incr += self._increment(predicted, noise, plan)
         incr *= 0.5
         incr += u
         return incr
 
-    def _step_midpoint(self, u, noise):
+    def _step_midpoint(self, plan, u, noise):
         # solve v = u - dt P(mid . grad) mid + T(mid), mid = (u + v)/2, by
         # fixed-point iteration on the paths not yet converged
-        work = self._work
         if self.constant_noise:
             # the linear noise part T is inverted exactly per mode (2x2
             # blocks): the iteration starts from the exact noise-only step v0,
@@ -467,73 +446,109 @@ class StepKernel:
             # -dt S(B(mid)), S = (I - T/2)^-1, as two per-mode products:
             # -dt S maps (x0, x1) to s0 (x0, x1) + (s1 x1, -s1 x0), with
             # h = kappa/2, s0 = -dt / (1 + h^2) and s1 = h s0
-            half_k = np.multiply(noise, 0.5, out=work.take("half_k", noise.shape))
-            denom = np.multiply(half_k, half_k, out=work.take("s0", noise.shape))
+            (base, base_a, base_b), (v0, v0_a, v0_b) = plan.base, plan.v0
+            s1, s1_a, s1_b = plan.s1
+            half_k = np.multiply(noise, 0.5, out=plan.half_k)
+            denom = np.multiply(half_k, half_k, out=plan.denom)
             denom += 1.0
-            base = constant_advection(noise, u, out=work.take("base", u.shape))
+            base = constant_advection(noise, u, out=base)
             base *= 0.5
             base += u
-            v0 = work.take("v0", u.shape)
-            va = np.multiply(half_k, base[:, 1, :], out=v0[:, 0, :])
-            va += base[:, 0, :]
+            va = np.multiply(half_k, base_b, out=v0_a)
+            va += base_a
             va /= denom
-            np.multiply(half_k, va, out=v0[:, 1, :])
-            np.subtract(base[:, 1, :], v0[:, 1, :], out=v0[:, 1, :])
-            s0 = np.divide(-self.dt, denom, out=denom)[:, None, :]
-            s1 = work.take("s1", u.shape)
-            np.multiply(s0[:, 0, :], half_k, out=s1[:, 0, :])
-            np.negative(s1[:, 0, :], out=s1[:, 1, :])
-
-            def update(rows, u_rows, mid):
-                b = advect(self.basis, mid, self.m)
-                new = work.take("new", b.shape)
-                np.multiply(self._rows(s1, rows, "s1_rows"), b[:, ::-1, :], out=new)
-                b *= self._rows(s0, rows, "s0_rows")
-                new += b
-                new += self._rows(v0, rows, "v0_rows")
-                return new
-
-            v = v0.copy()
+            np.multiply(half_k, va, out=v0_b)
+            np.subtract(base_b, v0_b, out=v0_b)
+            np.divide(-self.dt, denom, out=denom)
+            np.multiply(denom, half_k, out=s1_a)
+            np.negative(s1_a, out=s1_b)
+            fixed, v = (u, s1, plan.s0, v0), v0
         else:
-
-            def update(rows, u_rows, mid):
-                new = self._increment(mid, self._rows(noise, rows, "noise_rows"))
-                new += u_rows
-                return new
-
-            v = u.copy()
-        # every path takes every pass until one has converged; from then on
-        # a pass gathers the rows still active
-        active = np.ones(len(u), dtype=bool)
-        rows = None
+            fixed, v = (u, noise), u
+        # every path takes every pass until one has converged; the iterates
+        # swap, and the arrays that the passes only read are gathered once
+        # each time the active rows change
+        active, rows, q, here, v_rows = np.ones(len(u), dtype=bool), None, plan, fixed, v
         # a diverging iterate overflows on the grid; its residual turns
         # non-finite in the same pass and ends the solve there
         with np.errstate(over="ignore", invalid="ignore"):
             for iteration in range(1, MIDPOINT_MAX_ITER + 1):
-                u_rows, v_rows = self._rows(u, rows, "u_rows"), self._rows(v, rows, "v_rows")
-                mid = np.add(u_rows, v_rows, out=work.take("mid", u_rows.shape))
+                mid = np.add(here[0], v_rows, out=q.mid)
                 mid *= 0.5
-                v_new = update(rows, u_rows, mid)
+                if self.constant_noise:
+                    # (s1 b~ + s0 b) + v0 in b, b~ the swapped rows of b
+                    v_new = advect(self.basis, mid, self.m)
+                    np.multiply(here[1], v_new[:, ::-1, :], out=q.new)
+                    v_new *= here[2]
+                    v_new += q.new
+                    v_new += here[3]
+                else:
+                    v_new = self._increment(mid, here[1], q)
+                    v_new += here[0]
                 diff = np.subtract(v_new, v_rows, out=mid)
-                res = np.abs(diff, out=diff).max(axis=(-2, -1))
+                res = np.maximum.reduce(np.abs(diff, out=diff), axis=(-2, -1))
                 if rows is None:
-                    v[...] = v_new
+                    v = v_new
                 else:
                     v[rows] = v_new
-                blown = ~np.isfinite(res)
-                if blown.any():
-                    raise MidpointConvergenceError(
-                        float(np.max(res)), iteration, paths=np.flatnonzero(active)[blown]
-                    )
-                still = res > MIDPOINT_TOL
-                if not still.any():
+                top = np.maximum.reduce(res)
+                if top <= MIDPOINT_TOL:
                     return v
+                if not np.isfinite(top):
+                    blown = np.flatnonzero(active)[~np.isfinite(res)]
+                    raise MidpointConvergenceError(float(top), iteration, paths=blown)
+                still = res > MIDPOINT_TOL
+                v_rows = v_new
                 if not still.all():
                     active[active] = still
                     rows = np.flatnonzero(active)
+                    q = self._arrays.plan(len(rows), _Block, self, len(rows))
+                    v_rows, *here = (
+                        np.take(a, rows, axis=0, out=o, mode="clip")
+                        for a, o in zip((v,) + fixed, q.gathered(self._arrays, (v,) + fixed))
+                    )
         raise MidpointConvergenceError(
             float(np.max(res)), MIDPOINT_MAX_ITER, paths=np.flatnonzero(active)
         )
+
+
+class _Block:
+    """The plan of a :class:`StepKernel`'s blocks of ``rows`` paths: every
+    array that a step writes, a leading slice of a slot of ``_arrays``, its
+    views, and the operands of the noise field's transforms."""
+
+    def __init__(self, kernel: StepKernel, rows: int):
+        take, m, n_modes = kernel._arrays.take, kernel.m, kernel.basis.n_modes
+        state, modes, grids = (rows, 2, n_modes), (rows, n_modes), (rows, 2, m, m)
+        const = kernel.constant_noise
+        if const:
+            self.kappa, self.a2_k2 = take("kappa", modes), take("a2_k2", modes)
+        else:
+            fb = kernel.noise.field_basis
+            self.spec = take("spec", (rows, 2) + block_shape(fb))
+            self.place = fb._grid_map(m).placement + (self.spec,)
+            grids_fm = kernel._arrays.take_field_major("grids", grids)
+            self.inverse = inverse_plan(self.spec, m, grids_fm)
+        if kernel.scheme != "strat-midpoint":
+            self.damped = self.predicted = take("update", state)
+            self.rotated = take("rotated", state) if const else None
+            return
+        self.mid, self._rows, self._gathered = take("mid", state), rows, None
+        if const:
+            self.new, self.half_k = take("new", state), take("half_k", modes)
+            self.s0 = take("s0", (rows, 1, n_modes))
+            self.denom = self.s0[:, 0, :]
+            # v0, s1 and base, each with its two rows
+            self.v0, self.s1, self.base = (
+                (a, a[:, 0, :], a[:, 1, :]) for a in map(take, ("v0", "s1", "base"), [state] * 3)
+            )
+
+    def gathered(self, work: Workspace, arrays: tuple) -> list:
+        """The arrays of ``work`` that a midpoint step gathers ``arrays``' rows into."""
+        if self._gathered is None:
+            shapes = [(self._rows,) + a.shape[1:] for a in arrays]
+            self._gathered = [work.take(f"rows_{i}", s) for i, s in enumerate(shapes)]
+        return self._gathered
 
 
 def step(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import basis as basis_module
-from torusflow import dynamics
+from torusflow import dynamics, integrate
 from torusflow.basis import (
     BasisMode,
     SpectralField,
@@ -411,7 +411,10 @@ def test_advect_into_a_larger_output_basis():
 def test_advect_transform_counts(monkeypatch, kind):
     # fields per state through each transform: every pass places u; the
     # quadratic term alone sends its 2 flux products forward, and with a
-    # field advector, whose 2 grids come in ready-made, the pass sends 3
+    # field advector, whose 2 grids come in ready-made, the pass sends 3;
+    # the pass calls the transforms through the module's bindings, so the
+    # plan kept from before they are wrapped (the second call keeps it,
+    # whatever slots the first one grew) still counts
     paths = 3
     seen = {"inverse": 0, "forward": 0}
 
@@ -427,17 +430,20 @@ def test_advect_transform_counts(monkeypatch, kind):
     m = dealias_resolution(b.n, b.n, b.n)
     U = _batch(b, rng, paths)
     w_grid = _advector(b, _batch(b, rng, paths), m)
+    calls = {"self": (1.0, None), "fused": (SCALE, w_grid), "transport": (0.0, w_grid)}
+    for _ in range(2):
+        advect(b, U, m, *calls[kind])
     for attr, key in (("halfspectrum_to_grid", "inverse"), ("grid_to_halfspectrum", "forward")):
         monkeypatch.setattr(dynamics, attr, counting(key, getattr(dynamics, attr)))
-    calls = {"self": (1.0, None), "fused": (SCALE, w_grid), "transport": (0.0, w_grid)}
     advect(b, U, m, *calls[kind])
     fields_in, fields_out = (2, 2) if kind == "self" else (2, 3)
     assert seen == {"inverse": fields_in * paths, "forward": fields_out * paths}
 
 
-def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
-    # call kinds, batch sizes and output bases interleave on the shared pass
-    # arrays; each result is bit-equal to the same call on fresh ones, no
+def test_advect_workspaces_never_alias_or_go_stale():
+    # call kinds, batch sizes and output bases interleave on the plans and
+    # their shared arrays; each result is bit-equal to the same call on
+    # fresh arrays (``oracles.advect_fresh``), no
     # result handed out earlier changes, and a pass never writes into the
     # step's noise grids
     rng = np.random.default_rng(12)
@@ -446,24 +452,18 @@ def test_advect_workspaces_never_alias_or_go_stale(monkeypatch):
     kernel = StepKernel(b, noise, "strat-midpoint", 1e-3)
     m_big = dealias_resolution(b.n, b.n, big.n)
 
-    def fresh(*args):
-        with monkeypatch.context() as mp:
-            mp.setattr(dynamics, "_PASS", Workspace())
-            mp.setattr(basis_module, "_STAGES", Workspace())
-            return advect(*args)
-
     handed_out = []
     for paths in (16, 3, 1, 16):
         U = _batch(b, rng, paths, include_mean=True)
         W = noise.increments_to_field(0.03 * rng.standard_normal((paths, noise.n_components, 2)))
-        w_grid = kernel._prepare_noise(W)
+        w_grid = kernel._prepare_noise(W, integrate._Block(kernel, paths))
         w_step = w_grid.copy()
         w_big = _advector(noise.field_basis, W, m_big)
         handed_out.append((w_big, w_big.copy()))
         for out, m, w in ((b, kernel.m, w_grid), (big, m_big, w_big)):
             for scale, advector in ((1.0, None), (0.0, w), (SCALE, w)):
                 got = advect(b, U, m, scale, advector, out)
-                assert np.array_equal(got, fresh(b, U, m, scale, advector, out))
+                assert np.array_equal(got, oracles.advect_fresh(b, U, m, scale, advector, out))
                 handed_out.append((got, got.copy()))
         assert np.array_equal(w_grid, w_step)
     for arr, copy in handed_out:
@@ -474,7 +474,8 @@ def test_advect_stages_share_one_slot(monkeypatch):
     # the transform stages are never live at once, nor are the placed block
     # and the flux spectra, nor the grids of u and the quadratic term's
     # products: a fused pass keeps the largest of each, not the sum, and the
-    # product that waits (v) takes the stage slot between the transforms
+    # product that waits (v) takes the stage slot between the transforms;
+    # the plan kept for the fused shape holds views of those slots alone
     monkeypatch.setattr(dynamics, "_PASS", Workspace())
     stages = Workspace()
     monkeypatch.setattr(basis_module, "_STAGES", stages)
@@ -485,7 +486,9 @@ def test_advect_stages_share_one_slot(monkeypatch):
     U = _batch(b, rng, paths)
     advect(b, U, m)
     assert set(dynamics._PASS._slots) == {"spec", "grids"}
-    advect(b, U, m, SCALE, _advector(b, _batch(b, rng, paths), m))
+    w_grid = _advector(b, _batch(b, rng, paths), m)
+    for _ in range(2):
+        advect(b, U, m, SCALE, w_grid)
     sizes = {
         "inverse": paths * 2 * rows * 2 * m,
         "v": paths * 2 * m * m,
@@ -496,6 +499,15 @@ def test_advect_stages_share_one_slot(monkeypatch):
     assert set(dynamics._PASS._slots) == {"spec", "grids", "prods"}
     assert dynamics._PASS._slots["spec"].size == paths * 3 * rows * cols
     assert dynamics._PASS._slots["grids"].size == paths * 2 * m * m
+    plan = dynamics._PASS._plans[(b, m, (paths,), True, b)]
+    slots = {**dynamics._PASS._slots, "stage": stages._slots["stage"]}
+    for arrays, slot in (
+        ((plan.inverse[2], plan.v, plan.forward[1], plan.gather[2]), "stage"),
+        ((plan.spec, plan.flux), "spec"),
+        ((plan.u,), "grids"),
+        ((plan.prods,), "prods"),
+    ):
+        assert all(np.shares_memory(a, slots[slot]) for a in arrays), slot
 
 
 @pytest.mark.parametrize("paths", [1, 32, 33])

@@ -1,5 +1,6 @@
 import dataclasses
 import fcntl
+import gc
 import hashlib
 import inspect
 import os
@@ -14,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ import pytest
 import oracles
 from processes import assert_no_child_left, deadline
 from torusflow import basis as basis_module
-from torusflow import integrate, workers
+from torusflow import dynamics, integrate, workers
 from torusflow.basis import (
     BasisMode,
     SpectralField,
@@ -30,6 +32,8 @@ from torusflow.basis import (
     batch_h1_sq,
     batch_l2_sq,
     get_basis,
+    halfspectrum_to_grid,
+    place_halfspectrum,
     random_field,
 )
 from torusflow.diagnostics import MartingaleProbe, energy_report
@@ -442,20 +446,100 @@ def test_steps_are_bit_equal_to_the_fresh_array_updates(monkeypatch, scheme, noi
     cfg, u, w = _desk_batch(model, paths=paths)
     u *= np.geomspace(3.0, 1e-3, paths)[:, None, None]
     kernel = StepKernel(cfg.basis, model, scheme, cfg.dt)
-    gathered = []
-    rows_of = StepKernel._rows
+    blocks, gathered = [], []
+    step_block, advect = StepKernel._step_block, integrate.advect
 
-    def gathering(self, a, rows, name):
-        gathered.append(rows is not None)
-        return rows_of(self, a, rows, name)
+    def block(self, u, w_coeffs):
+        blocks.append(len(u))
+        return step_block(self, u, w_coeffs)
 
-    monkeypatch.setattr(StepKernel, "_rows", gathering)
+    def counted(basis, coeffs, *args, **kwargs):
+        # a pass over fewer rows than its block's runs on the gathered rows
+        gathered.append(len(coeffs) < blocks[-1])
+        return advect(basis, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(StepKernel, "_step_block", block)
+    monkeypatch.setattr(integrate, "advect", counted)
     got = want = u
     for _ in range(3):
         got = kernel.step(got, w)
         want = oracles.step_fresh(kernel, want, w)
         assert np.array_equal(got, want)
     assert any(gathered) == (scheme == "strat-midpoint" and paths > 1)
+
+
+def test_plans_never_alias_or_go_stale(monkeypatch):
+    # one process's plans under interleaved work: kernels of every scheme
+    # under constant and qwiener:2 noise at two dts step blocks of 32, 7
+    # and 1 rows (32 rows are blocks of 27 and 5 under qwiener:2), the
+    # states' sizes span 3.5 decades so the midpoint paths converge at
+    # different passes, and single-field operator calls run between the
+    # steps; every result is bit-equal to the same work on fresh arrays,
+    # none handed out earlier changes, and no pass writes the noise grids
+    # that _prepare_noise made for the last block
+    b = get_basis(8)
+    rng = np.random.default_rng(21)
+    f, w = random_field(b, rng), random_field(get_basis(2), rng)
+    m, m_w = (dynamics.dealias_resolution(b.n, n, b.n) for n in (b.n, w.basis.n))
+    w_grid = halfspectrum_to_grid(place_halfspectrum(w.basis, w.coeffs, m_w), m_w)
+    models = (SI, NoiseModel.q_wiener(2))
+    kernels = [StepKernel(b, mo, s, dt) for mo in models for s in SCHEMES for dt in (1e-3, 2e-3)]
+    rows, advect = [], integrate.advect
+
+    def counted(basis, coeffs, *args, **kwargs):
+        rows.append(len(coeffs))
+        return advect(basis, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "advect", counted)
+    handed_out = []
+    for paths in (32, 7, 1, 32):
+        for kernel in kernels:
+            _, u, w_coeffs = _desk_batch(kernel.noise, paths=paths, seed=paths)
+            u *= np.geomspace(3.0, 1e-3, paths)[:, None, None]
+            rows.clear()
+            got = kernel.step(u, w_coeffs)
+            assert np.array_equal(got, oracles.step_fresh(kernel, u, w_coeffs))
+            if kernel.scheme == "strat-midpoint" and paths == 7:
+                assert min(rows) < 7  # the solve ran passes on its active rows
+            handed_out.append((got, got.copy()))
+            for out, want in (
+                (dynamics.nonlinear_pseudospectral(f).coeffs, oracles.advect_fresh(b, f.coeffs, m)),
+                (
+                    dynamics.transport_apply(f, w).coeffs,
+                    oracles.advect_fresh(b, f.coeffs, m_w, 0.0, w_grid),
+                ),
+            ):
+                assert np.array_equal(out, want)
+                handed_out.append((out, out.copy()))
+            if not kernel.constant_noise:
+                # the kernel's grids slot holds the last block's noise, field-major
+                last = w_coeffs[(paths - 1) // kernel.block_paths * kernel.block_paths :]
+                shape = (2, len(last), kernel.m, kernel.m)
+                grids = kernel._arrays._slots["grids"][: np.prod(shape)].reshape(shape)
+                fb = kernel.noise.field_basis
+                want = halfspectrum_to_grid(place_halfspectrum(fb, last, kernel.m), kernel.m)
+                assert np.array_equal(np.moveaxis(grids, 0, 1), want)
+    for arr, copy in handed_out:
+        assert np.array_equal(arr, copy)
+
+
+def test_a_stepped_kernel_goes_with_its_last_reference():
+    # a kernel's plans hold no reference to it or to their workspace, so its
+    # arrays go when the kernel does: with a reference cycle each ensemble's
+    # kernel would live until the cycle collector ran, which raised the
+    # midpoint-const benchmark's peak RSS from 63 to 72 MB
+    cfg, u, w = _desk_batch(SI, paths=7)
+    u *= np.geomspace(3.0, 1e-3, 7)[:, None, None]
+    gc.disable()
+    try:
+        for scheme in SCHEMES:
+            kernel = StepKernel(cfg.basis, SI, scheme, cfg.dt)
+            kernel.step(u, w)
+            refs = weakref.ref(kernel), weakref.ref(kernel._arrays)
+            del kernel
+            assert [ref() for ref in refs] == [None, None], scheme
+    finally:
+        gc.enable()
 
 
 def test_midpoint_failure_collects_every_block(monkeypatch):
