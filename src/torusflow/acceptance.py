@@ -197,11 +197,12 @@ def _a1b_heun_order(run: RunContext):
     for d_i, (dt, fac) in enumerate(zip(dts, factors)):
         steps = fine_steps // fac
         incr = fine[:, : steps * fac].reshape(p, steps, fac, k, 2).sum(axis=2)
-        kern = StepKernel(basis, noise, "strat-heun", dt)
-        u = np.broadcast_to(u0, (p,) + u0.shape).copy()
-        with helper_processes(kern, p):
+        with helper_processes(StepKernel(basis, noise, "strat-heun", dt), p) as ring:
+            u, w = ring.states[0], ring.fields[1]
+            u[...] = u0
             for s_i in range(steps):
-                u = kern.step(u, noise.increments_to_field(incr[:, s_i]))
+                w = noise.increments_to_field(incr[:, s_i], out=ring.free(ring.fields, w))
+                u = ring.step(u, w, lambda: None)
         l2 = batch_l2_sq(basis, u)
         l2_0 = batch_l2_sq(basis, u0[None])[0]
         drifts[:, d_i] = np.abs(l2 - l2_0) / l2_0

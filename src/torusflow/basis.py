@@ -171,20 +171,19 @@ class Workspace:
     A slot is overwritten by the next call that takes it, so nothing a caller
     keeps may be a slot or a view of one.  ``plan`` keeps plans by call shape
     (the plan/execute split of FFTW: Frigo and Johnson, *Proc. IEEE* 93,
-    2005), each built from slots, until any slot moves (``moves``).
+    2005), each built from this workspace's slots alone, until one of them
+    moves (``moves`` counts the moves).
     """
-
-    moves = 0
 
     def __init__(self):
         self._slots: dict[str, np.ndarray] = {}
-        self._plans, self._moves = {}, 0
+        self._plans, self._moves, self.moves = {}, 0, 0
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = prod(shape)
         a = self._slots.get(name)
         if a is None or a.size < size:
-            Workspace.moves += a is not None
+            self.moves += a is not None
             a = self._slots[name] = np.empty(size)
         return a[:size].reshape(shape)
 
@@ -196,17 +195,11 @@ class Workspace:
 
     def plan(self, key, build, *args):
         """The plan of ``key``, ``build(*args)`` unless it is kept."""
-        if self._moves != Workspace.moves:
-            self._plans, self._moves = {}, Workspace.moves
+        if self._moves != self.moves:
+            self._plans, self._moves = {}, self.moves
         if key not in self._plans:
             self._plans[key] = build(*args)
         return self._plans[key]
-
-
-#: the stage array of every plan: one slot, since its users are never live at
-#: once: the inverse, the forward and the gather stage, and ``u1^2`` or ``v``
-#: of ``dynamics.advect`` between the inverse and the forward transform
-_STAGES = Workspace()
 
 #: paths per chunk of the per-step observations (``batch_norms_sq`` and the
 #: martingale probes' quadratic form), so their scratch arrays hold one chunk
@@ -331,7 +324,9 @@ class _GridMap:
 #
 # Every matrix stage is one small product per path (module docstring).  Each
 # function returns a fresh array unless it runs on a plan, whose operands are
-# its own arrays with the stage slot in between (``*_plan`` with ``out=``).
+# its own arrays; a ``*_plan`` given a workspace ``work`` puts its stage in
+# ``work``'s ``"stage"`` slot, which all of a plan's stages share since they
+# are never live at once, and otherwise in a fresh array.
 
 def place_halfspectrum(basis: Basis, coeffs: np.ndarray, m: int, plan=None) -> np.ndarray:
     """Write the components ``(u1, u2)`` of a coefficient array into the real cos/sin block.
@@ -347,7 +342,7 @@ def place_halfspectrum(basis: Basis, coeffs: np.ndarray, m: int, plan=None) -> n
     return out
 
 
-def inverse_plan(spec: np.ndarray, m: int, out: np.ndarray | None = None) -> tuple:
+def inverse_plan(spec: np.ndarray, m: int, out=None, work=None) -> tuple:
     """The operands of ``halfspectrum_to_grid(spec, m)``, into ``out``."""
     n = spec.shape[-2] - 1
     if spec.shape[-1] != 2 * (2 * n + 1):
@@ -355,7 +350,7 @@ def inverse_plan(spec: np.ndarray, m: int, out: np.ndarray | None = None) -> tup
     gm = get_basis(n)._grid_map(m)
     lead, fields = spec.shape[:-3], spec.shape[-3]
     rows = lead + (fields * (n + 1), 2 * m)
-    stage = np.empty(rows) if out is None else _STAGES.take("stage", rows)
+    stage = np.empty(rows) if work is None else work.take("stage", rows)
     x = stage.reshape(lead + (fields, 2 * (n + 1), m))
     return spec.reshape(rows[:-1] + (-1,)), gm.inv_k2, stage, gm.inv_k1, x, out
 
@@ -367,13 +362,13 @@ def halfspectrum_to_grid(spec: np.ndarray, m: int, plan=None) -> np.ndarray:
     return np.matmul(inv_k1, x, out=out)  # one product per path and field
 
 
-def forward_plan(grid: np.ndarray, basis: Basis, out: np.ndarray | None = None) -> tuple:
+def forward_plan(grid: np.ndarray, basis: Basis, out=None, work=None) -> tuple:
     """The operands of ``grid_to_halfspectrum(grid, basis)``, into ``out``."""
     m = grid.shape[-1]
     gm = basis._grid_map(m)
     lead, fields = grid.shape[:-3], grid.shape[-3]
     shape = lead + (fields, 2 * (basis.n + 1), m)
-    stage = np.empty(shape) if out is None else _STAGES.take("stage", shape)
+    stage = np.empty(shape) if work is None else work.take("stage", shape)
     out = np.empty(lead + (fields,) + gm.shape) if out is None else out
     y = stage.reshape(lead + (fields * (basis.n + 1), 2 * m))
     return gm.fwd_k1, stage, y, gm.fwd_k2, out.reshape(y.shape[:-1] + (-1,)), out
@@ -401,7 +396,7 @@ def gather_coeffs(basis: Basis, spec: np.ndarray, m: int) -> np.ndarray:
     two components.  Returns ``(..., 2, N)``.
     """
     gm = basis._grid_map(m)
-    return _weighted_sum(sum_plan(spec, gm.gather_idx, gm.gather_w, False))
+    return _weighted_sum(sum_plan(spec, gm.gather_idx, gm.gather_w))
 
 
 def gather_flux_coeffs(basis: Basis, spec: np.ndarray, m: int, plan=None) -> np.ndarray:
@@ -418,15 +413,15 @@ def gather_flux_coeffs(basis: Basis, spec: np.ndarray, m: int, plan=None) -> np.
     divergence-free ``v`` the result is ``P (v . grad) u``.  One gather, a
     multiply and a sum over the blocks.  Returns ``(..., 2, N)``.
     """
-    return _weighted_sum(plan or sum_plan(spec, *basis._grid_map(m).flux[spec.shape[-3]], False))
+    return _weighted_sum(plan or sum_plan(spec, *basis._grid_map(m).flux[spec.shape[-3]]))
 
 
-def sum_plan(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, stage: bool) -> tuple:
+def sum_plan(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, work=None) -> tuple:
     """The operands of ``_weighted_sum``: the ``F`` parts that ``index`` ``(F,
-    2, N)`` gathers from ``spec``'s blocks, in the stage slot or fresh."""
+    2, N)`` gathers from ``spec``'s blocks."""
     flat = spec.reshape(spec.shape[:-3] + (-1,))
     shape = flat.shape[:-1] + index.shape
-    parts = _STAGES.take("stage", shape) if stage else np.empty(shape)
+    parts = np.empty(shape) if work is None else work.take("stage", shape)
     return flat, index, parts, weight, [parts[..., f, :, :] for f in range(len(index))]
 
 

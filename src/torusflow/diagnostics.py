@@ -213,19 +213,19 @@ class QvReport:
     n_paths: int
 
 
-def _probe_series(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> ProbeSeries:
-    """The named probe of an ensemble, or ``probe`` itself; refuses field noise,
-    under which the probe's constant-noise generator (module docstring) is wrong."""
+def _probe_series(diag: EnsembleDiagnostics, probe: str) -> ProbeSeries:
+    """The named probe of an ensemble; refuses field noise, under which the
+    probe's constant-noise generator (module docstring) is wrong."""
     noise = diag.config.noise
     if not noise.is_constant_advection:
         raise ConfigurationError(
             f"the martingale probe assumes constant noise, not the {noise.regime!r} regime"
         )
-    return diag.observers[probe] if isinstance(probe, str) else probe
+    return diag.observers[probe]
 
 
-def qv_check(diag: EnsembleDiagnostics, probe: str | ProbeSeries) -> QvReport:
-    """Compare the martingale estimate and its quadratic-variation ledger."""
+def qv_check(diag: EnsembleDiagnostics, probe: str) -> QvReport:
+    """Compare the named probe's martingale estimate and its quadratic-variation ledger."""
     series = _probe_series(diag, probe)
     return _qv_report(series, series.mart)
 
@@ -278,9 +278,7 @@ def csv_writer(out):
         yield csv.writer(out)
 
 
-def write_ensemble_csv(
-    diag: EnsembleDiagnostics, out, probe: str | ProbeSeries | None = None
-) -> None:
+def write_ensemble_csv(diag: EnsembleDiagnostics, out, probe: str | None = None) -> None:
     """Write the per-time diagnostics table with the canonical column set.
 
     Rows follow the configured save decimation.  The probe columns come from

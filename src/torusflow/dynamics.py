@@ -41,7 +41,8 @@ of Basdevant, *J. Comput. Phys.* 50, 1983).  Each call shape has a plan
 their views and the transforms' operands, so that a pass runs only numpy
 calls.  The quadratic term's products overwrite the grids of ``u``, the
 flux spectra the placed block, and the array that waits while the products
-form (``u1^2``, or ``v = scale u + w``) the stage slot (``basis._STAGES``).
+form (``u1^2``, or ``v = scale u + w``) the transforms' stage slot, so a
+plan's arrays are slots of its own workspace (``_PASS``) alone.
 Grids are field-major, ``(F, ..., m, m)``, behind the path-major view the
 transforms see, so each product is a ufunc over contiguous fields.  Plans
 share module state, so passes must not run concurrently.
@@ -65,7 +66,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from . import basis as _basis
 from .basis import (
     Basis,
     BasisMode,
@@ -338,35 +338,36 @@ def dealias_resolution(n_target: int, n_adv: int, n_out: int) -> int:
 
 #: the arrays and plans of ``advect``: ``spec`` holds the placed ``u``, then
 #: the flux spectra; ``grids`` holds ``u``, then the quadratic term's
-#: products; ``prods`` holds the 3 products of a pass with an advecting field
+#: products; ``prods`` holds the 3 products of a pass with an advecting field;
+#: ``stage`` holds the transforms' stages and the product that waits
 _PASS = Workspace()
 
 
 class _Pass:
     """The plan of one ``advect`` call shape: every array the pass writes, a
-    leading slice of a slot of ``_PASS`` or of the stage slot, every view of
-    them, and the operands of the transforms."""
+    leading slice of a slot of ``_PASS``, every view of them, and the
+    operands of the transforms."""
 
     def __init__(self, basis: Basis, m: int, lead: tuple, advected: bool, out_basis: Basis):
         spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
         self.place = basis._grid_map(m).placement + (spec,)
         self.spec, self.u = spec, _PASS.take_field_major("grids", lead + (2, m, m))
-        self.inverse = inverse_plan(spec, m, self.u)
+        self.inverse = inverse_plan(spec, m, self.u, _PASS)
         self.u1, self.u2 = self.u[..., 0, :, :], self.u[..., 1, :, :]
         if advected:
             # v = scale u + w waits in the stage slot while the products form
-            self.v = _basis._STAGES.take_field_major("stage", lead + (2, m, m))
+            self.v = _PASS.take_field_major("stage", lead + (2, m, m))
             self.v1, self.v2 = self.v[..., 0, :, :], self.v[..., 1, :, :]
             self.prods = _PASS.take_field_major("prods", lead + (3, m, m))
             self.p = [self.prods[..., f, :, :] for f in range(3)]
         else:
             # u1^2 waits in the stage slot while A = u1 u2 overwrites u1
-            self.square = _basis._STAGES.take("stage", lead + (m, m))
+            self.square = _PASS.take("stage", lead + (m, m))
             self.prods = self.u
         flux = _PASS.take("spec", self.prods.shape[:-2] + block_shape(out_basis))
-        self.forward = forward_plan(self.prods, out_basis, flux)
+        self.forward = forward_plan(self.prods, out_basis, flux, _PASS)
         index, weight = out_basis._grid_map(m).flux[self.prods.shape[-3]]
-        self.flux, self.gather = flux, sum_plan(flux, index, weight, True)
+        self.flux, self.gather = flux, sum_plan(flux, index, weight, _PASS)
 
 
 def advect(

@@ -36,8 +36,8 @@ A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  Each block shape has a plan (``_Block``, and
 ``dynamics._Pass`` for each pass), built on first use and kept, which holds
 every array its updates write and every view of them, so a block allocates
-only its result and each pass's, and runs only numpy calls; the runner's
-steps write into the ring below.  The block size is ``BLOCK_BYTES //
+only its result and each pass's, and runs only numpy calls; a run's steps
+write into the ring below.  The block size is ``BLOCK_BYTES //
 StepKernel.path_bytes``, where ``path_bytes`` budgets what one pass
 touches per path: 5 transformed fields (a field-noise pass's 2 in and 3
 out; the quadratic term alone moves 2 in and 2 out), each an ``m x m``
@@ -48,25 +48,27 @@ spatially constant noise and 27 with ``qwiener:8``; in the sweep in
 ``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and 128 or
 256 faulted most.  Every operation, the midpoint convergence test and the
 transform stages included, acts on each path alone, so results do not
-depend on the blocks: a path is
-bit-identical alone, in any batch and in any block.
+depend on the blocks: a path is bit-identical alone, in any batch and in
+any block.
 
-The blocks of an ensemble's steps are shared between the runner and helper
-processes forked for the ensemble on the layer of :mod:`torusflow.workers`,
-one per CPU of ``workers.plan(blocks)`` (:func:`helper_processes`).  Each
-process owns a contiguous range of blocks as tickets, the runner the first,
-and claims what is left of the others' once through its own.  The
-ensemble's state and increment field live in two slots each, in anonymous
-shared mappings: step ``s`` reads one state and its field, every process
-writes its rows of the result straight into the other state, and the runner
-folds the next field into the other field, so nothing is copied between
-processes.  A step ends when every ticket has answered, so a helper that
-the host slows down in a ticket delays that step.  A helper's midpoint
-failure comes back as ``(residual, iterations, rows)`` and merges with the
-runner's in row order; anything else it raises is re-raised in the runner.
-One usable CPU (so ``taskset -c 0`` and a lane of the acceptance battery),
-one block, or other threads running in the process give the serial loop,
-with the same bits, on two states and fields of the runner's own.
+``StepKernel.step`` only steps; the ring that :func:`helper_processes`
+yields schedules a run's steps.  It holds the state and the increment field
+in two slots each: step ``s`` reads one state and its field, its result
+goes into the other state, and the next field is folded into the other
+field meanwhile.  One usable CPU (so ``taskset -c 0`` and a lane of the
+acceptance battery), one block, or other threads running in the process
+give the serial ring of this process's own arrays, which runs the caller's
+``meanwhile()`` and then ``StepKernel.step``.  Otherwise the blocks of a
+step are shared between the runner and helper processes forked for the run
+on the layer of :mod:`torusflow.workers`, one per CPU of
+``workers.plan(blocks)``, with the slots in anonymous shared mappings, so
+nothing is copied between processes.  Each process owns a contiguous range
+of blocks as tickets, the runner the first, and claims what is left of the
+others' once through its own.  A step ends when every ticket has answered,
+so a helper that the host slows down in a ticket delays that step.  A
+helper's midpoint failure comes back as ``(residual, iterations, rows)``
+and merges with the runner's in row order; anything else it raises is
+re-raised in the runner.
 
 Draws, norms and observers stay in the runner, and run while the helpers
 step: once it has woken them for step ``k + 1``, and before it claims a
@@ -74,7 +76,7 @@ block, the runner takes the norms of the state after step ``k``, passes it
 to the observers (read-only, since its own blocks of step ``k + 1`` still
 read it), and folds the increment field of step ``k + 2``, first refilling
 the draw buffer when it is used up.
-Every operation is the serial loop's, on the same arrays and in the same
+Every operation is the serial ring's, on the same arrays and in the same
 per-path draw order; only when it runs changes.  Observers see every state
 once, in step order, and a midpoint failure in a step is raised after they
 have seen the state it started from.  A state with a non-finite norm is
@@ -286,10 +288,6 @@ def _parse_wavevector(s: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _nothing() -> None:
-    pass
-
-
 class StepKernel:
     """Batched single-step integrator bound to one (basis, noise, scheme)."""
 
@@ -318,8 +316,6 @@ class StepKernel:
         # and the wavevectors of the constant noise's symbol
         self._viscosity = self.dt * ITO_VISCOSITY * basis.ksq
         self._k1, self._k2 = basis.modes.T.astype(np.float64)
-        #: the processes that share a multi-block step, from :func:`helper_processes`
-        self.helpers: _Helpers | None = None
 
     # -- building blocks ---------------------------------------------------
 
@@ -347,51 +343,19 @@ class StepKernel:
     # -- schemes -------------------------------------------------------------
 
     def step(
-        self,
-        u: np.ndarray,
-        w_coeffs: np.ndarray,
-        meanwhile: Callable[[], object] = _nothing,
-        out: np.ndarray | None = None,
+        self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Advance batched coefficients ``(..., 2, N)`` by one step.
-
-        ``w_coeffs`` is the assembled Wiener-increment field over the noise
-        basis (leading axes matching ``u``).  A batch ``(P, 2, N)`` is stepped
-        in contiguous blocks of ``block_paths`` paths, shared with
-        ``self.helpers`` when there are any; every operation acts on each path
-        alone, so the result does not depend on the blocks or on the process
-        that steps them.  ``meanwhile()`` is called once, while the helpers
-        step their blocks and before this process steps its first, or before
-        the step when it runs serially; it must not write ``u`` or
-        ``w_coeffs``.  A midpoint failure is raised once every block has run,
-        with the largest residual and the unconverged rows of all blocks.
-
-        The result goes into ``out``, a fresh array by default, which is
-        returned; ``out`` may be ``u`` itself, stepped in place.  The
-        caller's arrays stay the caller's: with helpers, ``u`` and
-        ``w_coeffs`` are copied into their ring and the result out of it,
-        so a returned state stays as it is through later steps and after
-        the helpers exit.  Only the runner passes the ring's own slots
-        (:meth:`_Ring.free`): then nothing is copied.
-        """
-        if u.ndim != 3 or len(u) <= self.block_paths:
-            meanwhile()
-            if out is None:
-                return self._step_block(u, w_coeffs)
-            out[...] = self._step_block(u, w_coeffs)
-            return out
+        """Step a batch ``(P, 2, N)`` with its Wiener-increment fields over
+        the noise basis, in blocks of ``block_paths`` paths, into ``out`` (a
+        fresh array by default; ``u`` itself steps in place), which is
+        returned.  Every operation acts on each path alone, so the result
+        does not depend on the blocks.  A midpoint failure is raised once
+        every block has run, with the largest residual and the unconverged
+        rows of all blocks.  A run's ring schedules its steps."""
         out = np.empty_like(u) if out is None else out
-        if self.helpers is None:
-            meanwhile()
-            failed = self._step_rows(u, w_coeffs, out, 0, len(u))
-        else:
-            failed = self.helpers.step(u, w_coeffs, out, meanwhile)
+        failed = self._step_rows(u, w_coeffs, out, 0, len(u))
         if failed:
-            raise MidpointConvergenceError(
-                float(np.max([residual for residual, _, _ in failed])),
-                max(iterations for _, iterations, _ in failed),
-                paths=[row for _, _, rows in failed for row in rows],
-            )
+            raise _merged(failed)
         return out
 
     def _step_rows(self, u, w_coeffs, out, lo: int, hi: int) -> list:
@@ -411,14 +375,9 @@ class StepKernel:
 
     def _step_block(self, u: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
         """One step of a block of paths on the plan of its shape, allocating
-        only its result and each ``advect`` result.  Any leading axes are
-        stepped as one axis of paths."""
-        lead = u.shape[:-2]
-        u = u.reshape((-1,) + u.shape[-2:])
+        only its result and each ``advect`` result."""
         plan = self._arrays.plan(len(u), _Block, self, len(u))
-        noise = self._prepare_noise(w_coeffs.reshape((-1,) + w_coeffs.shape[-2:]), plan)
-        out = self._step_scheme(self, plan, u, noise)
-        return out.reshape(lead + out.shape[-2:])
+        return self._step_scheme(self, plan, u, self._prepare_noise(w_coeffs, plan))
 
     def _step_em(self, plan, u, noise):
         # u - dt (1/2) A u + incr(u)
@@ -512,6 +471,16 @@ class StepKernel:
         )
 
 
+def _merged(failed: list) -> MidpointConvergenceError:
+    """One error for a step's midpoint failures ``(residual, iterations,
+    rows)``: the largest residual and count, and every row in row order."""
+    return MidpointConvergenceError(
+        float(np.max([residual for residual, _, _ in failed])),
+        max(iterations for _, iterations, _ in failed),
+        paths=sorted(row for _, _, rows in failed for row in rows),
+    )
+
+
 class _Block:
     """The plan of a :class:`StepKernel`'s blocks of ``rows`` paths: every
     array that a step writes, a leading slice of a slot of ``_arrays``, its
@@ -528,7 +497,7 @@ class _Block:
             self.spec = take("spec", (rows, 2) + block_shape(fb))
             self.place = fb._grid_map(m).placement + (self.spec,)
             grids_fm = kernel._arrays.take_field_major("grids", grids)
-            self.inverse = inverse_plan(self.spec, m, grids_fm)
+            self.inverse = inverse_plan(self.spec, m, grids_fm, kernel._arrays)
         if kernel.scheme != "strat-midpoint":
             self.damped = self.predicted = take("update", state)
             self.rotated = take("rotated", state) if const else None
@@ -567,20 +536,23 @@ def step(
 
 
 @contextmanager
-def helper_processes(kernel: StepKernel, paths: int) -> Iterator[int]:
-    """Share ``kernel``'s steps of ``paths``-path batches with forked helpers,
-    one process per CPU of ``workers.plan(blocks)``.  Yields the number of
-    processes, and kills and reaps the helpers on the way out."""
+def helper_processes(kernel: StepKernel, paths: int) -> Iterator[_Ring]:
+    """The ring that steps ``kernel``'s batches of ``paths`` paths, shared
+    with forked helpers, one process per CPU of ``workers.plan(blocks)``, or
+    this process's own when that is one.  Kills and reaps the helpers on the
+    way out."""
     processes = len(workers.plan(-(-paths // kernel.block_paths)))
-    kernel.helpers = _Helpers(kernel, paths, processes) if processes > 1 else None
+    if processes == 1:
+        yield _Ring(kernel, paths)
+        return
+    ring = _Helpers(kernel, paths, processes)
     try:
-        yield processes
+        yield ring
     finally:
-        if kernel.helpers is not None:
-            kernel.helpers.workers.close()
-            # the workers hold the helpers' callbacks: without this link the
-            # shared mapping goes now, not at the next garbage collection
-            kernel.helpers.workers = kernel.helpers = None
+        ring.workers.close()
+        # the workers hold the ring's callbacks: without this link the
+        # shared mappings go now, not at the next garbage collection
+        ring.workers = None
 
 
 #: each process's row range goes out as at most this many tickets, so a
@@ -591,11 +563,14 @@ _MAX_TICKETS = 128
 class _Ring:
     """The two states and increment fields that a run steps through: step
     ``s`` reads ``states[a]`` with ``fields[a]`` and writes the other state,
-    while the field of step ``s + 1`` is folded into the other field.
-    Serially this process's own arrays; :class:`_Helpers` keeps them in
-    shared mappings."""
+    while the field of step ``s + 1`` is folded into the other field
+    (``free``), so the second step after a state overwrites it.  Here they are
+    this process's arrays; :class:`_Helpers` keeps them in shared mappings."""
+
+    processes = 1
 
     def __init__(self, kernel: StepKernel, paths: int, alloc=np.empty):
+        self.kernel = kernel
         state = (paths, 2, kernel.basis.n_modes)
         noise = (paths, 2, kernel.noise.field_basis.n_modes)
         self.states = (alloc(state), alloc(state))
@@ -605,6 +580,12 @@ class _Ring:
         """The array to write the next of ``pair`` (``states`` or ``fields``)
         into while ``a`` is read: the other slot."""
         return pair[1] if a is pair[0] else pair[0]
+
+    def step(self, u: np.ndarray, w: np.ndarray, meanwhile: Callable[[], object]) -> np.ndarray:
+        """Run ``meanwhile()``, then step ``u`` with ``w`` into the other
+        state, which is returned; ``meanwhile`` must not write either."""
+        meanwhile()
+        return self.kernel.step(u, w, self.free(self.states, u))
 
 
 def _shared(shape: tuple[int, ...]) -> np.ndarray:
@@ -620,7 +601,7 @@ class _Helpers(_Ring):
 
     def __init__(self, kernel: StepKernel, paths: int, processes: int):
         super().__init__(kernel, paths, _shared)
-        self.kernel = kernel
+        self.processes = processes
         rows = kernel.block_paths
         blocks = [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
         # each process's blocks, as at most _MAX_TICKETS runs of whole blocks
@@ -646,19 +627,16 @@ class _Helpers(_Ring):
         u, w_coeffs, out = self.states[a], self.fields[a], self.states[1 - a]
         return self.kernel._step_rows(u, w_coeffs, out, *self.ranges[j])
 
-    def step(self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray, meanwhile) -> list:
-        """Step the whole batch into ``out`` (``StepKernel.step``); the
-        failures of every block, in row order.  ``meanwhile()`` runs once
-        the tickets are out, before this process claims one, and the step
-        ends when every ticket has answered."""
+    def step(self, u: np.ndarray, w: np.ndarray, meanwhile: Callable[[], object]) -> np.ndarray:
+        """:meth:`_Ring.step` of ``u``, a state of the ring, with ``w``, the
+        field of the same slot.  ``meanwhile()`` runs once the tickets are
+        out, before this process claims one, and the step ends when every
+        ticket has answered, raising the midpoint failures of every block."""
         # every ticket of the last step has answered, so what is left to read
         # is a helper that has ended since: report it before handing it tickets
         while self.workers.receive(0) is not None:
             pass
         a = 1 if u is self.states[1] else 0
-        if u is not self.states[a]:
-            # a caller's own arrays go into slot 0, and the result out of slot 1
-            self.states[0][...], self.fields[0][...] = u, w_coeffs
         self.workers.put([[a * self.count + j for j in own] for own in self.owned])
         meanwhile()
         failed = []
@@ -666,10 +644,10 @@ class _Helpers(_Ring):
             failed += self._serve(0, ticket)
         while self.workers.pending:
             failed += [f for _, fs in self.workers.receive() for f in fs]
-        if out is not self.states[1 - a]:
-            out[...] = self.states[1 - a]
         self.steps += 1
-        return sorted(failed, key=lambda f: f[2][0])
+        if failed:
+            raise _merged(failed)
+        return self.states[1 - a]
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +728,10 @@ def _run_batch(
     and observers stay in this process, in two stages (module docstring):
     while step ``s`` runs, ``meanwhile`` observes the state it started from
     and folds the field of step ``s + 1``.  States and fields go into the
-    ring (:class:`_Ring`, the helpers' shared slots when there are
-    helpers), so a step of more than one block allocates no state;
-    ``final`` is the last state, in memory that no later run reuses.  The
-    run holds BLAS at one thread, in every process, so its bits do not
-    depend on the CPUs it may use.
+    ring of :func:`helper_processes`, which steps them, so a step allocates
+    no state; ``final`` is the last state, in memory that no later run
+    reuses.  The run holds BLAS at one thread, in every process, so its
+    bits do not depend on the CPUs it may use.
     """
     config.validate()
     basis = config.basis
@@ -807,8 +784,7 @@ def _run_batch(
     # state turns non-finite; its norms then raise NonFiniteStateError, so
     # the overflow warnings would add nothing (the helpers, forked here, keep
     # the setting)
-    with np.errstate(over="ignore", invalid="ignore"), helper_processes(kernel, p) as processes:
-        ring = kernel.helpers or _Ring(kernel, p)
+    with np.errstate(over="ignore", invalid="ignore"), helper_processes(kernel, p) as ring:
         u = ring.states[0]
         u[...] = u0.coeffs
         l2[:, 0], h1[:, 0] = batch_norms_sq(basis, u, norms)
@@ -816,11 +792,8 @@ def _run_batch(
             obs.start(0.0, _read_only(u))
         w = field(0, ring.fields[0])
         for s in range(steps):
-            # a single block's step returns the block's own result, with no
-            # copy into the ring
-            out = ring.free(ring.states, u) if p > kernel.block_paths else None
             try:
-                u = kernel.step(u, w, meanwhile, out=out)
+                u = ring.step(u, w, meanwhile)
             except MidpointConvergenceError as e:
                 raise MidpointConvergenceError(
                     e.residual, e.iterations, s, [path_ids[i] for i in e.paths]
@@ -828,6 +801,7 @@ def _run_batch(
         observe(steps, u)
     # the ring's other slots go before the observers build their results;
     # ``u`` keeps its own
+    processes = ring.processes
     del ring
     results = {
         getattr(obs, "name", obs.__class__.__name__): obs.result()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusflow import basis as basis_module
 from torusflow import dynamics, integrate
 from torusflow.basis import (
     BasisMode,
@@ -477,15 +476,13 @@ def test_advect_stages_share_one_slot(monkeypatch):
     # product that waits (v) takes the stage slot between the transforms;
     # the plan kept for the fused shape holds views of those slots alone
     monkeypatch.setattr(dynamics, "_PASS", Workspace())
-    stages = Workspace()
-    monkeypatch.setattr(basis_module, "_STAGES", stages)
     rng = np.random.default_rng(3)
     b = get_basis(8)
     m = dealias_resolution(b.n, b.n, b.n)
     paths, rows, cols = 16, b.n + 1, 2 * (2 * b.n + 1)
     U = _batch(b, rng, paths)
     advect(b, U, m)
-    assert set(dynamics._PASS._slots) == {"spec", "grids"}
+    assert set(dynamics._PASS._slots) == {"spec", "grids", "stage"}
     w_grid = _advector(b, _batch(b, rng, paths), m)
     for _ in range(2):
         advect(b, U, m, SCALE, w_grid)
@@ -495,12 +492,12 @@ def test_advect_stages_share_one_slot(monkeypatch):
         "forward": paths * 3 * 2 * rows * m,
         "gather": paths * 3 * 2 * b.n_modes,
     }
-    assert {k: a.size for k, a in stages._slots.items()} == {"stage": max(sizes.values())}
-    assert set(dynamics._PASS._slots) == {"spec", "grids", "prods"}
+    assert dynamics._PASS._slots["stage"].size == max(sizes.values())
+    assert set(dynamics._PASS._slots) == {"spec", "grids", "prods", "stage"}
     assert dynamics._PASS._slots["spec"].size == paths * 3 * rows * cols
     assert dynamics._PASS._slots["grids"].size == paths * 2 * m * m
     plan = dynamics._PASS._plans[(b, m, (paths,), True, b)]
-    slots = {**dynamics._PASS._slots, "stage": stages._slots["stage"]}
+    slots = dynamics._PASS._slots
     for arrays, slot in (
         ((plan.inverse[2], plan.v, plan.forward[1], plan.gather[2]), "stage"),
         ((plan.spec, plan.flux), "spec"),

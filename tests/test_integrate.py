@@ -523,6 +523,27 @@ def test_plans_never_alias_or_go_stale(monkeypatch):
         assert np.array_equal(arr, copy)
 
 
+def test_pass_plans_outlive_other_workspaces(monkeypatch):
+    # a plan is dropped only when a slot of its own workspace moves: the
+    # norms and kernel workspaces that each run makes and grows leave
+    # advect's plans alone, so an ensemble run three times in one process
+    # builds them only in its first run
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(dynamics, "_PASS", Workspace())
+    builds, build = [], dynamics._Pass
+
+    def counted(*args):
+        builds[-1] += 1
+        return build(*args)
+
+    monkeypatch.setattr(dynamics, "_Pass", counted)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=3e-3, scheme="strat-midpoint", paths=130, seed=1)
+    for _ in range(3):
+        builds.append(0)
+        run_ensemble(cfg)
+    assert builds[0] > 0 and builds[1:] == [0, 0], builds
+
+
 def test_a_stepped_kernel_goes_with_its_last_reference():
     # a kernel's plans hold no reference to it or to their workspace, so its
     # arrays go when the kernel does: with a reference cycle each ensemble's
@@ -1003,25 +1024,25 @@ def test_final_states_outlive_later_runs(monkeypatch):
 
 
 def test_stepped_state_is_the_callers(monkeypatch):
-    # a caller other than the runner passes its own arrays: what a step
-    # returns stays as it was through two more steps and after the helpers
-    # exit, and every step gives the serial bits
+    # a caller other than the runner, as A1b: it folds its own increments
+    # into the ring's free field and steps the ring, which with helpers
+    # gives every state the bits of the serial kernel's steps
     _use_cpus(monkeypatch, 2)
-    cfg, u, w = _desk_batch(SI, paths=64)
+    cfg, u, _ = _desk_batch(SI, paths=64)
+    rng = np.random.default_rng(4)
+    draws = np.sqrt(cfg.dt) * rng.standard_normal((3, 64, SI.n_components, 2))
     kernel = StepKernel(cfg.basis, SI, "strat-heun", cfg.dt)
     want = [u]
-    for _ in range(3):
-        want.append(kernel.step(want[-1], w))
-    with integrate.helper_processes(kernel, len(u)) as processes:
-        assert processes == 2
-        first = kernel.step(u, w)
-        kept = first.copy()
-        second = kernel.step(first, w)
-        third = kernel.step(second, w, out=np.empty_like(u))
-        assert np.array_equal(first, kept)
-    assert np.array_equal(first, kept)
-    for got, expected in zip((first, second, third), want[1:]):
-        assert np.array_equal(got, expected)
+    for dw in draws:
+        want.append(kernel.step(want[-1], SI.increments_to_field(dw)))
+    with integrate.helper_processes(kernel, len(u)) as ring:
+        assert ring.processes == 2
+        state, w = ring.states[0], ring.fields[1]
+        state[...] = u
+        for dw, expected in zip(draws, want[1:]):
+            w = SI.increments_to_field(dw, out=ring.free(ring.fields, w))
+            state = ring.step(state, w, lambda: None)
+            assert np.array_equal(state, expected)
     assert_no_child_left()
 
 
