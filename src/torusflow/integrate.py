@@ -36,52 +36,44 @@ A batched step runs over contiguous blocks of paths, so the arrays of one
 operator pass stay in cache.  Each block shape has a plan (``_Block``, and
 ``dynamics._Pass`` for each pass), built on first use and kept, which holds
 every array its updates write and every view of them, so a block allocates
-only its result and each pass's, and runs only numpy calls; a run's steps
-write into the ring below.  The block size is ``BLOCK_BYTES //
-StepKernel.path_bytes``, where ``path_bytes`` budgets what one pass
-touches per path: 5 transformed fields (a field-noise pass's 2 in and 3
-out; the quadratic term alone moves 2 in and 2 out), each an ``m x m``
-grid, an ``(n+1) x 2m`` matrix-stage array and an ``(n+1) x 2(2n+1)``
-cos/sin block, all real, plus under field noise the 2 grids of the step's
-noise field, placed once per step.  At n=8 (m=25) that gives 32 paths with
-spatially constant noise and 27 with ``qwiener:8``; in the sweep in
-``BENCH_real_blocks.json`` 24-64 paths per block ran fastest, and 128 or
-256 faulted most.  Every operation, the midpoint convergence test and the
-transform stages included, acts on each path alone, so results do not
-depend on the blocks: a path is bit-identical alone, in any batch and in
-any block.
+only its result and each pass's, and runs only numpy calls.  The block size
+is ``BLOCK_BYTES // StepKernel.path_bytes``, where ``path_bytes`` budgets
+what one pass touches per path: 5 transformed fields (a field-noise pass's
+2 in and 3 out; the quadratic term alone moves 2 in and 2 out), each an
+``m x m`` grid, an ``(n+1) x 2m`` matrix-stage array and an ``(n+1) x
+2(2n+1)`` cos/sin block, all real, plus under field noise the 2 grids of
+the step's noise field, placed once per step: at n=8 (m=25) 32 paths with
+spatially constant noise and 27 with ``qwiener:8``.  Every operation, the
+midpoint convergence test and the transform stages included, acts on each
+path alone, so a path is bit-identical alone, in any batch and in any block.
 
-``StepKernel.step`` only steps; the ring that :func:`helper_processes`
-yields schedules a run's steps.  It holds the state and the increment field
-in two slots each: step ``s`` reads one state and its field, its result
-goes into the other state, and the next field is folded into the other
-field meanwhile.  One usable CPU (so ``taskset -c 0`` and a lane of the
-acceptance battery), one block, or other threads running in the process
-give the serial ring of this process's own arrays, which runs the caller's
-``meanwhile()`` and then ``StepKernel.step``.  Otherwise the blocks of a
-step are shared between the runner and helper processes forked for the run
-on the layer of :mod:`torusflow.workers`, one per CPU of
-``workers.plan(blocks)``, with the slots in anonymous shared mappings, so
-nothing is copied between processes.  Each process owns a contiguous range
-of blocks as tickets, the runner the first, and claims what is left of the
-others' once through its own.  A step ends when every ticket has answered,
-so a helper that the host slows down in a ticket delays that step.  A
-helper's midpoint failure comes back as ``(residual, iterations, rows)``
+``StepKernel.step`` steps the rows it is handed; the ring that
+:func:`helper_processes` yields schedules a run's steps, each one
+``StepKernel.step`` of the whole batch.  The ring holds the state and the
+increment field in two slots each: step ``s`` reads one state and its field
+and writes the other state, while the next field is folded into the other
+field.  One usable CPU (so ``taskset -c 0`` and a lane of the acceptance
+battery), one block, or other threads running in the process give the
+serial ring of this process's own arrays, which hands the kernel every row.
+Otherwise the blocks of a step are shared between the runner and helper
+processes forked for the run on the layer of :mod:`torusflow.workers`, one
+per CPU of ``workers.plan(blocks)``, with the slots in anonymous shared
+mappings, so nothing is copied between processes.  Each process owns a
+contiguous range of blocks as tickets, the runner the first, and claims
+what is left of the others' once through its own; the runner's kernel steps
+the rows of the tickets it claims.  A step ends when every ticket has
+answered, so a helper that the host slows down in a ticket delays that step.
+A helper's midpoint failure comes back as ``(residual, iterations, rows)``
 and merges with the runner's in row order; anything else it raises is
 re-raised in the runner.
 
-Draws, norms and observers stay in the runner, and run while the helpers
-step: once it has woken them for step ``k + 1``, and before it claims a
+Draws, norms and observers stay in the runner, in the step's ``meanwhile()``:
+once it has woken the helpers for step ``k + 1``, and before it claims a
 block, the runner takes the norms of the state after step ``k``, passes it
-to the observers (read-only, since its own blocks of step ``k + 1`` still
-read it), and folds the increment field of step ``k + 2``, first refilling
-the draw buffer when it is used up.
-Every operation is the serial ring's, on the same arrays and in the same
-per-path draw order; only when it runs changes.  Observers see every state
-once, in step order, and a midpoint failure in a step is raised after they
-have seen the state it started from.  A state with a non-finite norm is
-never observed: its norms raise :class:`NonFiniteStateError`.  Serially the
-same work runs just before each step.
+to the observers, and folds the increment field of step ``k + 2``, first
+refilling the draw buffer when it is used up.  Serially the same work runs
+before the step's first block, on the same arrays and in the same per-path
+draw order.
 """
 
 from __future__ import annotations
@@ -343,17 +335,20 @@ class StepKernel:
     # -- schemes -------------------------------------------------------------
 
     def step(
-        self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray | None = None
+        self, u: np.ndarray, w_coeffs: np.ndarray, out: np.ndarray | None = None, rows=None
     ) -> np.ndarray:
         """Step a batch ``(P, 2, N)`` with its Wiener-increment fields over
         the noise basis, in blocks of ``block_paths`` paths, into ``out`` (a
         fresh array by default; ``u`` itself steps in place), which is
-        returned.  Every operation acts on each path alone, so the result
-        does not depend on the blocks.  A midpoint failure is raised once
-        every block has run, with the largest residual and the unconverged
-        rows of all blocks.  A run's ring schedules its steps."""
+        returned: every row, or the ranges ``(lo, hi)`` from block boundaries
+        that ``rows`` yields, as a run's ring hands them to this process.
+        Every operation acts on each path alone, so the result does not
+        depend on the blocks.  A midpoint failure is raised once every block
+        has run, with the largest residual and the unconverged rows of all."""
         out = np.empty_like(u) if out is None else out
-        failed = self._step_rows(u, w_coeffs, out, 0, len(u))
+        failed = []
+        for lo, hi in [(0, len(u))] if rows is None else rows:
+            failed += self._step_rows(u, w_coeffs, out, lo, hi)
         if failed:
             raise _merged(failed)
         return out
@@ -577,15 +572,30 @@ class _Ring:
         self.fields = (alloc(noise), alloc(noise))
 
     def free(self, pair: tuple, a: np.ndarray) -> np.ndarray:
-        """The array to write the next of ``pair`` (``states`` or ``fields``)
-        into while ``a`` is read: the other slot."""
+        """The slot of ``pair`` (``states`` or ``fields``) other than ``a``."""
         return pair[1] if a is pair[0] else pair[0]
 
-    def step(self, u: np.ndarray, w: np.ndarray, meanwhile: Callable[[], object]) -> np.ndarray:
-        """Run ``meanwhile()``, then step ``u`` with ``w`` into the other
-        state, which is returned; ``meanwhile`` must not write either."""
+    def step(self, u: np.ndarray, meanwhile: Callable[[], object]) -> np.ndarray:
+        """Step ``u``, a state of the ring, with the field of its slot into the
+        other state, which is returned: one ``kernel.step`` of the whole batch
+        on the rows that :meth:`_rows` hands this process once it has run
+        ``meanwhile()``, which must write neither state nor that field.  The
+        midpoint failures of every process's blocks are raised together."""
+        a = int(u is self.states[1])
+        if u is not self.states[a]:
+            raise ValueError("a ring steps its own states only")
+        self.failed = []  # those of the blocks that other processes step
+        try:
+            v = self.kernel.step(u, self.fields[a], self.states[1 - a], self._rows(a, meanwhile))
+        except MidpointConvergenceError as e:
+            self.failed.append((e.residual, e.iterations, e.paths))
+        if self.failed:
+            raise _merged(self.failed)
+        return v
+
+    def _rows(self, a: int, meanwhile: Callable[[], object]) -> Iterator[tuple[int, int]]:
         meanwhile()
-        return self.kernel.step(u, w, self.free(self.states, u))
+        yield 0, len(self.states[a])
 
 
 def _shared(shape: tuple[int, ...]) -> np.ndarray:
@@ -627,27 +637,20 @@ class _Helpers(_Ring):
         u, w_coeffs, out = self.states[a], self.fields[a], self.states[1 - a]
         return self.kernel._step_rows(u, w_coeffs, out, *self.ranges[j])
 
-    def step(self, u: np.ndarray, w: np.ndarray, meanwhile: Callable[[], object]) -> np.ndarray:
-        """:meth:`_Ring.step` of ``u``, a state of the ring, with ``w``, the
-        field of the same slot.  ``meanwhile()`` runs once the tickets are
-        out, before this process claims one, and the step ends when every
-        ticket has answered, raising the midpoint failures of every block."""
+    def _rows(self, a: int, meanwhile: Callable[[], object]) -> Iterator[tuple[int, int]]:
+        """Put the tickets of slot ``a``, run ``meanwhile()``, yield the rows
+        of each ticket this process claims, then wait for the others'."""
         # every ticket of the last step has answered, so what is left to read
         # is a helper that has ended since: report it before handing it tickets
         while self.workers.receive(0) is not None:
             pass
-        a = 1 if u is self.states[1] else 0
         self.workers.put([[a * self.count + j for j in own] for own in self.owned])
         meanwhile()
-        failed = []
         while (ticket := self.workers.claim()) is not None:
-            failed += self._serve(0, ticket)
+            yield self.ranges[ticket % self.count]
         while self.workers.pending:
-            failed += [f for _, fs in self.workers.receive() for f in fs]
+            self.failed += [f for _, fs in self.workers.receive() for f in fs]
         self.steps += 1
-        if failed:
-            raise _merged(failed)
-        return self.states[1 - a]
 
 
 # ---------------------------------------------------------------------------
@@ -723,13 +726,11 @@ def _run_batch(
     """Advance all requested paths in lockstep; the workhorse of both runners.
 
     Increment draws are per path and in step order, so results are
-    independent of the batch composition.  Helper processes, forked here
-    and reaped on the way out, step some of the path blocks; draws, norms
-    and observers stay in this process, in two stages (module docstring):
-    while step ``s`` runs, ``meanwhile`` observes the state it started from
-    and folds the field of step ``s + 1``.  States and fields go into the
-    ring of :func:`helper_processes`, which steps them, so a step allocates
-    no state; ``final`` is the last state, in memory that no later run
+    independent of the batch composition.  States and fields go into the
+    ring of :func:`helper_processes`, which steps them (module docstring),
+    so a step allocates no state; while step ``s`` runs, ``meanwhile``
+    observes the state it started from and folds the field of step
+    ``s + 1``.  ``final`` is the last state, in memory that no later run
     reuses.  The run holds BLAS at one thread, in every process, so its
     bits do not depend on the CPUs it may use.
     """
@@ -793,7 +794,7 @@ def _run_batch(
         w = field(0, ring.fields[0])
         for s in range(steps):
             try:
-                u = ring.step(u, w, meanwhile)
+                u = ring.step(u, meanwhile)
             except MidpointConvergenceError as e:
                 raise MidpointConvergenceError(
                     e.residual, e.iterations, s, [path_ids[i] for i in e.paths]

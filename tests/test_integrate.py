@@ -1026,7 +1026,8 @@ def test_final_states_outlive_later_runs(monkeypatch):
 def test_stepped_state_is_the_callers(monkeypatch):
     # a caller other than the runner, as A1b: it folds its own increments
     # into the ring's free field and steps the ring, which with helpers
-    # gives every state the bits of the serial kernel's steps
+    # gives every state the bits of the serial kernel's steps; either ring
+    # refuses an array that is not one of its states
     _use_cpus(monkeypatch, 2)
     cfg, u, _ = _desk_batch(SI, paths=64)
     rng = np.random.default_rng(4)
@@ -1035,14 +1036,49 @@ def test_stepped_state_is_the_callers(monkeypatch):
     want = [u]
     for dw in draws:
         want.append(kernel.step(want[-1], SI.increments_to_field(dw)))
+    with integrate.helper_processes(kernel, 1) as ring:
+        with pytest.raises(ValueError, match="its own states"):
+            ring.step(ring.states[0].copy(), lambda: None)
     with integrate.helper_processes(kernel, len(u)) as ring:
         assert ring.processes == 2
+        with pytest.raises(ValueError, match="its own states"):
+            ring.step(u.copy(), lambda: None)
         state, w = ring.states[0], ring.fields[1]
         state[...] = u
         for dw, expected in zip(draws, want[1:]):
             w = SI.increments_to_field(dw, out=ring.free(ring.fields, w))
-            state = ring.step(state, w, lambda: None)
+            state = ring.step(state, lambda: None)
             assert np.array_equal(state, expected)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_step_is_one_kernel_step_of_the_batch(monkeypatch, cpus):
+    # whichever ring schedules it, a run's step is one StepKernel.step of
+    # the whole batch in the runner, with meanwhile() inside it, so a
+    # wrapper of that method (as a profiler's) sees every step and its work
+    _use_cpus(monkeypatch, cpus)
+    cfg = SimConfig(n=8, dt=1e-3, t_final=3e-3, scheme="ito-em", paths=64, seed=2)
+    want = run_ensemble(cfg)
+    caller, step, calls = os.getpid(), StepKernel.step, []
+
+    class Seen:
+        def start(self, t, u):
+            pass
+
+        def after_step(self, t, u):
+            calls.append("observed")
+
+    def counted_step(self, u, w_coeffs, out=None, rows=None):
+        if os.getpid() == caller:
+            calls.append(len(u))
+        return step(self, u, w_coeffs, out, rows)
+
+    monkeypatch.setattr(StepKernel, "step", counted_step)
+    got = run_ensemble(cfg, observers=[Seen()])
+    assert got.processes == cpus
+    assert calls == [64, 64, "observed", 64, "observed", "observed"]
+    assert np.array_equal(got.final, want.final)
     assert_no_child_left()
 
 
