@@ -248,8 +248,8 @@ def _a3_gronwall(run: RunContext):
     growth = float(mean[-1] / mean[0])
     return (
         bool(np.all(mean[idx] <= env[idx] + 3 * se[idx])),
-        f"growth x{growth:.3f}, max mean/envelope = {ratio:.4f} "
-        f"(rate {gronwall_rate(noise):.4f})",
+        f"growth x{growth:.3f}, max mean/envelope = {ratio:.4f}, "
+        f"at T {mean[-1] / env[-1]:.4f} (rate {gronwall_rate(noise):.4f})",
         "mean <= envelope + 3 SE at every check time",
     )
 
@@ -542,11 +542,16 @@ JOINS = {"a6": "a2", "a4": "a5"}
 #: battery's largest working set at full scale and the second largest in
 #: quick mode; lane 1 starts with A5 and A4, whose structure tables and
 #: coupling tensors are the largest in quick mode.  So the caller's peak
-#: memory does not depend on which jobs it claims later.  The long jobs at
-#: full scale, A1a, A1b and A3 (11.6-12.7 s each), come before the short
-#: ones, so that none starts last; their order among themselves ranks no
-#: time, and stays because it sets verify-quick's lane schedule.
-CLAIM_ORDER = ("a2", "a6", "a5", "a1a", "a1b", "a3", "a9", "a7", "a4", "a8")
+#: memory does not depend on which jobs it claims later.  The rest go
+#: longest first at quick scale (LPT list scheduling: Graham, *SIAM J. Appl.
+#: Math.* 17, 1969), so that the two longest start together in the two
+#: lanes and short jobs end the battery.  In-lane seconds on a 2-vCPU host,
+#: quick / full (medians; ``BENCH_lane_order.json``): A3 0.56 / 8.5, A1a
+#: 0.50 / 8.7, A2 0.30 / 3.7, A1b 0.26 / 9.2, A9 0.14 / 2.7, A7 0.09 / 1.0,
+#: and A4, A5, A6 and A8 under 0.07 / 0.5 each.  At full scale A1a, A1b and
+#: A3 take about as long as each other, so there their order sets no
+#: makespan.
+CLAIM_ORDER = ("a2", "a6", "a5", "a3", "a1a", "a1b", "a9", "a7", "a4", "a8")
 
 
 @workers.one_blas_thread()

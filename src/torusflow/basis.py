@@ -316,6 +316,26 @@ class _GridMap:
         self.inv_k1[:, 1::2] = e1.imag
         self.fwd_k1 = np.ascontiguousarray(self.inv_k1.T) / (m * m)
         self.fwd_k2 = np.ascontiguousarray(self.inv_k2.T)
+        self._full = {}
+
+    def full_weights(self, fields: int | None, lead: tuple) -> np.ndarray:
+        """The placement weights (``fields`` None) or the flux weights of
+        ``fields`` blocks, repeated over the leading axes ``lead`` in the
+        layout of what they multiply: the placed block path-major, the flux
+        parts field-major (``sum_plan``).  A multiply by contiguous weights
+        of its own shape runs without the iterator buffers that a broadcast
+        one takes.  The result is a leading slice of one array per weight,
+        kept at the largest leading size asked for, so plans for fewer rows
+        add no copies."""
+        weight, axis = (self.placement[1], 0) if fields is None else (self.flux[fields][1], 1)
+        count = prod(lead)
+        full = self._full.get(fields)
+        if full is None or full.shape[axis] < count:
+            shape = weight.shape[:axis] + (count,) + weight.shape[axis:]
+            full = np.broadcast_to(np.expand_dims(weight, axis), shape).copy()
+            self._full[fields] = full
+        rows = full[(slice(None),) * axis + (slice(count),)]
+        return rows.reshape(weight.shape[:axis] + lead + weight.shape[axis:])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +354,8 @@ def place_halfspectrum(basis: Basis, coeffs: np.ndarray, m: int, plan=None) -> n
     ``coeffs`` has shape ``(..., 2, N)``; the result has shape ``(..., 2,
     n+1, 2(2n+1))``, and ``halfspectrum_to_grid`` of it evaluates ``u`` on
     the ``m x m`` collocation grid exactly.  One gather and one multiply by
-    per-cell weights.  ``plan`` is ``placement + (out,)`` of the grid map.
+    per-cell weights.  ``plan`` is the grid map's placement index, its
+    weights over the leading axes (``_GridMap.full_weights``) and ``out``.
     """
     index, weight, out = plan or basis._grid_map(m).placement + (None,)
     out = coeffs.reshape(coeffs.shape[:-2] + (-1,)).take(index, axis=-1, out=out, mode="clip")
@@ -418,18 +439,21 @@ def gather_flux_coeffs(basis: Basis, spec: np.ndarray, m: int, plan=None) -> np.
 
 def sum_plan(spec: np.ndarray, index: np.ndarray, weight: np.ndarray, work=None) -> tuple:
     """The operands of ``_weighted_sum``: the ``F`` parts that ``index`` ``(F,
-    2, N)`` gathers from ``spec``'s blocks."""
+    2, N)`` gathers from ``spec``'s blocks, laid out field-major, ``(F, ...,
+    2, N)``, so that each part is one contiguous term, and their weights,
+    ``(F, 2, N)`` or the parts' own shape (``_GridMap.full_weights``)."""
     flat = spec.reshape(spec.shape[:-3] + (-1,))
-    shape = flat.shape[:-1] + index.shape
+    shape = index.shape[:1] + flat.shape[:-1] + index.shape[1:]
     parts = np.empty(shape) if work is None else work.take("stage", shape)
-    return flat, index, parts, weight, [parts[..., f, :, :] for f in range(len(index))]
+    return flat, list(index), parts, list(weight), list(parts)
 
 
 def _weighted_sum(plan: tuple) -> np.ndarray:
-    """Gather, weigh and sum the parts in order, into a fresh array."""
-    flat, index, parts, weight, terms = plan
-    flat.take(index, axis=-1, out=parts, mode="clip")
-    np.multiply(parts, weight, out=parts)
+    """Gather and weigh each part, then sum the parts in order, into a fresh array."""
+    flat, index, _, weight, terms = plan
+    for idx, w, term in zip(index, weight, terms):
+        flat.take(idx, axis=-1, out=term, mode="clip")
+        np.multiply(term, w, out=term)
     out = np.add(terms[0], terms[1])
     for term in terms[2:]:
         out += term

@@ -350,7 +350,8 @@ class _Pass:
 
     def __init__(self, basis: Basis, m: int, lead: tuple, advected: bool, out_basis: Basis):
         spec = _PASS.take("spec", lead + (2,) + block_shape(basis))
-        self.place = basis._grid_map(m).placement + (spec,)
+        gm = basis._grid_map(m)
+        self.place = gm.placement[0], gm.full_weights(None, lead), spec
         self.spec, self.u = spec, _PASS.take_field_major("grids", lead + (2, m, m))
         self.inverse = inverse_plan(spec, m, self.u, _PASS)
         self.u1, self.u2 = self.u[..., 0, :, :], self.u[..., 1, :, :]
@@ -366,8 +367,9 @@ class _Pass:
             self.prods = self.u
         flux = _PASS.take("spec", self.prods.shape[:-2] + block_shape(out_basis))
         self.forward = forward_plan(self.prods, out_basis, flux, _PASS)
-        index, weight = out_basis._grid_map(m).flux[self.prods.shape[-3]]
-        self.flux, self.gather = flux, sum_plan(flux, index, weight, _PASS)
+        out_gm, fields = out_basis._grid_map(m), self.prods.shape[-3]
+        weight = out_gm.full_weights(fields, lead)
+        self.flux, self.gather = flux, sum_plan(flux, out_gm.flux[fields][0], weight, _PASS)
 
 
 def advect(

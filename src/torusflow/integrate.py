@@ -490,7 +490,8 @@ class _Block:
         else:
             fb = kernel.noise.field_basis
             self.spec = take("spec", (rows, 2) + block_shape(fb))
-            self.place = fb._grid_map(m).placement + (self.spec,)
+            gm = fb._grid_map(m)
+            self.place = gm.placement[0], gm.full_weights(None, (rows,)), self.spec
             grids_fm = kernel._arrays.take_field_major("grids", grids)
             self.inverse = inverse_plan(self.spec, m, grids_fm, kernel._arrays)
         if kernel.scheme != "strat-midpoint":

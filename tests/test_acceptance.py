@@ -158,9 +158,9 @@ def _table(monkeypatch, in_lane, in_caller=lambda key: time.sleep(0.5)):
 
 def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
     # the lanes are forked, so a recorder appending to a list here would not
-    # see their builds; it appends to a file instead
+    # see their builds or their starts; it appends to a file instead
     _two_cpus(monkeypatch)
-    log = tmp_path / "ensembles"
+    log, starts = tmp_path / "ensembles", tmp_path / "starts"
     real = acceptance.run_ensemble
 
     def recording(cfg, *args, **kwargs):
@@ -168,7 +168,16 @@ def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
             f.write(f"{cfg.n} {cfg.scheme} {cfg.noise.is_constant_advection}\n")
         return real(cfg, *args, **kwargs)
 
+    def started(c):
+        def check(run):
+            with open(starts, "a") as f:
+                f.write(f"{c.key}\n")
+            return c.check(run)
+
+        return replace(c, check=check)
+
     monkeypatch.setattr(acceptance, "run_ensemble", recording)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(started, acceptance.CRITERIA)))
     before = os.sched_getaffinity(0)
     results = acceptance.run_suite("all", quick=True)
     assert os.sched_getaffinity(0) == before
@@ -184,6 +193,11 @@ def test_a2_and_a6_share_one_lane_and_one_ensemble(monkeypatch, tmp_path):
     # build, so the caller builds no coupling tensor
     assert process["a4"] == process["a5"] == 1
     assert log.read_text().splitlines().count("8 ito-em True") == 1
+    # the longest jobs at quick scale, A3 and A1a, are claimed before A1b,
+    # so they start together in the two lanes and A1b follows
+    order = starts.read_text().split()
+    assert sorted(order) == sorted(process)
+    assert order.index("a1b") > max(order.index("a3"), order.index("a1a"))
     assert_no_child_left()
 
 

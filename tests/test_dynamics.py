@@ -528,12 +528,15 @@ def test_advect_is_bit_equal_to_the_fresh_array_products(paths):
 def test_advect_pass_allocates_nothing_large():
     # after a warm-up pass every stage array is reused: a 16-path pass at n=8
     # allocates little beyond its own result, with or without a field
-    # advector
+    # advector laid out field-major, as StepKernel._prepare_noise hands it
+    # over; every multiply runs on operands of one layout, so numpy takes
+    # no iterator buffers
     rng = np.random.default_rng(2)
     b = get_basis(8)
     m = dealias_resolution(b.n, b.n, b.n)
     U = _batch(b, rng, 16)
-    w_grid = _advector(b, _batch(b, rng, 16), m)
+    w_grid = Workspace().take_field_major("grids", (16, 2, m, m))
+    w_grid[...] = _advector(b, _batch(b, rng, 16), m)
     for args in ((), (SCALE, w_grid)):
         advect(b, U, m, *args)
         tracemalloc.start()
@@ -543,4 +546,4 @@ def test_advect_pass_allocates_nothing_large():
         finally:
             tracemalloc.stop()
         assert out.shape == (16, 2, b.n_modes)
-        assert peak < 4 * out.nbytes
+        assert peak < 1.25 * out.nbytes

@@ -33,10 +33,12 @@ from torusflow.basis import (
     batch_l2_sq,
     get_basis,
     halfspectrum_to_grid,
+    l2_inner,
     place_halfspectrum,
     random_field,
 )
 from torusflow.diagnostics import MartingaleProbe, energy_report
+from torusflow.dynamics import nonlinear_pseudospectral, transport_apply
 from torusflow.noise import (
     ConfigurationError,
     NoiseModel,
@@ -125,6 +127,32 @@ def test_midpoint_cayley_start_takes_three_passes(monkeypatch):
     monkeypatch.setattr(integrate, "advect", counted)
     kernel.step(u, w)
     assert rows == [16, 16, 16]
+
+
+@pytest.mark.parametrize("noise", ["space-independent", "qwiener:2"])
+def test_midpoint_energy_change_is_explained_by_its_solve(noise):
+    # drift and transport are skew in L2, so with mid = (u + v)/2 and v' = u
+    # + incr(mid) any v has ||v||^2 - ||u||^2 = 2 <v - v', mid>: a step's
+    # energy error is the residual of its solve, paired with mid.  Rebuilt
+    # from the public operators, one step of paths whose sizes span 3.5
+    # decades holds the identity to the rounding bound of its two norms,
+    # each an inner product over the 2N coefficients (gamma_2N, Higham,
+    # *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.1), and
+    # the residual to the tolerance that the module documents
+    model = SI if noise == "space-independent" else NoiseModel.q_wiener(2)
+    cfg, u, w = _desk_batch(model, paths=33)
+    u *= np.geomspace(3.0, 1e-3, len(u))[:, None, None]
+    v = StepKernel(cfg.basis, model, "strat-midpoint", cfg.dt).step(u, w)
+    gamma = 2 * cfg.basis.n_modes * np.finfo(float).eps
+    for u_p, v_p, w_p in zip(u, v, w):
+        before, after = SpectralField(cfg.basis, u_p), SpectralField(cfg.basis, v_p)
+        mid = (before + after) * 0.5
+        transported = transport_apply(mid, SpectralField(model.field_basis, w_p))
+        again = before + transported - nonlinear_pseudospectral(mid) * cfg.dt
+        change = after.l2_norm() ** 2 - before.l2_norm() ** 2
+        allowance = gamma * (after.l2_norm() ** 2 + before.l2_norm() ** 2)
+        assert abs(change - 2 * l2_inner(after - again, mid)) <= allowance
+        assert np.abs(again.coeffs - v_p).max() <= 1e-12
 
 
 @pytest.mark.parametrize("noise", ["space-independent", "none"])
